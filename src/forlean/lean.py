@@ -22,7 +22,6 @@ __all__ = [
     "HypBinder",
     "IffP",
     "Imp",
-    "IntT",
     "LeanCommand",
     "LeanProp",
     "LeanTerm",

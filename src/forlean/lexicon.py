@@ -159,6 +159,8 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[LexiconEntry]):
         self._entries = tuple(entries)
+        # (entry, form) pairs by the first element of the form, in table order
+        self._by_first: dict[str, list[tuple[LexiconEntry, tuple[str, ...]]]] = {}
         seen: set[tuple[Category, tuple[str, ...]]] = set()
         for entry in self._entries:
             for form in entry.surface:
@@ -170,6 +172,7 @@ class Lexicon:
                         f"duplicate surface form {' '.join(form)!r} in category {entry.category.value}"
                     )
                 seen.add(marker)
+                self._by_first.setdefault(form[0], []).append((entry, form))
 
     @classmethod
     def parse(cls, text: str) -> "Lexicon":
@@ -217,18 +220,19 @@ class Lexicon:
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
+        if position == len(tokens):
+            return []
         out: list[tuple[LexiconEntry, int]] = []
-        for entry in self._entries:
-            for form in entry.surface:
-                if position + len(form) > len(tokens):
-                    continue
-                if all(
-                    self._element_matches(el, tokens[position + k])
-                    for k, el in enumerate(form)
-                ):
-                    candidate = (entry, len(form))
-                    if candidate not in out:
-                        out.append(candidate)
+        for entry, form in self._by_first.get(tokens[position].text, ()):
+            if position + len(form) > len(tokens):
+                continue
+            if all(
+                self._element_matches(el, tokens[position + k])
+                for k, el in enumerate(form)
+            ):
+                candidate = (entry, len(form))
+                if candidate not in out:
+                    out.append(candidate)
         out.sort(key=lambda pair: (-pair[1], pair[0].category.value, pair[0].key))
         return out
 

@@ -1,6 +1,10 @@
 """Parser for the controlled language, returning every tree the grammar
 admits for a token stream.
 
+The parser is top-down and memoized per (production, position), after
+Johnson 1995, "Memoization in top-down parsing".  It still returns every
+parse, in the order plain backtracking would.
+
 Arithmetic precedence, tightest first: ``^``, then ``* /``, then ``-``, then
 ``+``; each level is left-associative and parentheses override.  Statement
 connectives, tightest first: "and", ",", "or", "iff", "if ... then"; "and",
@@ -12,7 +16,7 @@ the lexical unit and as polarity "not" plus "equal to".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .forthel import (
     And,
@@ -45,7 +49,7 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .lexicon import Category, Lexicon, Token, TokenKind, default_lexicon
+from .lexicon import SYMBOLS, Category, Lexicon, Token, TokenKind, default_lexicon
 
 __all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
 
@@ -77,6 +81,10 @@ class ParseFailure(ValueError):
         self.span = span
 
 
+# statement connectives below "if ... then", loosest first, each right
+# associative; (separator, node) per level
+_CONNECTIVE_LEVELS = (("iff", Iff), ("or", Or), (",", And), ("and", And))
+
 # arithmetic levels, loosest first; (symbol, rawNoun2 key) per level
 _TERM_LEVELS = (
     (("+", "SUM"),),
@@ -87,14 +95,24 @@ _TERM_LEVELS = (
 
 
 class _Parser:
-    """Backtracking recursive descent; every production returns all
-    (node, next_position) alternatives."""
+    """Memoized recursive descent; every production returns all
+    (node, next_position) alternatives.
+
+    ``connective`` and ``term`` keep their alternatives per (level, position)
+    as immutable tuples, and lexicon matches are kept per position.  The
+    grammar is not left recursive, so a memo entry is complete before it is
+    read.  A memo hit skips the ``_want`` calls of the first run; replaying
+    them would change neither ``furthest`` nor ``expected``.
+    """
 
     def __init__(self, tokens: Sequence[Token], lexicon: Lexicon):
         self.toks = list(tokens)
         self.lex = lexicon
         self.furthest = 0
         self.expected: set[str] = set()
+        self._matches: dict[int, list[tuple]] = {}
+        self._connectives: dict[tuple[int, int], tuple] = {}
+        self._terms: dict[tuple[int, int], tuple] = {}
 
     # --- primitives ---------------------------------------------------------
 
@@ -142,11 +160,10 @@ class _Parser:
         return []
 
     def lex_matches(self, pos: int, category: Category) -> list[tuple]:
-        matches = [
-            (entry, pos + length)
-            for entry, length in self.lex.match(self.toks, pos)
-            if entry.category is category
-        ]
+        found = self._matches.get(pos)
+        if found is None:
+            found = self._matches[pos] = self.lex.match(self.toks, pos)
+        matches = [(entry, pos + length) for entry, length in found if entry.category is category]
         if not matches:
             self._want(pos, category.value)
         return matches
@@ -185,29 +202,26 @@ class _Parser:
                 for p3 in self.word(p2, "then"):
                     for consequent, p4 in self.statement(p3):
                         out.append((IfThen(antecedent, consequent), p4))
-        out.extend(self.iff_level(pos))
+        out.extend(self.connective(pos))
         return out
 
-    def _infix_right(self, pos, sub: Callable, sep: Callable, build) -> list[tuple]:
-        out = []
-        for left, p1 in sub(pos):
-            out.append((left, p1))
-            for p2 in sep(p1):
-                for right, p3 in self._infix_right(p2, sub, sep, build):
-                    out.append((build(left, right), p3))
-        return out
-
-    def iff_level(self, pos: int) -> list[tuple]:
-        return self._infix_right(pos, self.or_level, lambda p: self.word(p, "iff"), Iff)
-
-    def or_level(self, pos: int) -> list[tuple]:
-        return self._infix_right(pos, self.comma_level, lambda p: self.word(p, "or"), Or)
-
-    def comma_level(self, pos: int) -> list[tuple]:
-        return self._infix_right(pos, self.and_level, lambda p: self.symbol(p, ","), And)
-
-    def and_level(self, pos: int) -> list[tuple]:
-        return self._infix_right(pos, self.atom_statement, lambda p: self.word(p, "and"), And)
+    def connective(self, pos: int, level: int = 0) -> tuple:
+        memo = self._connectives.get((pos, level))
+        if memo is not None:
+            return memo
+        if level == len(_CONNECTIVE_LEVELS):
+            out = self.atom_statement(pos)
+        else:
+            separator, build = _CONNECTIVE_LEVELS[level]
+            sep = self.symbol if separator in SYMBOLS else self.word
+            out = []
+            for left, p1 in self.connective(pos, level + 1):
+                out.append((left, p1))
+                for p2 in sep(p1, separator):
+                    for right, p3 in self.connective(p2, level):
+                        out.append((build(left, right), p3))
+        memo = self._connectives[pos, level] = tuple(out)
+        return memo
 
     def atom_statement(self, pos: int) -> list[tuple]:
         out = []
@@ -303,22 +317,28 @@ class _Parser:
 
     # --- terms ----------------------------------------------------------------
 
-    def term(self, pos: int, level: int = 0) -> list[tuple]:
+    def term(self, pos: int, level: int = 0) -> tuple:
+        # the memo is read here rather than in a wrapper, which would cost a
+        # Python frame per level and so lower the nesting depth that parses
+        memo = self._terms.get((pos, level))
+        if memo is not None:
+            return memo
         if level == len(_TERM_LEVELS):
-            return self.atom_term(pos)
-        sub = lambda p: self.term(p, level + 1)
-        results = list(sub(pos))
-        frontier = list(results)
-        while frontier:
-            grown = []
-            for left, p in frontier:
-                for symbol, key in _TERM_LEVELS[level]:
-                    for p1 in self.symbol(p, symbol):
-                        for right, p2 in sub(p1):
-                            grown.append((BinApp(key, left, right), p2))
-            results.extend(grown)
-            frontier = grown
-        return results
+            results = self.atom_term(pos)
+        else:
+            results = list(self.term(pos, level + 1))
+            frontier = results
+            while frontier:
+                grown = []
+                for left, p in frontier:
+                    for symbol, key in _TERM_LEVELS[level]:
+                        for p1 in self.symbol(p, symbol):
+                            for right, p2 in self.term(p1, level + 1):
+                                grown.append((BinApp(key, left, right), p2))
+                results.extend(grown)
+                frontier = grown
+        memo = self._terms[pos, level] = tuple(results)
+        return memo
 
     def definite_term(self, pos: int) -> list[tuple]:
         return [(t, p) for t, p in self.term(pos) if not isinstance(t, Quantified)]

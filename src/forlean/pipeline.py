@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forthel import ForthelText
-from .lean import LeanCommand, print_command
+from .lean import DuplicateBinderName, LeanCommand, print_command
 from .lexicon import Token, TokenKind, UnknownCharacter, detokenize, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import simplify
@@ -62,17 +62,17 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
         return PipelineTrace(source=source, diagnostics=result.diagnostics)
     parses = result.trees[:1] if first_parse_only else result.trees
     normals = tuple(simplify(tree) for tree in parses)
+    commands: tuple[LeanCommand, ...] = ()
     try:
         commands = tuple(translate_text(normal) for normal in normals)
+        printed = tuple(dict.fromkeys(print_command(command) for command in commands))
     except UntranslatableNode as err:
-        return PipelineTrace(
-            source=source,
-            parses=parses,
-            normals=normals,
-            diagnostics=(((0, 0), f"untranslatable: {err}"),),
-        )
-    printed = tuple(dict.fromkeys(print_command(command) for command in commands))
-    return PipelineTrace(source, parses, normals, commands, printed)
+        message = f"untranslatable: {err}"
+    except DuplicateBinderName as err:
+        message = f"duplicate binder name: {err}"
+    else:
+        return PipelineTrace(source, parses, normals, commands, printed)
+    return PipelineTrace(source, parses, normals, commands, diagnostics=(((0, 0), message),))
 
 
 def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[PipelineTrace]:

@@ -29,6 +29,12 @@ from forlean.lean_reader import LeanReadError, read_command
 X = VarT("x")
 
 
+def test_star_import():
+    namespace: dict = {}
+    exec("from forlean.lean import *", namespace)
+    assert "print_command" in namespace
+
+
 class TestPrintTerm:
     def test_compound_always_parenthesized(self):
         term = ArithT("+", ArithT("^", X, LitT(2)), LitT(1))

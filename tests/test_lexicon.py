@@ -200,3 +200,49 @@ class TestLexicon:
         for position in range(len(tokens)):
             got = [(e.key, n) for e, n in match_lexicon(tokens, position)]
             assert sorted(got) == sorted(oracle_matches(" ".join(words[position:])))
+
+
+def reference_match(lexicon, tokens, position):
+    """Brute-force scan of every entry and form, deduplicated and sorted the
+    way ``Lexicon.match`` documents."""
+
+    def element_matches(element, token):
+        kind = TokenKind.SYMBOL if len(element) == 1 and element in "+-*/^()," else TokenKind.WORD
+        return token.kind is kind and token.text == element
+
+    out = []
+    for entry in lexicon.entries():
+        for form in entry.surface:
+            window = tokens[position : position + len(form)]
+            if len(window) == len(form) and all(map(element_matches, form, window)):
+                if (entry, len(form)) not in out:
+                    out.append((entry, len(form)))
+    return sorted(out, key=lambda pair: (-pair[1], pair[0].category.value, pair[0].key))
+
+
+class TestMatchIndex:
+    def assert_matches_reference(self, lexicon, tokens):
+        for position in range(len(tokens) + 1):
+            assert lexicon.match(tokens, position) == reference_match(lexicon, tokens, position)
+
+    def test_every_corpus_position(self, corpus_cases):
+        for case in corpus_cases:
+            self.assert_matches_reference(default_lexicon(), tokenize(preprocess(case.input)))
+
+    def test_hand_built_lexicon(self):
+        lexicon = Lexicon.parse(
+            "rawAdjective1\tGREATER_THAN\tgreater than\n"
+            "rawAdjective1\tGREATER_TE\tgreater than or equal to\n"
+            "rawNoun2\tSUM\t+\n"
+            "rawNoun0\tPAIR\t( pair )|pair|pairs\n"
+            "variable\tONE\t1\n"
+        )
+        tokens = tokenize("greater than or equal to ( pair ) + pairs 1 greater than ( pair")
+        self.assert_matches_reference(lexicon, tokens)
+        got = [(entry.key, length) for entry, length in lexicon.match(tokens, 0)]
+        assert got == [("GREATER_TE", 5), ("GREATER_THAN", 2)]
+        assert [(e.key, n) for e, n in lexicon.match(tokens, 5)] == [("PAIR", 3)]
+        assert [(e.key, n) for e, n in lexicon.match(tokens, 8)] == [("SUM", 1)]
+        # the word form "1" never matches the integer literal 1
+        assert lexicon.match(tokens, 10) == []
+        assert lexicon.match(tokens, len(tokens)) == []

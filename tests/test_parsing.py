@@ -16,6 +16,7 @@ from forlean.forthel import (
 )
 from forlean.lexicon import preprocess, tokenize
 from forlean.parsing import ParseFailure, parse_statement, parse_term, parse_text
+from forlean.pipeline import run_pipeline
 
 
 def term_of(text: str):
@@ -189,3 +190,15 @@ class TestParseSetProperties:
         )
         (tree,) = parse_source(source).expect_trees()
         assert tree in parse_source(linearize_forthel(tree)).trees
+
+
+def test_deeply_nested_parentheses_parse_and_print():
+    # guards the Python frames each nesting level costs: 90 levels must stay
+    # within the default recursion limit
+    depth = 90
+    source = (
+        "Ex. Assume x is an integer. Then x is equal to "
+        + "(" * depth + "x" + ")" * depth + "."
+    )
+    (trace,) = run_pipeline(source)
+    assert trace.printed == ("example (x : ℤ) : x = x := sorry",)

@@ -64,6 +64,24 @@ class TestRunPipeline:
     def test_deterministic(self):
         assert run_pipeline(AMBIGUOUS) == run_pipeline(AMBIGUOUS)
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("Ex. Then there exists an integer.", "untranslatable: "),
+            (
+                "Ex. Assume x is an integer. Assume x is a real number. Then x is odd.",
+                "duplicate binder name: x",
+            ),
+        ],
+    )
+    def test_translate_and_print_failures_are_diagnostics(self, source, expected):
+        first, second = run_pipeline(source + " " + INTRO)
+        assert not first.ok
+        assert first.printed == ()
+        ((_, message),) = first.diagnostics
+        assert message.startswith(expected)
+        assert second.ok
+
 
 class TestCorpusFormat:
     def test_parse_blocks(self):
