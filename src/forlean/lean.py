@@ -308,53 +308,60 @@ def normalize_names(c: LeanCommand) -> LeanCommand:
 
 def alpha_equivalent(a: LeanCommand, b: LeanCommand) -> bool:
     """Structural equality modulo consistent renaming of binder-introduced
-    names; hypothesis labels are ignored."""
+    names; hypothesis labels are ignored.
+
+    The renaming is one-to-one: ``env`` maps each name bound in ``a`` to its
+    partner in ``b`` and ``rev`` maps back, and a variable matches only when
+    both maps agree, so a binder may neither merge two names nor capture a
+    free one."""
     if len(a.binders) != len(b.binders):
         return False
     env: dict[str, str] = {}
+    rev: dict[str, str] = {}
     for ba, bb in zip(a.binders, b.binders):
         match (ba, bb):
             case (TypeBinder(na, ta), TypeBinder(nb, tb)):
                 if ta is not tb:
                     return False
                 env[na] = nb
+                rev[nb] = na
             case (HypBinder(_, pa), HypBinder(_, pb)):
-                if not _alpha_prop(pa, pb, env):
+                if not _alpha_prop(pa, pb, env, rev):
                     return False
             case _:
                 return False
-    return _alpha_prop(a.goal, b.goal, env)
+    return _alpha_prop(a.goal, b.goal, env, rev)
 
 
-def _alpha_term(s: LeanTerm, t: LeanTerm, env: dict[str, str]) -> bool:
+def _alpha_term(s: LeanTerm, t: LeanTerm, env: dict[str, str], rev: dict[str, str]) -> bool:
     match (s, t):
         case (VarT(ns), VarT(nt)):
-            return env.get(ns, ns) == nt
+            return env.get(ns, ns) == nt and rev.get(nt, nt) == ns
         case (LitT(vs), LitT(vt)):
             return vs == vt
         case (ArithT(ops, ls, rs), ArithT(opt, lt, rt)):
-            return ops == opt and _alpha_term(ls, lt, env) and _alpha_term(rs, rt, env)
+            return ops == opt and _alpha_term(ls, lt, env, rev) and _alpha_term(rs, rt, env, rev)
     return False
 
 
-def _alpha_prop(p: LeanProp, q: LeanProp, env: dict[str, str]) -> bool:
+def _alpha_prop(p: LeanProp, q: LeanProp, env: dict[str, str], rev: dict[str, str]) -> bool:
     match (p, q):
         case (Rel(op1, l1, r1), Rel(op2, l2, r2)):
-            return op1 == op2 and _alpha_term(l1, l2, env) and _alpha_term(r1, r2, env)
+            return op1 == op2 and _alpha_term(l1, l2, env, rev) and _alpha_term(r1, r2, env, rev)
         case (PredApp(f1, a1), PredApp(f2, a2)):
-            return f1 == f2 and _alpha_term(a1, a2, env)
+            return f1 == f2 and _alpha_term(a1, a2, env, rev)
         case (NotP(b1), NotP(b2)):
-            return _alpha_prop(b1, b2, env)
+            return _alpha_prop(b1, b2, env, rev)
         case (AndP(l1, r1), AndP(l2, r2)) | (OrP(l1, r1), OrP(l2, r2)) | (
             Imp(l1, r1),
             Imp(l2, r2),
         ) | (IffP(l1, r1), IffP(l2, r2)):
-            return _alpha_prop(l1, l2, env) and _alpha_prop(r1, r2, env)
+            return _alpha_prop(l1, l2, env, rev) and _alpha_prop(r1, r2, env, rev)
         case (Forall(n1, t1, b1), Forall(n2, t2, b2)) | (
             Exists(n1, t1, b1),
             Exists(n2, t2, b2),
         ):
             if t1 is not t2 or type(p) is not type(q):
                 return False
-            return _alpha_prop(b1, b2, {**env, n1: n2})
+            return _alpha_prop(b1, b2, {**env, n1: n2}, {**rev, n2: n1})
     return False

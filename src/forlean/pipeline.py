@@ -57,22 +57,28 @@ def split_texts(tokens: list[Token]) -> list[list[Token]]:
 
 def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
     source = detokenize(tokens)
-    result = parse_text(tokens)
-    if not result.ok:
-        return PipelineTrace(source=source, diagnostics=result.diagnostics)
-    parses = result.trees[:1] if first_parse_only else result.trees
-    normals = tuple(simplify(tree) for tree in parses)
+    parses: tuple[ForthelText, ...] = ()
+    normals: tuple[ForthelText, ...] = ()
     commands: tuple[LeanCommand, ...] = ()
     try:
+        result = parse_text(tokens)
+        if not result.ok:
+            return PipelineTrace(source=source, diagnostics=result.diagnostics)
+        parses = result.trees[:1] if first_parse_only else result.trees
+        # the parses share subtrees; one memo for the text rewrites each once
+        memo: dict = {}
+        normals = tuple(simplify(tree, memo) for tree in parses)
         commands = tuple(translate_text(normal) for normal in normals)
         printed = tuple(dict.fromkeys(print_command(command) for command in commands))
+    except RecursionError:
+        diagnostic = ((tokens[0].span[0], tokens[-1].span[1]), "input nested too deeply")
     except UntranslatableNode as err:
-        message = f"untranslatable: {err}"
+        diagnostic = ((0, 0), f"untranslatable: {err}")
     except DuplicateBinderName as err:
-        message = f"duplicate binder name: {err}"
+        diagnostic = ((0, 0), f"duplicate binder name: {err}")
     else:
         return PipelineTrace(source, parses, normals, commands, printed)
-    return PipelineTrace(source, parses, normals, commands, diagnostics=(((0, 0), message),))
+    return PipelineTrace(source, parses, normals, commands, diagnostics=(diagnostic,))
 
 
 def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[PipelineTrace]:

@@ -5,7 +5,14 @@ quantifier raising, attribute flattening, assumption splitting.  The middle
 three repeat until nothing changes: flattening an adjectival attribute can
 expose an in-situ quantifier that still has to be raised, and raising can
 expose a clause whose metavariable still has to unify.  On ordinary input one
-round suffices.
+round rewrites and a second confirms.
+
+Every pass but the last is one node-local rewrite run through ``transform``,
+which rebuilds a tree bottom-up and returns the very same object for a subtree
+it did not change; so "nothing changed" is an identity test.  Unification,
+raising and flattening are pure functions of the subtree they rewrite, so
+``simplify`` caches them by node identity, and a caller that passes one memo
+for all parses of a text rewrites each subtree the parses share only once.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ from .forthel import (
     Example,
     ForQuantified,
     ForthelText,
-    IfThen,
-    Iff,
     IsAdj,
     IsAdj1,
     IsNotion,
@@ -30,18 +35,12 @@ from .forthel import (
     Meta,
     MetaVar,
     Named,
-    Not,
     Notion,
-    Or,
     Polarity,
-    Predicate,
     Quantified,
-    QuantifiedNotion,
     Statement,
     SuchThat,
     Term,
-    ThereExists,
-    ThereExistsNo,
     Unnamed,
     Var,
 )
@@ -51,12 +50,91 @@ __all__ = [
     "assign_names",
     "flatten_attributes",
     "is_normal_form",
+    "iter_nodes",
     "normal_form_violations",
     "raise_quantifiers",
     "simplify",
     "split_assumptions",
+    "transform",
     "unify_variables",
 ]
+
+
+# --- generic traversal -------------------------------------------------------
+
+
+class _NodeTypes(dict):
+    """Whether a type is a tree node, decided once per type.  Nodes are
+    tuples and dataclass instances whose ``__dict__`` holds exactly their
+    fields, in field order, so that ``cls(*vars(node).values())`` rebuilds
+    them; str, int, enums and None are leaves."""
+
+    def __missing__(self, cls: type) -> bool:
+        is_node = cls is tuple or dataclasses.is_dataclass(cls)
+        if is_node and cls is not tuple:
+            if hasattr(cls, "__slots__") or any(
+                not f.init or f.kw_only for f in dataclasses.fields(cls)
+            ):
+                raise TypeError(f"cannot rebuild {cls.__name__} from its instance dict")
+        self[cls] = is_node
+        return is_node
+
+
+_IS_NODE = _NodeTypes()
+
+
+def transform(node, fn, memo: dict | None = None):
+    """Rebuild ``node`` bottom-up: children first, in field order, then ``fn``
+    on the node rebuilt from them.  Tuples are rebuilt item by item and not
+    passed to ``fn``.  Returns ``node`` itself when no child changed and
+    ``fn`` returned its argument.
+
+    ``memo`` caches the result per node identity; share one only between
+    calls with the same pure ``fn``.  It holds each node it keys, so an id
+    cannot be reused while the memo lives.
+    """
+    if memo is not None:
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+    cls = type(node)
+    children = node if cls is tuple else node.__dict__.values()
+    rebuilt = None
+    # a loop, not a comprehension: one Python frame per tree level
+    for i, child in enumerate(children):
+        if _IS_NODE[type(child)]:
+            new = transform(child, fn, memo)
+            if new is not child:
+                if rebuilt is None:
+                    rebuilt = list(children)
+                rebuilt[i] = new
+    if cls is tuple:
+        result = node if rebuilt is None else tuple(rebuilt)
+    else:
+        result = fn(node if rebuilt is None else cls(*rebuilt))
+    if memo is not None:
+        memo[id(node)] = (node, result)
+    return result
+
+
+def iter_nodes(node):
+    """Every dataclass node reachable from ``node`` through fields and
+    tuples, parents before children, children in field order; a node
+    reachable twice is yielded twice."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            children = n
+        else:
+            yield n
+            children = n.__dict__.values()
+        for child in reversed(children):
+            if _IS_NODE[type(child)]:
+                stack.append(child)
+
+
+# --- names ---------------------------------------------------------------------
 
 
 @dataclass
@@ -80,23 +158,14 @@ class NameSupply:
 
 def _names_in(node) -> set[str]:
     names: set[str] = set()
-
-    def visit(n) -> None:
-        match n:
-            case Var(name):
-                names.add(name)
-            case Named(letter):
-                names.add(letter)
-            case Meta(ident) | MetaVar(ident):
-                names.add(f"x{ident}")
-        if dataclasses.is_dataclass(n):
-            for f in dataclasses.fields(n):
-                visit(getattr(n, f.name))
-        elif isinstance(n, tuple):
-            for item in n:
-                visit(item)
-
-    visit(node)
+    for n in iter_nodes(node):
+        cls = type(n)
+        if cls is Var:
+            names.add(n.name)
+        elif cls is Named:
+            names.add(n.letter)
+        elif cls is Meta or cls is MetaVar:
+            names.add(f"x{n.ident}")
     return names
 
 
@@ -114,34 +183,7 @@ def _name_ref(notion: Notion) -> Term:
 
 def assign_names(text: ForthelText, supply: NameSupply) -> ForthelText:
     """Replace every unnamed notion slot by a fresh metavariable name."""
-    return _map_text(text, lambda s: _an_stmt(s, supply))
-
-
-def _an_stmt(s: Statement, supply) -> Statement:
-    return _rebuild_stmt(
-        s,
-        on_term=lambda t: _an_term(t, supply),
-        on_notion=lambda n: _an_notion(n, supply),
-    )
-
-
-def _an_notion(n: Notion, supply) -> Notion:
-    name = Meta(supply.fresh()) if isinstance(n.name, Unnamed) else n.name
-    right = _rebuild_right(
-        n.right_attribute,
-        on_term=lambda t: _an_term(t, supply),
-        on_notion=lambda m: _an_notion(m, supply),
-    )
-    return Notion(n.head, name, n.left_attribute, right)
-
-
-def _an_term(t: Term, supply) -> Term:
-    match t:
-        case BinApp(op, left, right):
-            return BinApp(op, _an_term(left, supply), _an_term(right, supply))
-        case Quantified(qn):
-            return Quantified(QuantifiedNotion(qn.quantifier, _an_notion(qn.notion, supply)))
-    return t
+    return transform(text, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n)
 
 
 # --- variable unification -------------------------------------------------------
@@ -150,48 +192,27 @@ def _an_term(t: Term, supply) -> Term:
 def unify_variables(text: ForthelText) -> ForthelText:
     """In "v is a <notion named (x n)>", rename the metavariable to v,
     including every reference to it inside the notion's condition."""
-    return _map_text(text, _uv_stmt)
+    return transform(text, _unify_one)
 
 
-def _uv_stmt(s: Statement) -> Statement:
-    s = _rebuild_stmt(s, on_term=_uv_term, on_notion=_uv_notion, on_stmt=_uv_stmt)
-    match s:
-        case Does(Var(v), IsNotion(polarity, notion)) if isinstance(notion.name, Meta):
+def _unify_one(n):
+    match n:
+        case Does(Var(v), IsNotion(polarity, notion)) if type(notion.name) is Meta:
             renamed = _substitute_meta(notion, notion.name.ident, v)
-            return Does(Var(v), IsNotion(polarity, renamed))
-    return s
+            return Does(n.subject, IsNotion(polarity, renamed))
+    return n
 
 
 def _substitute_meta(node, ident: int, letter: str):
-    match node:
-        case Meta(i) if i == ident:
-            return Named(letter)
-        case MetaVar(i) if i == ident:
-            return Var(letter)
-    if dataclasses.is_dataclass(node):
-        return type(node)(
-            **{
-                f.name: _substitute_meta(getattr(node, f.name), ident, letter)
-                for f in dataclasses.fields(node)
-            }
-        )
-    if isinstance(node, tuple):
-        return tuple(_substitute_meta(item, ident, letter) for item in node)
-    return node
+    def substitute(n):
+        match n:
+            case Meta(i) if i == ident:
+                return Named(letter)
+            case MetaVar(i) if i == ident:
+                return Var(letter)
+        return n
 
-
-def _uv_notion(n: Notion) -> Notion:
-    right = _rebuild_right(n.right_attribute, on_term=_uv_term, on_notion=_uv_notion, on_stmt=_uv_stmt)
-    return dataclasses.replace(n, right_attribute=right)
-
-
-def _uv_term(t: Term) -> Term:
-    match t:
-        case BinApp(op, left, right):
-            return BinApp(op, _uv_term(left), _uv_term(right))
-        case Quantified(qn):
-            return Quantified(QuantifiedNotion(qn.quantifier, _uv_notion(qn.notion)))
-    return t
+    return transform(node, substitute)
 
 
 # --- quantifier raising ----------------------------------------------------------
@@ -200,13 +221,14 @@ def _uv_term(t: Term) -> Term:
 def raise_quantifiers(stmt: Statement) -> Statement:
     """Turn in-situ quantified terms into leading ex-situ quantifiers.
 
-    The subject is raised first, then quantified terms inside the predicate,
-    left to right; earlier raisings scope over later ones.
+    In each clause the subject is raised first, then quantified terms inside
+    the predicate, left to right; earlier raisings scope over later ones.
     """
-    match stmt:
-        case Does():
-            return _raise_does(stmt)
-    return _rebuild_stmt(stmt, on_notion=_raise_notion, on_stmt=raise_quantifiers)
+    return transform(stmt, _raise_one)
+
+
+def _raise_one(n):
+    return _raise_does(n) if type(n) is Does else n
 
 
 def _raise_does(does: Does) -> Statement:
@@ -218,9 +240,7 @@ def _raise_does(does: Does) -> Statement:
             case IsAdj1(_, _, term) | IsTerm(_, term):
                 found = _find_quantified(term)
     if found is None:
-        # nothing in-situ; still normalize nested such-that statements
-        predicate = _rebuild_pred(does.predicate, on_notion=_raise_notion)
-        return Does(does.subject, predicate)
+        return does
     ref = _name_ref(found.qnotion.notion)
     if where == "subject":
         residual = Does(_replace_first(does.subject, found, ref), does.predicate)
@@ -230,13 +250,7 @@ def _raise_does(does: Does) -> Statement:
                 residual = Does(does.subject, IsAdj1(pol, adj, _replace_first(term, found, ref)))
             case IsTerm(pol, term):
                 residual = Does(does.subject, IsTerm(pol, _replace_first(term, found, ref)))
-    qn = QuantifiedNotion(found.qnotion.quantifier, _raise_notion(found.qnotion.notion))
-    return ForQuantified(qn, _raise_does(residual))
-
-
-def _raise_notion(n: Notion) -> Notion:
-    right = _rebuild_right(n.right_attribute, on_notion=_raise_notion, on_stmt=raise_quantifiers)
-    return dataclasses.replace(n, right_attribute=right)
+    return ForQuantified(found.qnotion, _raise_does(residual))
 
 
 def _find_quantified(t: Term) -> Quantified | None:
@@ -249,37 +263,42 @@ def _find_quantified(t: Term) -> Quantified | None:
 
 
 def _replace_first(t: Term, target: Quantified, ref: Term) -> Term:
-    if t == target:
+    if t is target:
         return ref
-    match t:
-        case BinApp(op, left, right):
-            new_left = _replace_first(left, target, ref)
-            if new_left != left:
-                return BinApp(op, new_left, right)
-            return BinApp(op, left, _replace_first(right, target, ref))
+    if type(t) is BinApp:
+        left = _replace_first(t.left, target, ref)
+        if left is not t.left:
+            return BinApp(t.op, left, t.right)
+        right = _replace_first(t.right, target, ref)
+        if right is not t.right:
+            return BinApp(t.op, t.left, right)
     return t
 
 
 # --- attribute flattening ---------------------------------------------------------
 
 
-def flatten_attributes(n: Notion) -> Notion:
-    """Rewrite the left adjective and an adjectival right attribute as a
-    single such-that condition; conjunct order is left attribute first."""
+def flatten_attributes(node):
+    """In every notion of ``node``, rewrite the left adjective and an
+    adjectival right attribute as a single such-that condition; conjunct
+    order is left attribute first."""
+    return transform(node, _flatten_one)
+
+
+def _flatten_one(n):
+    if type(n) is not Notion:
+        return n
+    if n.left_attribute is None and not isinstance(n.right_attribute, IsPred):
+        return n
     subject = _name_ref(n)
-    right = n.right_attribute
     conjuncts: list[Statement] = []
     if n.left_attribute is not None:
         conjuncts.append(Does(subject, IsAdj(Polarity.POS, n.left_attribute)))
-    match right:
+    match n.right_attribute:
         case IsPred(predicate):
-            conjuncts.append(Does(subject, _flatten_pred(predicate)))
+            conjuncts.append(Does(subject, predicate))
         case SuchThat(statement):
-            conjuncts.append(_flatten_stmt(statement))
-    if n.left_attribute is None and not isinstance(right, IsPred):
-        if isinstance(right, SuchThat):
-            return Notion(n.head, n.name, None, SuchThat(conjuncts[0]))
-        return n
+            conjuncts.append(statement)
     return Notion(n.head, n.name, None, SuchThat(_conjoin(conjuncts)))
 
 
@@ -287,23 +306,6 @@ def _conjoin(conjuncts: list[Statement]) -> Statement:
     if len(conjuncts) == 1:
         return conjuncts[0]
     return And(conjuncts[0], _conjoin(conjuncts[1:]))
-
-
-def _flatten_stmt(s: Statement) -> Statement:
-    return _rebuild_stmt(s, on_term=_flatten_term, on_notion=flatten_attributes, on_stmt=_flatten_stmt)
-
-
-def _flatten_pred(p: Predicate) -> Predicate:
-    return _rebuild_pred(p, on_term=_flatten_term, on_notion=flatten_attributes)
-
-
-def _flatten_term(t: Term) -> Term:
-    match t:
-        case BinApp(op, left, right):
-            return BinApp(op, _flatten_term(left), _flatten_term(right))
-        case Quantified(qn):
-            return Quantified(QuantifiedNotion(qn.quantifier, flatten_attributes(qn.notion)))
-    return t
 
 
 # --- assumption splitting -----------------------------------------------------------
@@ -347,18 +349,27 @@ def _conjuncts(s: Statement) -> list[Statement]:
 # --- the composed pass ----------------------------------------------------------------
 
 
-def simplify(text: ForthelText) -> ForthelText:
+def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     """Full normalization; the result satisfies the normal-form invariants.
 
     Unification stays in the loop because raising can expose new "v is a
     <notion>" clauses (a quantified subject over a notion predicate) whose
-    metavariables still have to unify; one round suffices on ordinary input.
+    metavariables still have to unify.
+
+    ``memo`` is a cache handle: pass the same dict for every parse of one
+    text, and a subtree the parses share is rewritten once.  The result is the
+    same with or without it.
     """
-    supply = NameSupply.for_text(text)
-    t = assign_names(text, supply)
+    memos = {} if memo is None else memo
+    unify, raise_, flatten = (
+        memos.setdefault(fn, {}) for fn in (_unify_one, _raise_one, _flatten_one)
+    )
+    t = assign_names(text, NameSupply.for_text(text))
     while True:
-        t2 = _map_text(_map_text(unify_variables(t), raise_quantifiers), _flatten_stmt)
-        if t2 == t:
+        t2 = transform(t, _unify_one, unify)
+        t2 = transform(t2, _raise_one, raise_)
+        t2 = transform(t2, _flatten_one, flatten)
+        if t2 is t:
             break
         t = t2
     return ForthelText(split_assumptions(t.example))
@@ -370,8 +381,7 @@ def simplify(text: ForthelText) -> ForthelText:
 def normal_form_violations(text: ForthelText) -> tuple[str, ...]:
     """Why ``text`` is not in simplifier normal form; empty when it is."""
     problems: list[str] = []
-
-    def visit(node) -> None:
+    for node in iter_nodes(text):
         match node:
             case Unnamed():
                 problems.append("unnamed notion")
@@ -382,14 +392,6 @@ def normal_form_violations(text: ForthelText) -> tuple[str, ...]:
                     problems.append(f"left attribute {left}")
                 if isinstance(right, IsPred):
                     problems.append("adjectival right attribute")
-        if dataclasses.is_dataclass(node):
-            for f in dataclasses.fields(node):
-                visit(getattr(node, f.name))
-        elif isinstance(node, tuple):
-            for item in node:
-                visit(item)
-
-    visit(text)
     for assumption in text.example.assumptions:
         if isinstance(assumption, And):
             problems.append("conjunctive assumption")
@@ -402,11 +404,7 @@ def is_normal_form(text: ForthelText) -> bool:
     return not normal_form_violations(text)
 
 
-# --- generic rebuilding helpers --------------------------------------------------------
-
-
-def _identity(x):
-    return x
+# --- per-statement helpers for tests ------------------------------------------------------
 
 
 def _map_text(text: ForthelText, on_stmt) -> ForthelText:
@@ -416,49 +414,4 @@ def _map_text(text: ForthelText, on_stmt) -> ForthelText:
     )
 
 
-def _rebuild_stmt(s: Statement, on_term=_identity, on_notion=_identity, on_stmt=None) -> Statement:
-    """Rebuild one statement, applying the callbacks to children.  When
-    ``on_stmt`` is None the rebuild recurses structurally with the same
-    callbacks; otherwise child statements go through ``on_stmt``."""
-    rec = on_stmt or (lambda child: _rebuild_stmt(child, on_term, on_notion))
-    match s:
-        case And(left, right):
-            return And(rec(left), rec(right))
-        case Or(left, right):
-            return Or(rec(left), rec(right))
-        case IfThen(antecedent, consequent):
-            return IfThen(rec(antecedent), rec(consequent))
-        case Iff(left, right):
-            return Iff(rec(left), rec(right))
-        case Not(body):
-            return Not(rec(body))
-        case ForQuantified(qn, body):
-            return ForQuantified(QuantifiedNotion(qn.quantifier, on_notion(qn.notion)), rec(body))
-        case Does(subject, predicate):
-            return Does(on_term(subject), _rebuild_pred(predicate, on_term, on_notion))
-        case ThereExists(notion):
-            return ThereExists(on_notion(notion))
-        case ThereExistsNo(notion):
-            return ThereExistsNo(on_notion(notion))
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def _rebuild_pred(p: Predicate, on_term=_identity, on_notion=_identity) -> Predicate:
-    match p:
-        case IsAdj1(polarity, adjective, term):
-            return IsAdj1(polarity, adjective, on_term(term))
-        case IsTerm(polarity, term):
-            return IsTerm(polarity, on_term(term))
-        case IsNotion(polarity, notion):
-            return IsNotion(polarity, on_notion(notion))
-    return p
-
-
-def _rebuild_right(right, on_term=_identity, on_notion=_identity, on_stmt=None):
-    match right:
-        case IsPred(predicate):
-            return IsPred(_rebuild_pred(predicate, on_term, on_notion))
-        case SuchThat(statement):
-            rec = on_stmt or (lambda child: _rebuild_stmt(child, on_term, on_notion))
-            return SuchThat(rec(statement))
-    return right
+_flatten_stmt = flatten_attributes

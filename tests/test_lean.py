@@ -201,6 +201,30 @@ class TestAlphaEquivalence:
         b = read_command("example : y > 3 := sorry")
         assert not alpha_equivalent(a, b)
 
+    def test_renaming_must_be_one_to_one(self):
+        a = read_command("example : ∀ (x : ℤ), ∀ (y : ℤ), x < y := sorry")
+        b = read_command("example : ∀ (a : ℤ), ∀ (a : ℤ), a < a := sorry")
+        assert not alpha_equivalent(a, b)
+        assert not alpha_equivalent(b, a)
+
+    def test_binder_must_not_capture_an_outer_name(self):
+        a = read_command("example (x : ℤ) : ∀ (y : ℤ), x < y := sorry")
+        b = read_command("example (x : ℤ) : ∀ (x : ℤ), x < x := sorry")
+        assert not alpha_equivalent(a, b)
+        assert not alpha_equivalent(b, a)
+
+    def test_binder_must_not_capture_a_free_name(self):
+        a = read_command("example : ∀ (y : ℤ), x < y := sorry")
+        b = read_command("example : ∀ (x : ℤ), x < x := sorry")
+        assert not alpha_equivalent(a, b)
+        assert not alpha_equivalent(b, a)
+
+    def test_shadowing_renamed_consistently(self):
+        a = read_command("example : ∀ (x : ℤ), ∀ (x : ℤ), x < 1 := sorry")
+        b = read_command("example : ∀ (a : ℤ), ∀ (b : ℤ), b < 1 := sorry")
+        assert alpha_equivalent(a, b)
+        assert alpha_equivalent(b, a)
+
 
 class TestReader:
     def test_roundtrips_every_corpus_output(self, corpus_cases):

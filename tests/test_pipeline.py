@@ -12,6 +12,7 @@ from forlean.corpus import (
     parse_corpus,
 )
 from forlean.pipeline import run_pipeline
+from test_properties import QUANTIFIERS, SentenceGenerator
 
 INTRO = (
     "Ex. Assume x is a rational number. Assume x is equal to 2 + 2 * 2. "
@@ -21,6 +22,20 @@ AMBIGUOUS = (
     "Ex. Assume x is a real number. Assume x is greater than 0 and x is less than 1. "
     "Then x ^ 2 - 2 * x + 2 is not equal to 0."
 )
+
+
+class QuantifiedOperandGenerator(SentenceGenerator):
+    """Generator texts in which arithmetic operands may be quantified terms."""
+
+    def term(self, depth: int, allow_quantified: bool) -> str:
+        if depth > 0 and self.rng.random() < 0.3:
+            quantified = f"{self.rng.choice(QUANTIFIERS)} {self.notion(0)}"
+            other = super().term(depth - 1, False)
+            op = self.rng.choice("+-*/^")
+            if self.rng.random() < 0.5:
+                return f"{other} {op} {quantified}"
+            return f"{quantified} {op} {other}"
+        return super().term(depth, allow_quantified)
 
 
 class TestRunPipeline:
@@ -81,6 +96,57 @@ class TestRunPipeline:
         ((_, message),) = first.diagnostics
         assert message.startswith(expected)
         assert second.ok
+
+    @pytest.mark.parametrize(
+        "conclusion",
+        [
+            "it's not that " * 150 + "x is odd",
+            "x is equal to " + "(" * 170 + "x" + ")" * 170,
+            " and ".join(["x is odd"] * 400),
+        ],
+        ids=["150-negations", "170-parentheses", "400-conjuncts"],
+    )
+    def test_deep_input_is_a_diagnostic_not_an_exception(self, conclusion):
+        source = f"Ex. Assume x is an integer. Then {conclusion}."
+        first, second = run_pipeline(source + " " + INTRO)
+        if not first.ok:
+            assert first.printed == ()
+            ((span, message),) = first.diagnostics
+            assert message == "input nested too deeply"
+            assert span[0] == 0 and span[1] > len(conclusion)
+        assert second.ok
+
+    @pytest.mark.parametrize(
+        "conclusion, expected",
+        [
+            (
+                "x * 2 + some integer is even",
+                "example (x : ℤ) : ∃ (x2 : ℤ), even ((x * 2) + x2) := sorry",
+            ),
+            (
+                "x is less than x + 1 + some integer",
+                "example (x : ℤ) : ∃ (x2 : ℤ), x < ((x + 1) + x2) := sorry",
+            ),
+            (
+                "x + every integer is greater than x * (1 + some integer)",
+                "example (x : ℤ) : ∀ (x2 : ℤ), ∃ (x3 : ℤ), (x + x2) > (x * (1 + x3)) := sorry",
+            ),
+        ],
+        ids=["product-plus-some", "sum-plus-some", "both-sides"],
+    )
+    def test_quantified_arithmetic_operand_is_raised(self, conclusion, expected):
+        (trace,) = run_pipeline(f"Ex. Assume x is an integer. Then {conclusion}.")
+        assert trace.diagnostics == ()
+        assert trace.printed == (expected,)
+
+    def test_shallow_input_is_never_too_deep(self, corpus_cases):
+        generator = QuantifiedOperandGenerator(seed=5151)
+        generated = [generator.text() for _ in range(200)]
+        for source in [case.input for case in corpus_cases] + generated:
+            for trace in run_pipeline(source):
+                messages = [message for _, message in trace.diagnostics]
+                assert "input nested too deeply" not in messages, source
+                assert trace.normals, source
 
 
 class TestCorpusFormat:

@@ -30,8 +30,10 @@ from forlean.simplify import (
     raise_quantifiers,
     simplify,
     split_assumptions,
+    transform,
     unify_variables,
 )
+from test_properties import generate_sentences
 
 POS = Polarity.POS
 
@@ -123,6 +125,18 @@ class TestRaiseQuantifiers:
     def test_no_quantified_terms_is_noop(self):
         stmt = first_parse("Ex. Then x is greater than 3.").example.conclusion
         assert raise_quantifiers(stmt) == stmt
+
+    def test_quantifier_inside_adjectival_attribute_is_raised(self):
+        tree = first_parse(
+            "Ex. Then x is an integer less than some integer y such that "
+            "y is greater than every real number."
+        )
+        named = assign_names(tree, NameSupply.for_text(tree))
+        raised = raise_quantifiers(named.example.conclusion)
+        assert linearize_forthel(raised) == (
+            "x is an integer (x 1) less than some integer y such that "
+            "for every real number (x 2), y is greater than (x 2)"
+        )
 
 
 class TestFlattenAttributes:
@@ -294,6 +308,21 @@ class TestNameSupply:
         )
         normal = simplify(tree)
         assert is_normal_form(normal)
+
+
+class TestTransform:
+    def test_identity_returns_the_same_object(self, corpus_cases):
+        for case in corpus_cases:
+            for tree in parse_source(case.input).expect_trees():
+                assert transform(tree, lambda n: n) is tree, case.id
+
+    def test_shared_memo_gives_the_same_normal_forms(self, corpus_cases):
+        ambiguous = [s for s in generate_sentences(300) if 1 <= s.count("not equal to") <= 4]
+        assert ambiguous
+        for source in [case.input for case in corpus_cases] + ambiguous:
+            memo: dict = {}
+            for tree in parse_source(source).expect_trees():
+                assert simplify(tree, memo) == simplify(tree), source
 
 
 def _collect(node, cls):
