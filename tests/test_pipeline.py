@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ INTRO = (
     "Ex. Assume x is a rational number. Assume x is equal to 2 + 2 * 2. "
     "Then x is greater than 3."
 )
+DATA = Path(__file__).parent / "data"
 AMBIGUOUS = (
     "Ex. Assume x is a real number. Assume x is greater than 0 and x is less than 1. "
     "Then x ^ 2 - 2 * x + 2 is not equal to 0."
@@ -293,6 +295,14 @@ class TestCli:
         corpus.write_text("-- input\nstray\n", encoding="utf-8")
         assert main(["corpus", str(corpus)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_translate_matches_golden_output(self, capsys):
+        # the corpus inputs plus multi-parse texts with unnamed notions and
+        # user-written metavariables, byte for byte, fresh ids included;
+        # regenerate with: forlean translate --show-simplified
+        #   tests/data/translate.input > tests/data/translate.golden
+        assert main(["translate", "--show-simplified", str(DATA / "translate.input")]) == 0
+        assert capsys.readouterr().out == (DATA / "translate.golden").read_text(encoding="utf-8")
 
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         source = tmp_path / "input.txt"
