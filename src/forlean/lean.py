@@ -3,6 +3,9 @@
 Printing is deliberately rigid so that output is byte-stable: every compound
 arithmetic term and every binary or negated proposition is parenthesized;
 atoms, predicate applications and quantifiers never are.
+
+Printing is pure, so ``print_command`` can take one memo for all parses of a
+text: each proposition object the parses share is printed once.
 """
 
 from __future__ import annotations
@@ -176,25 +179,39 @@ def print_term(t: LeanTerm) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def print_prop(p: LeanProp) -> str:
+def print_prop(p: LeanProp, memo: dict | None = None) -> str:
+    """``memo`` caches the result per node identity and holds each node it
+    keys."""
+    if memo is not None:
+        hit = memo.get(id(p))
+        if hit is not None:
+            return hit[1]
     match p:
         case Rel(op, left, right):
-            return f"{print_term(left)} {op} {print_term(right)}"
+            text = f"{print_term(left)} {op} {print_term(right)}"
         case PredApp(pred, arg):
-            return f"{pred} {print_term(arg)}"
+            text = f"{pred} {print_term(arg)}"
         case NotP(body):
-            return f"(¬ {print_prop(body)})"
+            text = f"(¬ {print_prop(body, memo)})"
         case AndP() | OrP() | Imp() | IffP():
             symbol = _CONNECTIVES[type(p)]
-            return f"({print_prop(p.left)} {symbol} {print_prop(p.right)})"
+            text = f"({print_prop(p.left, memo)} {symbol} {print_prop(p.right, memo)})"
         case Forall(name, type_, body):
-            return f"∀ ({name} : {type_.value}), {print_prop(body)}"
+            text = f"∀ ({name} : {type_.value}), {print_prop(body, memo)}"
         case Exists(name, type_, body):
-            return f"∃ ({name} : {type_.value}), {print_prop(body)}"
-    raise TypeError(f"not a proposition: {p!r}")
+            text = f"∃ ({name} : {type_.value}), {print_prop(body, memo)}"
+        case _:
+            raise TypeError(f"not a proposition: {p!r}")
+    if memo is not None:
+        memo[id(p)] = (p, text)
+    return text
 
 
-def print_command(c: LeanCommand) -> str:
+def print_command(c: LeanCommand, memo: dict | None = None) -> str:
+    """``memo`` is a cache handle: pass the same dict for every command of
+    one text, and a proposition the commands share is printed once.  The
+    result is the same with or without it."""
+    props = None if memo is None else memo.setdefault(print_prop, {})
     names = [b.name if isinstance(b, TypeBinder) else b.label for b in c.binders]
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:
@@ -205,8 +222,8 @@ def print_command(c: LeanCommand) -> str:
             case TypeBinder(name, type_):
                 parts.append(f"({name} : {type_.value})")
             case HypBinder(label, prop):
-                parts.append(f"({label} : {print_prop(prop)})")
-    return " ".join(parts) + f" : {print_prop(c.goal)} := sorry"
+                parts.append(f"({label} : {print_prop(prop, props)})")
+    return " ".join(parts) + f" : {print_prop(c.goal, props)} := sorry"
 
 
 # --- name normalization ------------------------------------------------------------------

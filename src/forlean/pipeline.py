@@ -14,7 +14,7 @@ from .lean import DuplicateBinderName, LeanCommand, print_command
 from .lexicon import Token, TokenKind, UnknownCharacter, detokenize, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import simplify
-from .translate import UntranslatableNode, translate_text
+from .translate import DEFAULT_SEMANTICS, UntranslatableNode, translate_text
 
 __all__ = ["PipelineTrace", "run_pipeline", "split_texts"]
 
@@ -65,11 +65,13 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
         if not result.ok:
             return PipelineTrace(source=source, diagnostics=result.diagnostics)
         parses = result.trees[:1] if first_parse_only else result.trees
-        # the parses share subtrees; one memo for the text rewrites each once
+        # the parses share subtrees; with one memo for the text, each stage
+        # does its work once per shared subtree.  Stages are called once per
+        # parse with positional arguments, which the bench's stage spans need
         memo: dict = {}
         normals = tuple(simplify(tree, memo) for tree in parses)
-        commands = tuple(translate_text(normal) for normal in normals)
-        printed = tuple(dict.fromkeys(print_command(command) for command in commands))
+        commands = tuple(translate_text(normal, DEFAULT_SEMANTICS, memo) for normal in normals)
+        printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
     except RecursionError:
         diagnostic = ((tokens[0].span[0], tokens[-1].span[1]), "input nested too deeply")
     except UntranslatableNode as err:

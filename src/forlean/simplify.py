@@ -9,10 +9,12 @@ round rewrites and a second confirms.
 
 Every pass but the last is one node-local rewrite run through ``transform``,
 which rebuilds a tree bottom-up and returns the very same object for a subtree
-it did not change; so "nothing changed" is an identity test.  Unification,
-raising and flattening are pure functions of the subtree they rewrite, so
-``simplify`` caches them by node identity, and a caller that passes one memo
-for all parses of a text rewrites each subtree the parses share only once.
+it did not change; so "nothing changed" is an identity test.  A caller that
+passes one memo for all parses of a text does the work for each subtree the
+parses share only once: the names in use are collected from the first parse
+(every parse holds the same generated names, each read from a ``(x N)`` token
+group), fresh naming is cached per node identity and next fresh id, and
+unification, raising and flattening, which are pure, per node identity.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class _NodeTypes(dict):
 _IS_NODE = _NodeTypes()
 
 
-def transform(node, fn, memo: dict | None = None):
+def transform(node, fn, memo: dict | None = None, supply: "NameSupply | None" = None):
     """Rebuild ``node`` bottom-up: children first, in field order, then ``fn``
     on the node rebuilt from them.  Tuples are rebuilt item by item and not
     passed to ``fn``.  Returns ``node`` itself when no child changed and
@@ -91,11 +93,17 @@ def transform(node, fn, memo: dict | None = None):
 
     ``memo`` caches the result per node identity; share one only between
     calls with the same pure ``fn``.  It holds each node it keys, so an id
-    cannot be reused while the memo lives.
+    cannot be reused while the memo lives.  When ``fn`` draws fresh ids from
+    ``supply``, a subtree's result also depends on ``supply.next_id``: the
+    memo then keys on the pair, and a hit restores the ``next_id`` that the
+    first visit left.
     """
     if memo is not None:
-        hit = memo.get(id(node))
+        key = id(node) if supply is None else (id(node), supply.next_id)
+        hit = memo.get(key)
         if hit is not None:
+            if supply is not None:
+                supply.next_id = hit[2]
             return hit[1]
     cls = type(node)
     children = node if cls is tuple else node.__dict__.values()
@@ -103,7 +111,7 @@ def transform(node, fn, memo: dict | None = None):
     # a loop, not a comprehension: one Python frame per tree level
     for i, child in enumerate(children):
         if _IS_NODE[type(child)]:
-            new = transform(child, fn, memo)
+            new = transform(child, fn, memo, supply)
             if new is not child:
                 if rebuilt is None:
                     rebuilt = list(children)
@@ -113,7 +121,7 @@ def transform(node, fn, memo: dict | None = None):
     else:
         result = fn(node if rebuilt is None else cls(*rebuilt))
     if memo is not None:
-        memo[id(node)] = (node, result)
+        memo[key] = (node, result, None if supply is None else supply.next_id)
     return result
 
 
@@ -181,9 +189,13 @@ def _name_ref(notion: Notion) -> Term:
 # --- fresh names --------------------------------------------------------------
 
 
-def assign_names(text: ForthelText, supply: NameSupply) -> ForthelText:
-    """Replace every unnamed notion slot by a fresh metavariable name."""
-    return transform(text, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n)
+def assign_names(text: ForthelText, supply: NameSupply, memo: dict | None = None) -> ForthelText:
+    """Replace every unnamed notion slot by a fresh metavariable name, in
+    field order.  ``memo`` is as in ``transform``; share one only between
+    supplies with the same used names."""
+    return transform(
+        text, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n, memo, supply
+    )
 
 
 # --- variable unification -------------------------------------------------------
@@ -357,14 +369,19 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     metavariables still have to unify.
 
     ``memo`` is a cache handle: pass the same dict for every parse of one
-    text, and a subtree the parses share is rewritten once.  The result is the
-    same with or without it.
+    text, and the names in use are collected once and a subtree the parses
+    share is named and rewritten once.  The result is the same with or
+    without it.
     """
     memos = {} if memo is None else memo
-    unify, raise_, flatten = (
-        memos.setdefault(fn, {}) for fn in (_unify_one, _raise_one, _flatten_one)
+    named, unify, raise_, flatten = (
+        memos.setdefault(fn, {})
+        for fn in (assign_names, _unify_one, _raise_one, _flatten_one)
     )
-    t = assign_names(text, NameSupply.for_text(text))
+    used = memos.get(NameSupply)
+    if used is None:
+        used = memos[NameSupply] = NameSupply.for_text(text).used_names
+    t = assign_names(text, NameSupply(used), named)
     while True:
         t2 = transform(t, _unify_one, unify)
         t2 = transform(t2, _raise_one, raise_)

@@ -4,6 +4,10 @@ The lexicon image is fixed: nouns become the types ℝ/ℤ/ℚ, arithmetic nouns
 become the corresponding operators, plain adjectives become the unary
 predicates pos/odd/even/nneg/neg, and comparative adjectives become the
 relations < ≤ > ≥ = ≠.
+
+Translation is pure, so ``translate_text`` can take one memo for all parses of
+a text: each statement the parses share is translated once, and the parses
+then share its Lean proposition too.
 """
 
 from __future__ import annotations
@@ -137,12 +141,12 @@ def translate_predicate(
     return NotP(prop) if polarity is Polarity.NEG else prop
 
 
-def _condition(notion: ftl.Notion, semantics: LexiconSemantics) -> LeanProp | None:
+def _condition(notion: ftl.Notion, semantics: LexiconSemantics, memo) -> LeanProp | None:
     match notion.right_attribute:
         case None:
             pass
         case ftl.SuchThat(statement):
-            return translate_statement(statement, semantics)
+            return translate_statement(statement, semantics, memo)
         case _:
             raise UntranslatableNode("unflattened notion attribute")
     if notion.left_attribute is not None:
@@ -150,13 +154,13 @@ def _condition(notion: ftl.Notion, semantics: LexiconSemantics) -> LeanProp | No
     return None
 
 
-def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, semantics) -> LeanProp:
+def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, semantics, memo) -> LeanProp:
     """Ex-situ quantifier semantics: every C, P -> ∀ (C → P); some C, P ->
     ∃ (C ∧ P); no C, P -> ∀ (C → ¬P)."""
     notion = qn.notion
     name = _binder_name(notion)
     type_ = semantics.noun_types[notion.head]
-    condition = _condition(notion, semantics)
+    condition = _condition(notion, semantics, memo)
     match qn.quantifier:
         case Quantifier.EVERY:
             inner = Imp(condition, body) if condition is not None else body
@@ -172,39 +176,53 @@ def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, semantics) -> LeanProp
 
 
 def translate_statement(
-    s: ftl.Statement, semantics: LexiconSemantics = DEFAULT_SEMANTICS
+    s: ftl.Statement, semantics: LexiconSemantics = DEFAULT_SEMANTICS, memo: dict | None = None
 ) -> LeanProp:
+    """``memo`` caches the result per node identity and holds each node it
+    keys; share one only between calls with the same semantics."""
+    if memo is not None:
+        hit = memo.get(id(s))
+        if hit is not None:
+            return hit[1]
     match s:
         case ftl.And(left, right):
-            return AndP(translate_statement(left, semantics), translate_statement(right, semantics))
+            prop = AndP(
+                translate_statement(left, semantics, memo),
+                translate_statement(right, semantics, memo),
+            )
         case ftl.Or(left, right):
-            return OrP(translate_statement(left, semantics), translate_statement(right, semantics))
+            prop = OrP(
+                translate_statement(left, semantics, memo),
+                translate_statement(right, semantics, memo),
+            )
         case ftl.IfThen(antecedent, consequent):
-            return Imp(
-                translate_statement(antecedent, semantics),
-                translate_statement(consequent, semantics),
+            prop = Imp(
+                translate_statement(antecedent, semantics, memo),
+                translate_statement(consequent, semantics, memo),
             )
         case ftl.Iff(left, right):
-            return IffP(translate_statement(left, semantics), translate_statement(right, semantics))
-        case ftl.Not(body):
-            return NotP(translate_statement(body, semantics))
-        case ftl.ForQuantified(qn, body):
-            return _quantified(qn, translate_statement(body, semantics), semantics)
-        case ftl.Does(subject, predicate):
-            return translate_predicate(translate_term(subject, semantics), predicate, semantics)
-        case ftl.ThereExists(notion):
-            condition = _condition(notion, semantics)
-            if condition is None:
-                raise UntranslatableNode("existential without a condition has no Lean image")
-            return Exists(_binder_name(notion), semantics.noun_types[notion.head], condition)
-        case ftl.ThereExistsNo(notion):
-            condition = _condition(notion, semantics)
-            if condition is None:
-                raise UntranslatableNode("existential without a condition has no Lean image")
-            return NotP(
-                Exists(_binder_name(notion), semantics.noun_types[notion.head], condition)
+            prop = IffP(
+                translate_statement(left, semantics, memo),
+                translate_statement(right, semantics, memo),
             )
-    raise TypeError(f"not a statement: {s!r}")
+        case ftl.Not(body):
+            prop = NotP(translate_statement(body, semantics, memo))
+        case ftl.ForQuantified(qn, body):
+            prop = _quantified(qn, translate_statement(body, semantics, memo), semantics, memo)
+        case ftl.Does(subject, predicate):
+            prop = translate_predicate(translate_term(subject, semantics), predicate, semantics)
+        case ftl.ThereExists(notion) | ftl.ThereExistsNo(notion):
+            condition = _condition(notion, semantics, memo)
+            if condition is None:
+                raise UntranslatableNode("existential without a condition has no Lean image")
+            prop = Exists(_binder_name(notion), semantics.noun_types[notion.head], condition)
+            if type(s) is ftl.ThereExistsNo:
+                prop = NotP(prop)
+        case _:
+            raise TypeError(f"not a statement: {s!r}")
+    if memo is not None:
+        memo[id(s)] = (s, prop)
+    return prop
 
 
 def _bare_typing(assumption: ftl.Statement) -> tuple[str, str] | None:
@@ -222,11 +240,18 @@ def _bare_typing(assumption: ftl.Statement) -> tuple[str, str] | None:
 
 
 def translate_text(
-    nf: ftl.ForthelText, semantics: LexiconSemantics = DEFAULT_SEMANTICS
+    nf: ftl.ForthelText,
+    semantics: LexiconSemantics = DEFAULT_SEMANTICS,
+    memo: dict | None = None,
 ) -> LeanCommand:
     """Map split assumptions to binders in order and the conclusion to the
     goal.  Hypothesis labels are provisional; normalize_names gives the
-    deterministic h1, h2, ... numbering."""
+    deterministic h1, h2, ... numbering.
+
+    ``memo`` is a cache handle: pass the same dict for every parse of one
+    text, and a statement the parses share is translated once.  The result is
+    equal with or without it."""
+    statements = None if memo is None else memo.setdefault(translate_statement, {})
     labels = itertools.count(1)
     binders = []
     for assumption in nf.example.assumptions:
@@ -236,6 +261,9 @@ def translate_text(
             binders.append(TypeBinder(variable, semantics.noun_types[head]))
         else:
             binders.append(
-                HypBinder(f"h{next(labels)}", translate_statement(assumption, semantics))
+                HypBinder(
+                    f"h{next(labels)}", translate_statement(assumption, semantics, statements)
+                )
             )
-    return LeanCommand(tuple(binders), translate_statement(nf.example.conclusion, semantics))
+    goal = translate_statement(nf.example.conclusion, semantics, statements)
+    return LeanCommand(tuple(binders), goal)

@@ -18,9 +18,12 @@ from forlean.forthel import (
     Notion,
     Polarity,
     SuchThat,
+    Unnamed,
     Var,
     linearize_forthel,
 )
+from forlean.lean import print_command
+from forlean.pipeline import run_pipeline
 from forlean.simplify import (
     NameSupply,
     assign_names,
@@ -33,9 +36,20 @@ from forlean.simplify import (
     transform,
     unify_variables,
 )
+from forlean.translate import UntranslatableNode, translate_text
 from test_properties import generate_sentences
 
 POS = Polarity.POS
+# multi-parse texts with unnamed notions in the ambiguous part, and with
+# user-written metavariables, which fresh names skip
+META_TEXTS = [
+    "Ex. Then every integer is not equal to some integer and "
+    "some integer is not equal to every integer.",
+    "Ex. Assume x is an integer (x 2) such that (x 2) is not equal to 3. "
+    "Then some integer is not equal to x or x is not equal to some integer.",
+    "Ex. Assume y is a real number (x 1). Assume y is not equal to 0. Then every rational "
+    "number is not equal to y and no odd integer less than y is not equal to some integer.",
+]
 
 
 def canon_ids(text: str) -> str:
@@ -75,6 +89,18 @@ class TestAssignNames:
         named = assign_names(tree, NameSupply.for_text(tree))
         ids = [m.ident for m in _collect(named, Meta)]
         assert len(ids) == 2 and ids[0] != ids[1]
+
+    def test_memo_keys_on_node_and_next_fresh_id(self):
+        stmt = Does(Var("x"), IsNotion(POS, Notion("INTEGER", Unnamed())))
+        memo: dict = {}
+        first = assign_names(stmt, NameSupply(), memo)
+        supply = NameSupply()
+        assert assign_names(stmt, supply, memo) is first  # a hit
+        assert supply.next_id == 2  # as the first visit left it
+        assert first.predicate.notion.name == Meta(1)
+        later = NameSupply(next_id=5)  # the same subtree after four fresh names
+        assert assign_names(stmt, later, memo).predicate.notion.name == Meta(5)
+        assert later.next_id == 6
 
 
 class TestUnifyVariables:
@@ -317,12 +343,33 @@ class TestTransform:
                 assert transform(tree, lambda n: n) is tree, case.id
 
     def test_shared_memo_gives_the_same_normal_forms(self, corpus_cases):
+        # and run_pipeline, which shares one memo across the stages and
+        # parses of a text, gives what the memo-free stages give per parse
         ambiguous = [s for s in generate_sentences(300) if 1 <= s.count("not equal to") <= 4]
         assert ambiguous
-        for source in [case.input for case in corpus_cases] + ambiguous:
+        for source in [case.input for case in corpus_cases] + ambiguous + META_TEXTS:
             memo: dict = {}
             for tree in parse_source(source).expect_trees():
                 assert simplify(tree, memo) == simplify(tree), source
+            (trace,) = run_pipeline(source)
+            normals = tuple(simplify(tree) for tree in trace.parses)
+            assert trace.normals == normals, source
+            try:
+                commands = tuple(translate_text(normal) for normal in normals)
+            except UntranslatableNode:
+                assert trace.diagnostics, source
+                continue
+            assert trace.commands == commands, source
+            printed = tuple(dict.fromkeys(print_command(command) for command in commands))
+            assert trace.printed == printed, source
+
+    def test_parses_share_the_translation_of_a_common_assumption(self):
+        (trace,) = run_pipeline(
+            "Ex. Assume x is a real number. Assume x is greater than 0 and x is less than 1. "
+            "Then x ^ 2 - 2 * x + 2 is not equal to 0."
+        )
+        first, second = trace.commands
+        assert first.binders[1].prop is second.binders[1].prop
 
 
 def _collect(node, cls):
