@@ -2,7 +2,8 @@
 
 Printing is deliberately rigid so that output is byte-stable: every compound
 arithmetic term and every binary or negated proposition is parenthesized;
-atoms, predicate applications and quantifiers never are.
+atoms and predicate applications never are, and quantifiers only as the left
+operand of a connective, because a quantifier reaches as far right as it can.
 
 Printing is pure, so ``print_command`` can take one memo for all parses of a
 text: each proposition object the parses share is printed once.
@@ -195,7 +196,10 @@ def print_prop(p: LeanProp, memo: dict | None = None) -> str:
             text = f"(¬ {print_prop(body, memo)})"
         case AndP() | OrP() | Imp() | IffP():
             symbol = _CONNECTIVES[type(p)]
-            text = f"({print_prop(p.left, memo)} {symbol} {print_prop(p.right, memo)})"
+            left = print_prop(p.left, memo)
+            if type(p.left) in (Forall, Exists):
+                left = f"({left})"
+            text = f"({left} {symbol} {print_prop(p.right, memo)})"
         case Forall(name, type_, body):
             text = f"∀ ({name} : {type_.value}), {print_prop(body, memo)}"
         case Exists(name, type_, body):

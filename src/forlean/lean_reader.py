@@ -4,7 +4,9 @@ The corpus harness compares outputs modulo renaming, so it needs to parse
 expected output strings back into command trees before normalizing them.
 Only the fixed fragment the printer emits is supported: fully parenthesized
 compound terms and propositions, bare relations and applications, and
-``∀``/``∃`` with a single annotated binder.
+``∀``/``∃`` with a single annotated binder.  A proposition may carry extra
+parentheses, and a quantifier body reaches as far right as it does in Lean,
+over bare connectives grouped by Lean's precedence.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ _TYPES = {t.value: t for t in LeanType}
 _RELS = {"<", "≤", ">", "≥", "=", "≠"}
 _ARITH = {"+", "-", "*", "/", "^"}
 _CONNECTIVES = {"∧": AndP, "∨": OrP, "→": Imp, "↔": IffP}
+# Lean's precedence of each connective; ∧ ∨ → group to the right, ↔ not at all
+_PRECEDENCE = {"∧": 35, "∨": 30, "→": 25, "↔": 20}
 _PREDS = {"pos", "odd", "even", "nneg", "neg"}
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
@@ -139,9 +143,21 @@ class _Reader:
             raise LeanReadError(f"bad binder type {type_tok!r}")
         self.expect(")")
         self.expect(",")
-        body = self.prop()
+        body = self.chain()
         cls = Forall if head == "∀" else Exists
         return cls(name, _TYPES[type_tok], body)
+
+    def chain(self, floor: int = 0) -> LeanProp:
+        """A proposition followed by bare connectives whose precedence is at
+        least ``floor``."""
+        left = self.prop()
+        while (conn := self.peek()) in _PRECEDENCE and _PRECEDENCE[conn] >= floor:
+            self.take()
+            right_floor = _PRECEDENCE[conn] + (conn == "↔")
+            left = _CONNECTIVES[conn](left, self.chain(right_floor))
+            if conn == "↔" and self.peek() == "↔":
+                raise LeanReadError("↔ does not associate")
+        return left
 
     def compound(self) -> LeanProp:
         self.expect("(")
@@ -152,6 +168,8 @@ class _Reader:
             return NotP(body)
         left = self.prop()
         conn = self.take()
+        if conn == ")":
+            return left
         if conn not in _CONNECTIVES:
             raise LeanReadError(f"expected a connective, found {conn!r}")
         right = self.prop()

@@ -82,6 +82,21 @@ class TestPrintProp:
         )
 
 
+    @pytest.mark.parametrize("connective, symbol", [(AndP, "∧"), (OrP, "∨"), (Imp, "→"), (IffP, "↔")])
+    @pytest.mark.parametrize("quantifier, head", [(Forall, "∀"), (Exists, "∃")])
+    def test_quantifier_as_left_operand_is_parenthesized(self, connective, symbol, quantifier, head):
+        # a quantifier reaches as far right as it can, so only a left operand
+        # needs closing; Lean reads the right one the same either way
+        quantified = quantifier("y", LeanType.INT, PredApp("odd", VarT("y")))
+        even_x = PredApp("even", X)
+        assert print_prop(connective(quantified, even_x)) == (
+            f"(({head} (y : ℤ), odd y) {symbol} even x)"
+        )
+        assert print_prop(connective(even_x, quantified)) == (
+            f"(even x {symbol} {head} (y : ℤ), odd y)"
+        )
+
+
 class TestPrintCommand:
     def test_binders_and_goal(self):
         command = LeanCommand(
@@ -232,6 +247,33 @@ class TestReader:
             for expected in case.expected:
                 reconstructed = print_command(read_command(expected))
                 assert reconstructed == " ".join(expected.split()), case.id
+
+    def test_quantifier_body_reaches_as_far_right_as_in_lean(self):
+        command = read_command("example (x : ℤ) : (∀ (y : ℤ), odd y ∨ even x) := sorry")
+        assert command.goal == Forall(
+            "y", LeanType.INT, OrP(PredApp("odd", VarT("y")), PredApp("even", X))
+        )
+
+    def test_reads_a_parenthesized_quantifier(self):
+        command = read_command("example (x : ℤ) : ((∃ (y : ℤ), odd y) ∧ even x) := sorry")
+        assert command.goal == AndP(
+            Exists("y", LeanType.INT, PredApp("odd", VarT("y"))), PredApp("even", X)
+        )
+
+    def test_bare_connectives_in_a_quantifier_body_use_lean_precedence(self):
+        # ∧ binds tighter than ∨, ∨ than →, → than ↔; ∧ ∨ → group to the right
+        odd, even, pos, neg = (PredApp(p, VarT("y")) for p in ("odd", "even", "pos", "neg"))
+        command = read_command(
+            "example : ∀ (y : ℤ), odd y ∧ even y ∨ pos y → neg y ↔ odd y → even y → pos y "
+            ":= sorry"
+        )
+        assert command.goal == Forall(
+            "y",
+            LeanType.INT,
+            IffP(Imp(OrP(AndP(odd, even), pos), neg), Imp(odd, Imp(even, pos))),
+        )
+        with pytest.raises(LeanReadError):  # ↔ does not associate
+            read_command("example : ∀ (y : ℤ), odd y ↔ even y ↔ pos y := sorry")
 
     def test_rejects_garbage(self):
         with pytest.raises(LeanReadError):

@@ -12,8 +12,10 @@ from forlean.corpus import (
     default_corpus_path,
     parse_corpus,
 )
+from forlean.lean import print_command
+from forlean.lean_reader import read_command
 from forlean.pipeline import run_pipeline
-from test_properties import QUANTIFIERS, SentenceGenerator
+from test_properties import QUANTIFIERS, SentenceGenerator, generate_sentences
 
 INTRO = (
     "Ex. Assume x is a rational number. Assume x is equal to 2 + 2 * 2. "
@@ -140,6 +142,34 @@ class TestRunPipeline:
         (trace,) = run_pipeline(f"Ex. Assume x is an integer. Then {conclusion}.")
         assert trace.diagnostics == ()
         assert trace.printed == (expected,)
+
+    @pytest.mark.parametrize(
+        "conclusion, expected",
+        [
+            (
+                "for every integer y, y is odd or x is even",
+                (
+                    "example (x : ℤ) : ((∀ (y : ℤ), odd y) ∨ even x) := sorry",
+                    "example (x : ℤ) : ∀ (y : ℤ), (odd y ∨ even x) := sorry",
+                ),
+            ),
+            (
+                "every integer x is odd and x is even",
+                ("example (x : ℤ) : ((∀ (x : ℤ), odd x) ∧ even x) := sorry",),
+            ),
+        ],
+        ids=["for-every-or", "every-and"],
+    )
+    def test_quantifier_scope_survives_printing(self, conclusion, expected):
+        (trace,) = run_pipeline(f"Ex. Assume x is an integer. Then {conclusion}.")
+        assert trace.printed == expected
+        assert tuple(read_command(printed) for printed in trace.printed) == trace.commands
+
+    def test_printed_commands_read_back_to_their_trees(self, corpus_cases):
+        for source in [case.input for case in corpus_cases] + generate_sentences(300):
+            for trace in run_pipeline(source):
+                for command in trace.commands if trace.ok else ():
+                    assert read_command(print_command(command)) == command, source
 
     def test_shallow_input_is_never_too_deep(self, corpus_cases):
         generator = QuantifiedOperandGenerator(seed=5151)
