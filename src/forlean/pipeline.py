@@ -73,14 +73,16 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
         commands = tuple(translate_text(normal, DEFAULT_SEMANTICS, memo) for normal in normals)
         printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
     except RecursionError:
-        diagnostic = ((tokens[0].span[0], tokens[-1].span[1]), "input nested too deeply")
+        message = "input nested too deeply"
     except UntranslatableNode as err:
-        diagnostic = ((0, 0), f"untranslatable: {err}")
+        message = f"untranslatable: {err}"
     except DuplicateBinderName as err:
-        diagnostic = ((0, 0), f"duplicate binder name: {err}")
+        message = f"duplicate binder name: {err}"
     else:
         return PipelineTrace(source, parses, normals, commands, printed)
-    return PipelineTrace(source, parses, normals, commands, diagnostics=(diagnostic,))
+    # these failures belong to the whole text: span all of its tokens
+    span = (tokens[0].span[0], tokens[-1].span[1])
+    return PipelineTrace(source, parses, normals, commands, diagnostics=((span, message),))
 
 
 def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[PipelineTrace]:

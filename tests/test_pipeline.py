@@ -97,8 +97,9 @@ class TestRunPipeline:
         first, second = run_pipeline(source + " " + INTRO)
         assert not first.ok
         assert first.printed == ()
-        ((_, message),) = first.diagnostics
+        ((span, message),) = first.diagnostics
         assert message.startswith(expected)
+        assert span == (0, len(source))  # the whole first text
         assert second.ok
 
     @pytest.mark.parametrize(
