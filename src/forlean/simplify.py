@@ -378,10 +378,9 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
         memos.setdefault(fn, {})
         for fn in (assign_names, _unify_one, _raise_one, _flatten_one)
     )
-    used = memos.get(NameSupply)
-    if used is None:
-        used = memos[NameSupply] = NameSupply.for_text(text).used_names
-    t = assign_names(text, NameSupply(used), named)
+    if NameSupply not in memos:
+        memos[NameSupply] = NameSupply.for_text(text).used_names
+    t = assign_names(text, NameSupply(memos[NameSupply]), named)
     while True:
         t2 = transform(t, _unify_one, unify)
         t2 = transform(t2, _raise_one, raise_)
