@@ -175,6 +175,9 @@ def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, semantics, memo) -> Le
     raise TypeError(f"not a quantifier: {qn.quantifier!r}")
 
 
+_CONNECTIVES = {ftl.And: AndP, ftl.Or: OrP, ftl.IfThen: Imp, ftl.Iff: IffP}
+
+
 def translate_statement(
     s: ftl.Statement, semantics: LexiconSemantics = DEFAULT_SEMANTICS, memo: dict | None = None
 ) -> LeanProp:
@@ -185,25 +188,9 @@ def translate_statement(
         if hit is not None:
             return hit[1]
     match s:
-        case ftl.And(left, right):
-            prop = AndP(
-                translate_statement(left, semantics, memo),
-                translate_statement(right, semantics, memo),
-            )
-        case ftl.Or(left, right):
-            prop = OrP(
-                translate_statement(left, semantics, memo),
-                translate_statement(right, semantics, memo),
-            )
-        case ftl.IfThen(antecedent, consequent):
-            prop = Imp(
-                translate_statement(antecedent, semantics, memo),
-                translate_statement(consequent, semantics, memo),
-            )
-        case ftl.Iff(left, right):
-            prop = IffP(
-                translate_statement(left, semantics, memo),
-                translate_statement(right, semantics, memo),
+        case ftl.And(l, r) | ftl.Or(l, r) | ftl.IfThen(l, r) | ftl.Iff(l, r):
+            prop = _CONNECTIVES[type(s)](
+                translate_statement(l, semantics, memo), translate_statement(r, semantics, memo)
             )
         case ftl.Not(body):
             prop = NotP(translate_statement(body, semantics, memo))
