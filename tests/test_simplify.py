@@ -42,7 +42,7 @@ from test_properties import generate_sentences
 POS = Polarity.POS
 # multi-parse texts with unnamed notions in the ambiguous part, and with
 # user-written metavariables, which fresh names skip
-META_TEXTS = [
+MULTI_PARSE_TEXTS = [
     "Ex. Then every integer is not equal to some integer and "
     "some integer is not equal to every integer.",
     "Ex. Assume x is an integer (x 2) such that (x 2) is not equal to 3. "
@@ -347,7 +347,7 @@ class TestTransform:
         # parses of a text, gives what the memo-free stages give per parse
         ambiguous = [s for s in generate_sentences(300) if 1 <= s.count("not equal to") <= 4]
         assert ambiguous
-        for source in [case.input for case in corpus_cases] + ambiguous + META_TEXTS:
+        for source in [case.input for case in corpus_cases] + ambiguous + MULTI_PARSE_TEXTS:
             memo: dict = {}
             for tree in parse_source(source).expect_trees():
                 assert simplify(tree, memo) == simplify(tree), source
