@@ -374,12 +374,13 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     without it.
     """
     memos = {} if memo is None else memo
-    named, unify, raise_, flatten = (
-        memos.setdefault(fn, {})
-        for fn in (assign_names, _unify_one, _raise_one, _flatten_one)
+    unify, raise_, flatten = (
+        memos.setdefault(fn, {}) for fn in (_unify_one, _raise_one, _flatten_one)
     )
     if NameSupply not in memos:
         memos[NameSupply] = NameSupply.for_text(text).used_names
+    # fresh naming runs once per parse, so its cache pays only across parses
+    named = None if memo is None else memo.setdefault(assign_names, {})
     t = assign_names(text, NameSupply(memos[NameSupply]), named)
     while True:
         t2 = transform(t, _unify_one, unify)
