@@ -65,11 +65,10 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
         if not result.ok:
             return PipelineTrace(source=source, diagnostics=result.diagnostics)
         parses = result.trees[:1] if first_parse_only else result.trees
-        # the parses share subtrees; with one memo for the text, each stage
-        # does its work once per shared subtree.  A single parse shares
-        # nothing, and there the memo would only cost time.  Stages are called
-        # once per parse with positional arguments, which the bench's stage
-        # spans need
+        # the parses share subtrees, and one memo for the text lets each stage
+        # work once per shared subtree; a single parse shares nothing.  Each
+        # stage is called once per parse with positional arguments only, as
+        # the bench's stage spans expect
         memo = {} if len(parses) > 1 else None
         normals = tuple(simplify(tree, memo) for tree in parses)
         commands = tuple(translate_text(normal, DEFAULT_SEMANTICS, memo) for normal in normals)
