@@ -152,6 +152,63 @@ class TestTexts:
         assert source[span[0] : span[1]] == "banana"
         assert "expected" in message
 
+    @pytest.mark.parametrize(
+        "parse, source, diagnostic",
+        [
+            pytest.param(
+                parse_text,
+                "Ex. Assume x is an integer. Then for x.",
+                ((37, 38), "expected 'every', 'no', 'some'; found 'x'"),
+                id="quantifiers",
+            ),
+            pytest.param(
+                parse_text,
+                "Ex. Assume x is an integer. Then x + is odd.",
+                (
+                    (37, 39),
+                    "expected '(', 'every', 'no', 'some', integer literal, variable; found 'is'",
+                ),
+                id="term-atoms",
+            ),
+            pytest.param(
+                parse_text,
+                "Ex. Assume x is a real number. Then x is banana.",
+                (
+                    (41, 47),
+                    "expected '(', 'a', 'an', 'every', 'no', 'not', 'some', integer literal, "
+                    "rawAdjective0, rawAdjective1, rawNoun0, variable; found 'banana'",
+                ),
+                id="lexicon-categories",
+            ),
+            pytest.param(
+                parse_text,
+                "Ex. Assume x is an integer. Then x is odd",
+                ((41, 41), "expected ',', '.', 'and', 'iff', 'or', rawNoun0; found end of input"),
+                id="connectives-at-end",
+            ),
+            pytest.param(
+                parse_term,
+                "(x + 2",
+                ((6, 6), "expected ')', '*', '+', '-', '/', '^'; found end of input"),
+                id="operators",
+            ),
+            pytest.param(
+                parse_statement,
+                "x is odd and",
+                (
+                    (12, 12),
+                    "expected \"it's\", '(', 'every', 'for', 'no', 'some', 'there', "
+                    "integer literal, variable; found end of input",
+                ),
+                id="statement-start",
+            ),
+        ],
+    )
+    def test_failure_diagnostic_is_exact(self, parse, source, diagnostic):
+        result = parse(tokenize(preprocess(source)))
+        assert result.trees == ()
+        assert result.diagnostics == (diagnostic,)
+
     def test_empty_input_fails(self):
         result = parse_text([])
         assert not result.ok

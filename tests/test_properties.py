@@ -7,6 +7,7 @@ import random
 from conftest import parse_source
 from forlean.lean import AndP, ArithT, Exists, Forall, IffP, Imp, LitT, NotP, OrP, PredApp, Rel, VarT
 from forlean.lexicon import detokenize, preprocess, tokenize
+from forlean.parsing import parse_text
 from forlean.simplify import is_normal_form, simplify
 from forlean.translate import translate_text
 
@@ -165,6 +166,12 @@ def test_random_token_streams_roundtrip():
         text = " ".join(pieces)
         tokens = tokenize(text)
         assert tokenize(detokenize(tokens)) == tokens
+        result = parse_text(tokens)
+        if not result.ok:
+            # a failed parse names what it expected, at bytes of this stream
+            ((span, message),) = result.diagnostics
+            assert message.startswith("expected ") and not message.startswith("expected ;")
+            assert 0 <= span[0] <= span[1] <= len(text.encode())
 
 
 # --- brute-force model checking ----------------------------------------------------
