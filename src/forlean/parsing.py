@@ -3,7 +3,10 @@ admits for a token stream.
 
 The parser is top-down and memoized per (production, position), after
 Johnson 1995, "Memoization in top-down parsing".  It still returns every
-parse, in the order plain backtracking would.
+parse, in the order plain backtracking would.  A parse records nothing for
+its diagnostics; only a token stream with no complete parse is parsed a
+second time, recording what each failed alternative expected at the furthest
+position reached, as CPython's PEG parser does for its error messages.
 
 Arithmetic precedence, tightest first: ``^``, then ``* /``, then ``-``, then
 ``+``; each level is left-associative and parentheses override.  Statement
@@ -15,6 +18,7 @@ the lexical unit and as polarity "not" plus "equal to".
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,13 +89,10 @@ class ParseFailure(ValueError):
 # associative; (separator, node) per level
 _CONNECTIVE_LEVELS = (("iff", Iff), ("or", Or), (",", And), ("and", And))
 
-# arithmetic levels, loosest first; (symbol, rawNoun2 key) per level
-_TERM_LEVELS = (
-    (("+", "SUM"),),
-    (("-", "MINUS"),),
-    (("*", "PROD"), ("/", "DIV")),
-    (("^", "EXP"),),
-)
+# arithmetic levels, loosest first; {symbol: rawNoun2 key} per level
+_TERM_LEVELS = ({"+": "SUM"}, {"-": "MINUS"}, {"*": "PROD", "/": "DIV"}, {"^": "EXP"})
+
+_QUANTIFIERS = {q.value: q for q in Quantifier}
 
 
 class _Parser:
@@ -101,23 +102,37 @@ class _Parser:
     ``connective`` and ``term`` keep their alternatives per (level, position)
     as immutable tuples, and lexicon matches are kept per position.  The
     grammar is not left recursive, so a memo entry is complete before it is
-    read.  A memo hit skips the ``_want`` calls of the first run; replaying
-    them would change neither ``furthest`` nor ``expected``.
+    read.
+
+    A failed alternative records what it wanted (``_want``) only when its
+    position is at or beyond ``furthest``.  ``_run`` parses first with
+    ``furthest`` out of reach, so nothing is recorded, and only when that
+    finds no complete parse does it parse again from ``furthest = 0`` to build
+    the diagnostic.  On that run a memo hit skips the ``_want`` calls of the
+    visit that filled the entry; replaying them would change neither
+    ``furthest`` nor ``expected``.
     """
 
-    def __init__(self, tokens: Sequence[Token], lexicon: Lexicon):
+    def __init__(self, tokens: Sequence[Token], lexicon: Lexicon, furthest: int):
         self.toks = list(tokens)
         self.lex = lexicon
-        self.furthest = 0
+        self.furthest = furthest
         self.expected: set[str] = set()
+        # token texts by kind and position, None elsewhere and one past the
+        # end; the period counts as a symbol
+        self._words = [t.text if t.kind is TokenKind.WORD else None for t in self.toks] + [None]
+        self._symbols = [
+            t.text if t.kind is TokenKind.SYMBOL or t.kind is TokenKind.PERIOD else None
+            for t in self.toks
+        ] + [None]
+        self._ints = [t.value if t.kind is TokenKind.INT_LIT else None for t in self.toks] + [None]
         self._matches: dict[int, list[tuple]] = {}
         self._connectives: dict[tuple[int, int], tuple] = {}
         self._terms: dict[tuple[int, int], tuple] = {}
 
     # --- primitives ---------------------------------------------------------
-
-    def _tok(self, pos: int) -> Token | None:
-        return self.toks[pos] if pos < len(self.toks) else None
+    # each failure site checks ``pos >= self.furthest`` before it builds what
+    # it wanted, since ``_want`` ignores positions below ``furthest``
 
     def _want(self, pos: int, what: str) -> None:
         if pos > self.furthest:
@@ -126,37 +141,40 @@ class _Parser:
         elif pos == self.furthest:
             self.expected.add(what)
 
+    def _want_others(self, pos: int, texts, found: str | None) -> None:
+        # what one call per alternative records: each alternative but the
+        # one found at ``pos``
+        for text in texts:
+            if text != found:
+                self._want(pos, repr(text))
+
     def word(self, pos: int, text: str) -> list[int]:
-        t = self._tok(pos)
-        if t is not None and t.kind is TokenKind.WORD and t.text == text:
+        if self._words[pos] == text:
             return [pos + 1]
-        self._want(pos, repr(text))
+        if pos >= self.furthest:
+            self._want(pos, repr(text))
         return []
 
     def word_any(self, pos: int, texts: tuple[str, ...]) -> list[int]:
-        out = []
-        for text in texts:
-            out.extend(self.word(pos, text))
-        return out
+        found = self._words[pos]
+        if pos >= self.furthest:
+            self._want_others(pos, texts, found)
+        return [pos + 1] if found in texts else []
 
     def words(self, pos: int, texts: tuple[str, ...]) -> list[int]:
-        positions = [pos]
         for text in texts:
-            positions = [p1 for p in positions for p1 in self.word(p, text)]
-        return positions
+            if self._words[pos] != text:
+                if pos >= self.furthest:
+                    self._want(pos, repr(text))
+                return []
+            pos += 1
+        return [pos]
 
     def symbol(self, pos: int, text: str) -> list[int]:
-        t = self._tok(pos)
-        if t is not None and t.kind is TokenKind.SYMBOL and t.text == text:
+        if self._symbols[pos] == text:
             return [pos + 1]
-        self._want(pos, repr(text))
-        return []
-
-    def period(self, pos: int) -> list[int]:
-        t = self._tok(pos)
-        if t is not None and t.kind is TokenKind.PERIOD:
-            return [pos + 1]
-        self._want(pos, "'.'")
+        if pos >= self.furthest:
+            self._want(pos, repr(text))
         return []
 
     def lex_matches(self, pos: int, category: Category) -> list[tuple]:
@@ -164,7 +182,7 @@ class _Parser:
         if found is None:
             found = self._matches[pos] = self.lex.match(self.toks, pos)
         matches = [(entry, pos + length) for entry, length in found if entry.category is category]
-        if not matches:
+        if not matches and pos >= self.furthest:
             self._want(pos, category.value)
         return matches
 
@@ -173,12 +191,12 @@ class _Parser:
     def text(self, pos: int) -> list[tuple]:
         out = []
         for p1 in self.word(pos, "ex"):
-            for p2 in self.period(p1):
+            for p2 in self.symbol(p1, "."):
                 for assumptions, p3 in self.assumption_list(p2):
                     # "then" is optional and not recorded in the tree
                     for p4 in self.word(p3, "then") + [p3]:
                         for conclusion, p5 in self.statement(p4):
-                            for p6 in self.period(p5):
+                            for p6 in self.symbol(p5, "."):
                                 out.append(
                                     (ForthelText(Example(assumptions, conclusion)), p6)
                                 )
@@ -188,7 +206,7 @@ class _Parser:
         out: list[tuple] = [((), pos)]
         for p1 in self.word(pos, "assume"):
             for stmt, p2 in self.statement(p1):
-                for p3 in self.period(p2):
+                for p3 in self.symbol(p2, "."):
                     for rest, p4 in self.assumption_list(p3):
                         out.append(((stmt, *rest), p4))
         return out
@@ -213,13 +231,15 @@ class _Parser:
             out = self.atom_statement(pos)
         else:
             separator, build = _CONNECTIVE_LEVELS[level]
-            sep = self.symbol if separator in SYMBOLS else self.word
+            texts = self._symbols if separator in SYMBOLS else self._words
             out = []
             for left, p1 in self.connective(pos, level + 1):
                 out.append((left, p1))
-                for p2 in sep(p1, separator):
-                    for right, p3 in self.connective(p2, level):
-                        out.append((build(left, right), p3))
+                if texts[p1] == separator:
+                    for right, p2 in self.connective(p1 + 1, level):
+                        out.append((build(left, right), p2))
+                elif p1 >= self.furthest:
+                    self._want(p1, repr(separator))
         memo = self._connectives[pos, level] = tuple(out)
         return memo
 
@@ -308,12 +328,13 @@ class _Parser:
         return out
 
     def quantified_notion(self, pos: int) -> list[tuple]:
-        out = []
-        for quantifier in Quantifier:
-            for p1 in self.word(pos, quantifier.value):
-                for notion, p2 in self.notion(p1):
-                    out.append((QuantifiedNotion(quantifier, notion), p2))
-        return out
+        found = self._words[pos]
+        if pos >= self.furthest:
+            self._want_others(pos, _QUANTIFIERS, found)
+        quantifier = _QUANTIFIERS.get(found)
+        if quantifier is None:
+            return []
+        return [(QuantifiedNotion(quantifier, notion), p1) for notion, p1 in self.notion(pos + 1)]
 
     # --- terms ----------------------------------------------------------------
 
@@ -326,15 +347,19 @@ class _Parser:
         if level == len(_TERM_LEVELS):
             results = self.atom_term(pos)
         else:
+            operators = _TERM_LEVELS[level]
             results = list(self.term(pos, level + 1))
             frontier = results
             while frontier:
                 grown = []
                 for left, p in frontier:
-                    for symbol, key in _TERM_LEVELS[level]:
-                        for p1 in self.symbol(p, symbol):
-                            for right, p2 in self.term(p1, level + 1):
-                                grown.append((BinApp(key, left, right), p2))
+                    found = self._symbols[p]
+                    if p >= self.furthest:
+                        self._want_others(p, operators, found)
+                    key = operators.get(found)
+                    if key is not None:
+                        for right, p1 in self.term(p + 1, level + 1):
+                            grown.append((BinApp(key, left, right), p1))
                 results.extend(grown)
                 frontier = grown
         memo = self._terms[pos, level] = tuple(results)
@@ -345,10 +370,10 @@ class _Parser:
 
     def atom_term(self, pos: int) -> list[tuple]:
         out: list[tuple] = []
-        t = self._tok(pos)
-        if t is not None and t.kind is TokenKind.INT_LIT:
-            out.append((IntLit(t.value), pos + 1))
-        else:
+        value = self._ints[pos]
+        if value is not None:
+            out.append((IntLit(value), pos + 1))
+        elif pos >= self.furthest:
             self._want(pos, "integer literal")
         for entry, p1 in self.lex_matches(pos, Category.VARIABLE):
             out.append((Var(entry.key), p1))
@@ -366,22 +391,26 @@ class _Parser:
         out = []
         for p1 in self.symbol(pos, "("):
             for p2 in self.word(p1, "x"):
-                t = self._tok(p2)
-                if t is not None and t.kind is TokenKind.INT_LIT and t.value >= 0:
+                value = self._ints[p2]
+                if value is not None and value >= 0:
                     for p3 in self.symbol(p2 + 1, ")"):
-                        out.append((MetaVar(t.value), p3))
+                        out.append((MetaVar(value), p3))
         return out
 
 
 def _run(tokens: Sequence[Token], lexicon: Lexicon | None, production: str) -> ParseResult:
-    parser = _Parser(tokens, lexicon or default_lexicon())
-    results = getattr(parser, production)(0)
+    lexicon = lexicon or default_lexicon()
+    # no position reaches sys.maxsize, so this parse records nothing
+    parser = _Parser(tokens, lexicon, sys.maxsize)
     trees: list = []
-    for tree, end in results:
+    for tree, end in getattr(parser, production)(0):
         if end == len(parser.toks) and tree not in trees:
             trees.append(tree)
     if trees:
         return ParseResult(tuple(trees))
+    # no complete parse: parse again, recording from the start, to explain it
+    parser = _Parser(parser.toks, lexicon, 0)
+    getattr(parser, production)(0)
     at = min(parser.furthest, len(parser.toks))
     if at < len(parser.toks):
         span = parser.toks[at].span
