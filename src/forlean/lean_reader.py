@@ -36,7 +36,11 @@ from .lean import (
 
 __all__ = ["LeanReadError", "read_command"]
 
-_TOKEN_RE = re.compile(r":=|-?[0-9]+|[A-Za-z][A-Za-z0-9]*|[()∀∃∧∨¬→↔≤≥≠ℝℤℚ<>=+\-*/^:,]")
+_TOKEN = r":=|-?[0-9]+|[A-Za-z][A-Za-z0-9]*|[()∀∃∧∨¬→↔≤≥≠ℝℤℚ<>=+\-*/^:,]"
+# one token and the whitespace before it
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# the tokens that follow one another from the start of the input
+_READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 
 _TYPES = {t.value: t for t in LeanType}
 _RELS = {"<", "≤", ">", "≥", "=", "≠"}
@@ -54,15 +58,14 @@ class LeanReadError(ValueError):
 
 
 def _lex(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if text[pos : m.start()].strip():
-            raise LeanReadError(f"unreadable input at {text[pos:m.start()]!r}")
-        tokens.append(m.group())
-        pos = m.end()
-    if text[pos:].strip():
-        raise LeanReadError(f"unreadable input at {text[pos:]!r}")
+    tokens = _TOKEN_RE.findall(text)
+    # findall skips what no token matches, so nothing was skipped when the
+    # tokens hold every character that is not whitespace
+    if len("".join(tokens)) != len("".join(text.split())):
+        start = _READABLE_RE.match(text).end()
+        after = _TOKEN_RE.search(text, start)
+        end = after.start(1) if after else len(text)
+        raise LeanReadError(f"unreadable input at {text[start:end]!r}")
     return tokens
 
 

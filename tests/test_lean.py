@@ -275,6 +275,20 @@ class TestReader:
         with pytest.raises(LeanReadError):  # ↔ does not associate
             read_command("example : ∀ (y : ℤ), odd y ↔ even y ↔ pos y := sorry")
 
+    @pytest.mark.parametrize(
+        "text, unreadable",
+        [
+            ("example : x @ y := sorry", "' @ '"),
+            ("example : odd x := sorry  §§ ", "'  §§ '"),
+            ("@ example : odd x := sorry", "'@ '"),
+            ("example : odd x\t@# 1 := sorry", "'\\t@# '"),
+        ],
+    )
+    def test_unreadable_input_names_the_first_unreadable_text(self, text, unreadable):
+        with pytest.raises(LeanReadError) as raised:
+            read_command(text)
+        assert str(raised.value) == f"unreadable input at {unreadable}"
+
     def test_rejects_garbage(self):
         with pytest.raises(LeanReadError):
             read_command("example : := sorry")
