@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .forthel import (
     And,
@@ -141,7 +141,7 @@ class _Parser:
         elif pos == self.furthest:
             self.expected.add(what)
 
-    def _want_others(self, pos: int, texts, found: str | None) -> None:
+    def _want_others(self, pos: int, texts: Iterable[str], found: str | None) -> None:
         # what one call per alternative records: each alternative but the
         # one found at ``pos``
         for text in texts:
