@@ -32,7 +32,6 @@ from .lexicon import (
     UnknownCharacter,
     default_lexicon,
     detokenize,
-    match_lexicon,
     preprocess,
     tokenize,
 )

@@ -10,10 +10,12 @@ Corpus files hold blocks of the form::
     -- expect
     <another expected output, for ambiguous inputs>
 
-Blocks are separated by blank lines; ``#`` starts a comment line.  A case
-passes when the multiset of printed outputs equals the multiset of expected
-outputs after renaming hypothesis labels and generated variables to their
-canonical forms and collapsing whitespace.
+Blocks are separated by blank lines; ``#`` starts a comment line.  Outputs
+are compared as trees: the commands a text printed are taken from its trace,
+and only the expectations are read (``read_command``, which also drops their
+layout).  A case passes when both multisets of commands, printed again with
+hypothesis labels and generated variables renamed to their canonical forms,
+are equal.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .lean import normalize_names, print_command
+from .lean import LeanCommand, normalize_names, print_command
 from .lean_reader import LeanReadError, read_command
 from .pipeline import run_pipeline
 
@@ -128,13 +130,9 @@ def load_corpus(path) -> list[CorpusCase]:
         return parse_corpus(handle.read())
 
 
-def _collapse(text: str) -> str:
-    return " ".join(text.split())
-
-
-def _canonical(printed: str) -> str:
-    """Reprint with normalized hypothesis labels and generated variables."""
-    return _collapse(print_command(normalize_names(read_command(printed))))
+def _canonical(command: LeanCommand) -> str:
+    """Print with normalized hypothesis labels and generated variables."""
+    return print_command(normalize_names(command))
 
 
 def check_cases(cases: list[CorpusCase], out=None) -> CorpusReport:
@@ -160,16 +158,18 @@ def check_cases(cases: list[CorpusCase], out=None) -> CorpusReport:
 
 def _check_one(case: CorpusCase) -> str | None:
     traces = run_pipeline(case.input)
-    produced = [printed for trace in traces for printed in trace.printed]
     problems = [message for trace in traces for _, message in trace.diagnostics]
     try:
-        expected = sorted(_canonical(e) for e in case.expected)
+        expected = sorted(_canonical(read_command(e)) for e in case.expected)
     except LeanReadError as err:
         return f"unreadable expectation: {err}"
-    try:
-        got = sorted(_canonical(p) for p in produced)
-    except LeanReadError as err:  # would mean the printer left its fragment
-        return f"unreadable output: {err}"
+    # a text whose print failed keeps its commands but printed nothing
+    got = sorted(
+        _canonical(command)
+        for trace in traces
+        if trace.printed
+        for command in dict.fromkeys(trace.commands)
+    )
     if got == expected and not problems:
         return None
     lines = ["expected:"] + [f"  {e}" for e in expected] + ["got:"] + [f"  {g}" for g in got]

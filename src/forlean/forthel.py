@@ -8,13 +8,13 @@ metavariable names print as ``(x n)``, ex-situ quantified statements print as
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Union
 
 from .lexicon import Category, default_lexicon
+from .tree import _IS_NODE
 
 
 class Quantifier(Enum):
@@ -373,14 +373,13 @@ def linearize_forthel(node) -> str:
 
 
 def to_debug_tree(node):
-    """JSON-compatible tree dump: constructor name plus children."""
-    if dataclasses.is_dataclass(node):
-        tree = {"node": type(node).__name__}
-        for f in dataclasses.fields(node):
-            tree[f.name] = to_debug_tree(getattr(node, f.name))
-        return tree
+    """JSON-compatible tree dump: constructor name plus children, in field
+    order."""
+    if type(node) is tuple:
+        return [to_debug_tree(item) for item in node]
+    if _IS_NODE[type(node)]:
+        fields = {name: to_debug_tree(child) for name, child in vars(node).items()}
+        return {"node": type(node).__name__, **fields}
     if isinstance(node, Enum):
         return node.value
-    if isinstance(node, tuple):
-        return [to_debug_tree(item) for item in node]
     return node

@@ -7,14 +7,21 @@ operand of a connective, because a quantifier reaches as far right as it can.
 
 Printing is pure, so ``print_command`` can take one memo for all parses of a
 text: each proposition object the parses share is printed once.
+
+``normalize_names`` collects names in one ``tree.iter_nodes`` pass and renames
+them in one ``tree.transform``; ``alpha_equivalent`` is one paired walk over
+node fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
+
+from .tree import _IS_NODE, iter_nodes, transform
 
 __all__ = [
     "AndP",
@@ -233,6 +240,7 @@ def print_command(c: LeanCommand, memo: dict | None = None) -> str:
 # --- name normalization ------------------------------------------------------------------
 
 _GENERATED = re.compile(r"x[0-9]+\Z")
+_NAMED = (VarT, Forall, Exists, TypeBinder)
 
 
 def normalize_names(c: LeanCommand) -> LeanCommand:
@@ -240,88 +248,21 @@ def normalize_names(c: LeanCommand) -> LeanCommand:
     variables to x1, x2, ... in first-occurrence order; user-written variable
     letters are untouched."""
     labels: dict[str, str] = {}
-    for binder in c.binders:
-        if isinstance(binder, HypBinder) and binder.label not in labels:
-            labels[binder.label] = f"h{len(labels) + 1}"
+    generated: dict[str, str] = {}
+    for node in iter_nodes(c):
+        if type(node) is HypBinder:
+            labels.setdefault(node.label, f"h{len(labels) + 1}")
+        elif type(node) in _NAMED and _GENERATED.fullmatch(node.name):
+            generated.setdefault(node.name, f"x{len(generated) + 1}")
 
-    generated: list[str] = []
+    def rename(n):
+        if type(n) is HypBinder:
+            return HypBinder(labels[n.label], n.prop)
+        if type(n) in _NAMED and n.name in generated:
+            return dataclasses.replace(n, name=generated[n.name])
+        return n
 
-    def note(name: str) -> None:
-        if _GENERATED.fullmatch(name) and name not in generated:
-            generated.append(name)
-
-    def scan_term(t: LeanTerm) -> None:
-        match t:
-            case VarT(name):
-                note(name)
-            case ArithT(_, left, right):
-                scan_term(left)
-                scan_term(right)
-
-    def scan_prop(p: LeanProp) -> None:
-        match p:
-            case Rel(_, left, right):
-                scan_term(left)
-                scan_term(right)
-            case PredApp(_, arg):
-                scan_term(arg)
-            case NotP(body):
-                scan_prop(body)
-            case AndP() | OrP() | Imp() | IffP():
-                scan_prop(p.left)
-                scan_prop(p.right)
-            case Forall(name, _, body) | Exists(name, _, body):
-                note(name)
-                scan_prop(body)
-
-    for binder in c.binders:
-        if isinstance(binder, TypeBinder):
-            note(binder.name)
-        else:
-            scan_prop(binder.prop)
-    scan_prop(c.goal)
-    renames = {old: f"x{i + 1}" for i, old in enumerate(generated)}
-
-    def rename(name: str) -> str:
-        return renames.get(name, name)
-
-    def map_term(t: LeanTerm) -> LeanTerm:
-        match t:
-            case VarT(name):
-                return VarT(rename(name))
-            case ArithT(op, left, right):
-                return ArithT(op, map_term(left), map_term(right))
-        return t
-
-    def map_prop(p: LeanProp) -> LeanProp:
-        match p:
-            case Rel(op, left, right):
-                return Rel(op, map_term(left), map_term(right))
-            case PredApp(pred, arg):
-                return PredApp(pred, map_term(arg))
-            case NotP(body):
-                return NotP(map_prop(body))
-            case AndP(left, right):
-                return AndP(map_prop(left), map_prop(right))
-            case OrP(left, right):
-                return OrP(map_prop(left), map_prop(right))
-            case Imp(left, right):
-                return Imp(map_prop(left), map_prop(right))
-            case IffP(left, right):
-                return IffP(map_prop(left), map_prop(right))
-            case Forall(name, type_, body):
-                return Forall(rename(name), type_, map_prop(body))
-            case Exists(name, type_, body):
-                return Exists(rename(name), type_, map_prop(body))
-        raise TypeError(f"not a proposition: {p!r}")
-
-    binders = tuple(
-        TypeBinder(rename(b.name), b.type)
-        if isinstance(b, TypeBinder)
-        else HypBinder(labels[b.label], map_prop(b.prop))
-        for b in c.binders
-    )
-    return LeanCommand(binders, map_prop(c.goal))
+    return transform(c, rename)
 
 
 # --- alpha equivalence -------------------------------------------------------------------
@@ -347,42 +288,25 @@ def alpha_equivalent(a: LeanCommand, b: LeanCommand) -> bool:
                 env[na] = nb
                 rev[nb] = na
             case (HypBinder(_, pa), HypBinder(_, pb)):
-                if not _alpha_prop(pa, pb, env, rev):
+                if not _alpha(pa, pb, env, rev):
                     return False
             case _:
                 return False
-    return _alpha_prop(a.goal, b.goal, env, rev)
+    return _alpha(a.goal, b.goal, env, rev)
 
 
-def _alpha_term(s: LeanTerm, t: LeanTerm, env: dict[str, str], rev: dict[str, str]) -> bool:
-    match (s, t):
-        case (VarT(ns), VarT(nt)):
-            return env.get(ns, ns) == nt and rev.get(nt, nt) == ns
-        case (LitT(vs), LitT(vt)):
-            return vs == vt
-        case (ArithT(ops, ls, rs), ArithT(opt, lt, rt)):
-            return ops == opt and _alpha_term(ls, lt, env, rev) and _alpha_term(rs, rt, env, rev)
-    return False
-
-
-def _alpha_prop(p: LeanProp, q: LeanProp, env: dict[str, str], rev: dict[str, str]) -> bool:
-    match (p, q):
-        case (Rel(op1, l1, r1), Rel(op2, l2, r2)):
-            return op1 == op2 and _alpha_term(l1, l2, env, rev) and _alpha_term(r1, r2, env, rev)
-        case (PredApp(f1, a1), PredApp(f2, a2)):
-            return f1 == f2 and _alpha_term(a1, a2, env, rev)
-        case (NotP(b1), NotP(b2)):
-            return _alpha_prop(b1, b2, env, rev)
-        case (AndP(l1, r1), AndP(l2, r2)) | (OrP(l1, r1), OrP(l2, r2)) | (
-            Imp(l1, r1),
-            Imp(l2, r2),
-        ) | (IffP(l1, r1), IffP(l2, r2)):
-            return _alpha_prop(l1, l2, env, rev) and _alpha_prop(r1, r2, env, rev)
-        case (Forall(n1, t1, b1), Forall(n2, t2, b2)) | (
-            Exists(n1, t1, b1),
-            Exists(n2, t2, b2),
-        ):
-            if t1 is not t2 or type(p) is not type(q):
-                return False
-            return _alpha_prop(b1, b2, {**env, n1: n2}, {**rev, n2: n1})
-    return False
+def _alpha(s, t, env: dict[str, str], rev: dict[str, str]) -> bool:
+    """Whether terms or propositions ``s`` and ``t`` match under ``env`` and
+    ``rev``; any node but a variable or a quantifier matches field by field."""
+    cls = type(s)
+    if cls is not type(t):
+        return False
+    if cls is VarT:
+        return env.get(s.name, s.name) == t.name and rev.get(t.name, t.name) == s.name
+    if cls is Forall or cls is Exists:
+        inner_env, inner_rev = {**env, s.name: t.name}, {**rev, t.name: s.name}
+        return s.type is t.type and _alpha(s.body, t.body, inner_env, inner_rev)
+    for x, y in zip(vars(s).values(), vars(t).values()):
+        if not (_alpha(x, y, env, rev) if _IS_NODE[type(x)] else x == y):
+            return False
+    return True

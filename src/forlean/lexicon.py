@@ -26,7 +26,6 @@ __all__ = [
     "UnknownCharacter",
     "default_lexicon",
     "detokenize",
-    "match_lexicon",
     "preprocess",
     "tokenize",
 ]
@@ -192,11 +191,6 @@ class Lexicon:
             entries.append(LexiconEntry(category, key, surface))
         return cls(entries)
 
-    @classmethod
-    def load(cls, path) -> "Lexicon":
-        with open(path, encoding="utf-8") as handle:
-            return cls.parse(handle.read())
-
     def entries(self, category: Category | None = None) -> tuple[LexiconEntry, ...]:
         if category is None:
             return self._entries
@@ -242,8 +236,3 @@ def default_lexicon() -> Lexicon:
     data = resources.files("forlean").joinpath("data/lexicon.tsv").read_text("utf-8")
     return Lexicon.parse(data)
 
-
-def match_lexicon(
-    tokens: Sequence[Token], position: int, lexicon: Lexicon | None = None
-) -> list[tuple[LexiconEntry, int]]:
-    return (lexicon or default_lexicon()).match(tokens, position)

@@ -7,19 +7,19 @@ expose an in-situ quantifier that still has to be raised, and raising can
 expose a clause whose metavariable still has to unify.  On ordinary input one
 round rewrites and a second confirms.
 
-Every pass but the last is one node-local rewrite run through ``transform``,
-which rebuilds a tree bottom-up and returns the very same object for a subtree
-it did not change; so "nothing changed" is an identity test.  A caller that
-passes one memo for all parses of a text does the work for each subtree the
-parses share only once: the names in use are collected from the first parse
-(every parse holds the same generated names, each read from a ``(x N)`` token
-group), fresh naming is cached per node identity and next fresh id, and
-unification, raising and flattening, which are pure, per node identity.
+Every pass but the last is one node-local rewrite run through
+``tree.transform``, which rebuilds a tree bottom-up and returns the very same
+object for a subtree it did not change; so "nothing changed" is an identity
+test.  A caller that passes one memo for all parses of a text does the work
+for each subtree the parses share only once: the names in use are collected
+from the first parse (every parse holds the same generated names, each read
+from a ``(x N)`` token group), fresh naming is cached per node identity and
+next fresh id, and unification, raising and flattening, which are pure, per
+node identity.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .forthel import (
@@ -46,100 +46,19 @@ from .forthel import (
     Unnamed,
     Var,
 )
+from .tree import iter_nodes, transform
 
 __all__ = [
     "NameSupply",
     "assign_names",
     "flatten_attributes",
     "is_normal_form",
-    "iter_nodes",
     "normal_form_violations",
     "raise_quantifiers",
     "simplify",
     "split_assumptions",
-    "transform",
     "unify_variables",
 ]
-
-
-# --- generic traversal -------------------------------------------------------
-
-
-class _NodeTypes(dict):
-    """Whether a type is a tree node, decided once per type.  Nodes are
-    tuples and dataclass instances whose ``__dict__`` holds exactly their
-    fields, in field order, so that ``cls(*vars(node).values())`` rebuilds
-    them; str, int, enums and None are leaves."""
-
-    def __missing__(self, cls: type) -> bool:
-        is_node = cls is tuple or dataclasses.is_dataclass(cls)
-        if is_node and cls is not tuple:
-            if hasattr(cls, "__slots__") or any(
-                not f.init or f.kw_only for f in dataclasses.fields(cls)
-            ):
-                raise TypeError(f"cannot rebuild {cls.__name__} from its instance dict")
-        self[cls] = is_node
-        return is_node
-
-
-_IS_NODE = _NodeTypes()
-
-
-def transform(node, fn, memo: dict | None = None, supply: "NameSupply | None" = None):
-    """Rebuild ``node`` bottom-up: children first, in field order, then ``fn``
-    on the node rebuilt from them.  Tuples are rebuilt item by item and not
-    passed to ``fn``.  Returns ``node`` itself when no child changed and
-    ``fn`` returned its argument.
-
-    ``memo`` caches the result per node identity; share one only between
-    calls with the same pure ``fn``.  It holds each node it keys, so an id
-    cannot be reused while the memo lives.  When ``fn`` draws fresh ids from
-    ``supply``, a subtree's result also depends on ``supply.next_id``: the
-    memo then keys on the pair, and a hit restores the ``next_id`` that the
-    first visit left.
-    """
-    if memo is not None:
-        key = id(node) if supply is None else (id(node), supply.next_id)
-        hit = memo.get(key)
-        if hit is not None:
-            if supply is not None:
-                supply.next_id = hit[2]
-            return hit[1]
-    cls = type(node)
-    children = node if cls is tuple else node.__dict__.values()
-    rebuilt = None
-    # a loop, not a comprehension: one Python frame per tree level
-    for i, child in enumerate(children):
-        if _IS_NODE[type(child)]:
-            new = transform(child, fn, memo, supply)
-            if new is not child:
-                if rebuilt is None:
-                    rebuilt = list(children)
-                rebuilt[i] = new
-    if cls is tuple:
-        result = node if rebuilt is None else tuple(rebuilt)
-    else:
-        result = fn(node if rebuilt is None else cls(*rebuilt))
-    if memo is not None:
-        memo[key] = (node, result, None if supply is None else supply.next_id)
-    return result
-
-
-def iter_nodes(node):
-    """Every dataclass node reachable from ``node`` through fields and
-    tuples, parents before children, children in field order; a node
-    reachable twice is yielded twice."""
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if type(n) is tuple:
-            children = n
-        else:
-            yield n
-            children = n.__dict__.values()
-        for child in reversed(children):
-            if _IS_NODE[type(child)]:
-                stack.append(child)
 
 
 # --- names ---------------------------------------------------------------------
@@ -419,16 +338,3 @@ def normal_form_violations(text: ForthelText) -> tuple[str, ...]:
 
 def is_normal_form(text: ForthelText) -> bool:
     return not normal_form_violations(text)
-
-
-# --- per-statement helpers for tests ------------------------------------------------------
-
-
-def _map_text(text: ForthelText, on_stmt) -> ForthelText:
-    ex = text.example
-    return ForthelText(
-        Example(tuple(on_stmt(a) for a in ex.assumptions), on_stmt(ex.conclusion))
-    )
-
-
-_flatten_stmt = flatten_attributes

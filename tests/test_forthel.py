@@ -1,3 +1,5 @@
+import json
+
 from forlean.forthel import (
     And,
     BinApp,
@@ -23,6 +25,17 @@ from forlean.forthel import (
     Var,
     linearize_forthel,
     to_debug_tree,
+)
+from forlean.lean import (
+    Exists,
+    HypBinder,
+    LeanCommand,
+    LeanType,
+    LitT,
+    PredApp,
+    Rel,
+    TypeBinder,
+    VarT,
 )
 
 POS = Polarity.POS
@@ -119,6 +132,28 @@ def test_debug_tree_handles_tuples():
     tree = to_debug_tree(text)
     assert tree["node"] == "ForthelText"
     assert tree["example"]["assumptions"] == []
+
+
+def test_debug_tree_json_keeps_field_order():
+    # the --show-ast and --show-lean-ast dumps are these strings, indented
+    stmt = Does(Var("x"), IsNotion(Polarity.NEG, Notion("INTEGER", Meta(2), "ODD")))
+    assert json.dumps(to_debug_tree(stmt), ensure_ascii=False) == (
+        '{"node": "Does", "subject": {"node": "Var", "name": "x"}, '
+        '"predicate": {"node": "IsNotion", "polarity": "neg", "notion": '
+        '{"node": "Notion", "head": "INTEGER", "name": {"node": "Meta", "ident": 2}, '
+        '"left_attribute": "ODD", "right_attribute": null}}}'
+    )
+    command = LeanCommand(
+        (TypeBinder("x", LeanType.INT), HypBinder("h1", PredApp("odd", VarT("x")))),
+        Exists("y", LeanType.REAL, Rel(">", VarT("y"), LitT(3))),
+    )
+    assert json.dumps(to_debug_tree(command), ensure_ascii=False) == (
+        '{"node": "LeanCommand", "binders": [{"node": "TypeBinder", "name": "x", "type": "ℤ"}, '
+        '{"node": "HypBinder", "label": "h1", "prop": {"node": "PredApp", "pred": "odd", '
+        '"arg": {"node": "VarT", "name": "x"}}}], "goal": {"node": "Exists", "name": "y", '
+        '"type": "ℝ", "body": {"node": "Rel", "op": ">", "left": {"node": "VarT", "name": "y"}, '
+        '"right": {"node": "LitT", "value": 3}}}}'
+    )
 
 
 def test_linearization_injective_up_to_ambiguity(corpus_cases):

@@ -1,5 +1,8 @@
+import pkgutil
+
 import pytest
 
+import forlean
 from forlean.lean import (
     AndP,
     ArithT,
@@ -30,9 +33,12 @@ X = VarT("x")
 
 
 def test_star_import():
-    namespace: dict = {}
-    exec("from forlean.lean import *", namespace)
-    assert "print_command" in namespace
+    # a star import fails on any name in __all__ that the module lacks
+    for module in pkgutil.iter_modules(forlean.__path__, "forlean."):
+        namespace: dict = {}
+        exec(f"from {module.name} import *", namespace)
+        if module.name == "forlean.lean":
+            assert "print_command" in namespace
 
 
 class TestPrintTerm:

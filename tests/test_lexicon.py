@@ -8,7 +8,6 @@ from forlean.lexicon import (
     UnknownCharacter,
     default_lexicon,
     detokenize,
-    match_lexicon,
     preprocess,
     tokenize,
 )
@@ -175,22 +174,22 @@ class TestLexicon:
 
     def test_match_ambiguous_prefix(self):
         tokens = tokenize("greater than or equal to 0")
-        got = [(entry.key, length) for entry, length in match_lexicon(tokens, 0)]
+        got = [(entry.key, length) for entry, length in default_lexicon().match(tokens, 0)]
         assert got == oracle_matches("greater than or equal to 0")
         assert got == [("GREATER_TE", 5), ("GREATER_THAN", 2)]
 
     def test_match_lexical_not_equal_to(self):
         tokens = tokenize("not equal to 0")
-        got = [(entry.key, length) for entry, length in match_lexicon(tokens, 0)]
+        got = [(entry.key, length) for entry, length in default_lexicon().match(tokens, 0)]
         assert got == [("NOT_EQUAL_TO", 3)]
         assert got == oracle_matches("not equal to 0")
 
     def test_match_out_of_lexicon(self):
-        assert match_lexicon(tokenize("banana"), 0) == []
+        assert default_lexicon().match(tokenize("banana"), 0) == []
 
     def test_match_at_interior_position(self):
         tokens = tokenize("x is less than 0")
-        got = [(entry.key, length) for entry, length in match_lexicon(tokens, 2)]
+        got = [(entry.key, length) for entry, length in default_lexicon().match(tokens, 2)]
         assert got == [("LESS_THAN", 2)]
 
     def test_match_all_positions_against_oracle(self):
@@ -198,7 +197,7 @@ class TestLexicon:
         tokens = tokenize(text)
         words = text.split()
         for position in range(len(tokens)):
-            got = [(e.key, n) for e, n in match_lexicon(tokens, position)]
+            got = [(e.key, n) for e, n in default_lexicon().match(tokens, position)]
             assert sorted(got) == sorted(oracle_matches(" ".join(words[position:])))
 
 

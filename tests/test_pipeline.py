@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import canonical
 from forlean.cli import main
 from forlean.corpus import (
+    CorpusCase,
     CorpusFormatError,
     check_cases,
     corpus_check,
@@ -228,6 +230,27 @@ class TestCorpusCheck:
         assert report.failed == 1
         assert report.failures[0][0] == case.id
         assert "expected:" in out and "got:" in out
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            (
+                "Ex. Assume x is an integer. Assume x is a real number. Then x is odd.",
+                "error: duplicate binder name: x",
+            ),
+            ("Ex. Then there exists an integer.", "error: untranslatable: "),
+        ],
+    )
+    def test_text_that_prints_nothing_fails_with_its_diagnostic(self, source, error):
+        # the duplicate-binder text has commands but printed none of them
+        out = io.StringIO()
+        report = check_cases([CorpusCase("c", source, ("example : 4 > 3 := sorry",))], out=out)
+        ((case_id, diff),) = report.failures
+        assert case_id == "c"
+        *lines, last = diff.splitlines()
+        assert lines == ["expected:", "  example : 4 > 3 := sorry", "got:"]
+        assert last.startswith(error)
+        assert out.getvalue().startswith("FAIL c\n")
 
     def test_empty_case_list(self, capsys):
         report = check_cases([])

@@ -33,10 +33,10 @@ from forlean.simplify import (
     raise_quantifiers,
     simplify,
     split_assumptions,
-    transform,
     unify_variables,
 )
 from forlean.translate import UntranslatableNode, translate_text
+from forlean.tree import transform
 from test_properties import generate_sentences
 
 POS = Polarity.POS
@@ -217,9 +217,7 @@ class TestSplitAssumptions:
         tree = first_parse(source)
         supply = NameSupply.for_text(tree)
         prepared = unify_variables(assign_names(tree, supply))
-        from forlean.simplify import _flatten_stmt, _map_text  # test-only access
-
-        flattened = _map_text(prepared, _flatten_stmt)
+        flattened = flatten_attributes(prepared)
         return [
             linearize_forthel(a)
             for a in split_assumptions(flattened.example).assumptions
