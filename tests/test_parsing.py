@@ -8,9 +8,15 @@ from forlean.forthel import (
     IntLit,
     IsAdj,
     IsAdj1,
+    IsPred,
+    Named,
     Not,
+    Notion,
     Or,
     Polarity,
+    Quantified,
+    QuantifiedNotion,
+    Quantifier,
     Var,
     linearize_forthel,
 )
@@ -64,6 +70,37 @@ class TestTerms:
     def test_negative_literal(self):
         assert term_of("-5 * n - 3") == BinApp(
             "MINUS", BinApp("PROD", IntLit(-5), Var("n")), IntLit(3)
+        )
+
+    def test_quantified_operand_parses_in_a_fixed_order(self):
+        # the comparative's term may end after any operand, so the quantified
+        # notion takes a growing prefix of the operators; the order is the one
+        # plain backtracking gives, loosest operator level first
+        def some_y_less_than(term):
+            notion = Notion(
+                "INTEGER", Named("y"), None, IsPred(IsAdj1(Polarity.POS, "LESS_THAN", term))
+            )
+            return Quantified(QuantifiedNotion(Quantifier.SOME, notion))
+
+        x, one, two = Var("x"), IntLit(1), IntLit(2)
+        tokens = tokenize("some integer y less than x * 2 + 1 - x")
+        assert parse_term(tokens).trees == (
+            some_y_less_than(
+                BinApp("SUM", BinApp("PROD", x, two), BinApp("MINUS", one, x))
+            ),
+            BinApp(
+                "MINUS",
+                some_y_less_than(BinApp("SUM", BinApp("PROD", x, two), one)),
+                x,
+            ),
+            BinApp(
+                "SUM", some_y_less_than(BinApp("PROD", x, two)), BinApp("MINUS", one, x)
+            ),
+            BinApp(
+                "SUM",
+                BinApp("PROD", some_y_less_than(x), two),
+                BinApp("MINUS", one, x),
+            ),
         )
 
 

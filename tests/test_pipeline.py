@@ -105,17 +105,22 @@ class TestRunPipeline:
         assert second.ok
 
     @pytest.mark.parametrize(
-        "conclusion",
+        "conclusion, translates",
         [
-            "it's not that " * 150 + "x is odd",
-            "x is equal to " + "(" * 170 + "x" + ")" * 170,
-            " and ".join(["x is odd"] * 400),
+            ("it's not that " * 150 + "x is odd", False),
+            ("x is equal to " + "(" * 170 + "x" + ")" * 170, False),
+            (" and ".join(["x is odd"] * 400), False),
+            # two Python frames per parenthesis keep this within the default
+            # recursion limit
+            ("x is equal to " + "(" * 300 + "x" + ")" * 300, True),
         ],
-        ids=["150-negations", "170-parentheses", "400-conjuncts"],
+        ids=["150-negations", "170-parentheses", "400-conjuncts", "300-parentheses"],
     )
-    def test_deep_input_is_a_diagnostic_not_an_exception(self, conclusion):
+    def test_deep_input_is_a_diagnostic_not_an_exception(self, conclusion, translates):
         source = f"Ex. Assume x is an integer. Then {conclusion}."
         first, second = run_pipeline(source + " " + INTRO)
+        if translates:
+            assert first.printed == ("example (x : ℤ) : x = x := sorry",)
         if not first.ok:
             assert first.printed == ()
             ((span, message),) = first.diagnostics
