@@ -50,8 +50,6 @@ from .simplify import (
     unify_variables,
 )
 from .translate import (
-    DEFAULT_SEMANTICS,
-    LexiconSemantics,
     UntranslatableNode,
     translate_predicate,
     translate_statement,

@@ -216,8 +216,9 @@ class ForthelText:
 
 # --- linearization ------------------------------------------------------------
 
-# tightest binding first: ^, then * /, then -, then +; all left-associative
-_TERM_PREC = {"EXP": 3, "PROD": 2, "DIV": 2, "MINUS": 1, "SUM": 0}
+# the lexicon's precedence of each arithmetic operator; a higher level binds
+# tighter, and every level is left-associative
+_TERM_PREC = {e.key: e.precedence for e in default_lexicon().entries(Category.RAW_NOUN2)}
 
 
 @lru_cache(maxsize=None)

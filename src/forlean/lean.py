@@ -73,7 +73,7 @@ class LitT:
 
 @dataclass(frozen=True)
 class ArithT:
-    op: str  # one of + - * / ^
+    op: str  # a rawNoun2 image of the lexicon, such as +
     left: "LeanTerm"
     right: "LeanTerm"
 
@@ -86,14 +86,14 @@ LeanTerm = Union[VarT, LitT, ArithT]
 
 @dataclass(frozen=True)
 class Rel:
-    op: str  # one of < ≤ > ≥ = ≠
+    op: str  # a rawAdjective1 image of the lexicon, such as <, or = for "is <term>"
     left: LeanTerm
     right: LeanTerm
 
 
 @dataclass(frozen=True)
 class PredApp:
-    pred: str  # pos odd even nneg neg
+    pred: str  # a rawAdjective0 image of the lexicon, such as odd
     arg: LeanTerm
 
 

@@ -33,6 +33,7 @@ from .lean import (
     TypeBinder,
     VarT,
 )
+from .lexicon import Category, default_lexicon
 
 __all__ = ["LeanReadError", "read_command"]
 
@@ -43,12 +44,13 @@ _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 _READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 
 _TYPES = {t.value: t for t in LeanType}
-_RELS = {"<", "≤", ">", "≥", "=", "≠"}
-_ARITH = {"+", "-", "*", "/", "^"}
+# the lexicon's relations, and the "=" that "is <term>" prints
+_RELS = {*default_lexicon().images(Category.RAW_ADJECTIVE1).values(), "="}
+_ARITH = set(default_lexicon().images(Category.RAW_NOUN2).values())
 _CONNECTIVES = {"∧": AndP, "∨": OrP, "→": Imp, "↔": IffP}
 # Lean's precedence of each connective; ∧ ∨ → group to the right, ↔ not at all
 _PRECEDENCE = {"∧": 35, "∨": 30, "→": 25, "↔": 20}
-_PREDS = {"pos", "odd", "even", "nneg", "neg"}
+_PREDS = set(default_lexicon().images(Category.RAW_ADJECTIVE0).values())
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 

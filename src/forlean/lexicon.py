@@ -1,11 +1,14 @@
-"""Lexical layer: input normalization, tokenization, and the lexicon tables
-shared by the parser and the translator.
+"""Lexical layer: input normalization, tokenization, and the lexicon table
+that every stage reads.
 
-The lexicon is a static table loaded from ``data/lexicon.tsv`` (one entry per
-line, ``category<TAB>KEY<TAB>form1|form2|...``).  Surface forms may span
-several words ("less than or equal to") and singular/plural variants of a
-noun map to the same entry, so number agreement is deliberately not checked:
-"x are an odd integers" is accepted.
+The lexicon is a static table loaded from ``data/lexicon.tsv``, one entry per
+line: ``category<TAB>KEY<TAB>form1|form2|...[<TAB>Lean image[<TAB>precedence]]``.
+It is the only place that says what a word means in Lean and how tightly an
+arithmetic operator binds; the parser, the translator, the linearizer and the
+Lean reader build their tables from it.  Surface forms may span several words
+("less than or equal to") and singular/plural variants of a noun map to the
+same entry, so number agreement is deliberately not checked: "x are an odd
+integers" is accepted.
 """
 
 from __future__ import annotations
@@ -147,6 +150,10 @@ class LexiconEntry:
     key: str
     # alternative surface forms, each a sequence of token texts
     surface: tuple[tuple[str, ...], ...]
+    # the entry's image in Lean: a type, predicate, relation or operator
+    lean: str | None = None
+    # how tightly an operator binds; a higher level binds tighter
+    precedence: int | None = None
 
 
 class LexiconError(ValueError):
@@ -180,15 +187,20 @@ class Lexicon:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise LexiconError(f"line {line_no}: expected 3 tab-separated fields")
-            cat_name, key, forms = parts
+            if not 3 <= len(parts) <= 5:
+                raise LexiconError(f"line {line_no}: expected 3 to 5 tab-separated fields")
+            cat_name, key, forms, *rest = parts
             try:
                 category = Category(cat_name)
             except ValueError:
                 raise LexiconError(f"line {line_no}: unknown category {cat_name!r}") from None
             surface = tuple(tuple(form.split()) for form in forms.split("|"))
-            entries.append(LexiconEntry(category, key, surface))
+            lean = rest[0] if rest else None
+            try:
+                precedence = int(rest[1]) if len(rest) == 2 else None
+            except ValueError:
+                raise LexiconError(f"line {line_no}: precedence is not an integer") from None
+            entries.append(LexiconEntry(category, key, surface, lean, precedence))
         return cls(entries)
 
     def entries(self, category: Category | None = None) -> tuple[LexiconEntry, ...]:
@@ -196,8 +208,9 @@ class Lexicon:
             return self._entries
         return tuple(e for e in self._entries if e.category is category)
 
-    def keys(self, category: Category) -> tuple[str, ...]:
-        return tuple(e.key for e in self.entries(category))
+    def images(self, category: Category) -> dict[str, str | None]:
+        """``{key: Lean image}`` for every entry of ``category``."""
+        return {e.key: e.lean for e in self.entries(category)}
 
     @staticmethod
     def _element_matches(element: str, token: Token) -> bool:

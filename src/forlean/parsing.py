@@ -8,12 +8,14 @@ its diagnostics; only a token stream with no complete parse is parsed a
 second time, recording what each failed alternative expected at the furthest
 position reached, as CPython's PEG parser does for its error messages.
 
-Arithmetic precedence, tightest first: ``^``, then ``* /``, then ``-``, then
-``+``; each level is left-associative and parentheses override.  Statement
-connectives, tightest first: "and", ",", "or", "iff", "if ... then"; "and",
-"," and "or" associate to the right.  Genuinely ambiguous inputs yield
-multiple trees; the documented case is "not equal to", which parses both as
-the lexical unit and as polarity "not" plus "equal to".
+Arithmetic precedence is the lexicon's: its operators grouped by their
+precedence column, which in the bundled table gives, tightest first, ``^``,
+then ``* /``, then ``-``, then ``+``.  Each level is left-associative and
+parentheses override.  Statement connectives, tightest first: "and", ",",
+"or", "iff", "if ... then"; "and", "," and "or" associate to the right.
+Genuinely ambiguous inputs yield multiple trees; the documented case is "not
+equal to", which parses both as the lexical unit and as polarity "not" plus
+"equal to".
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .lexicon import SYMBOLS, Category, Lexicon, Token, TokenKind, default_lexicon
+from .lexicon import SYMBOLS, Category, Token, TokenKind, default_lexicon
 
 __all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
 
@@ -89,8 +91,14 @@ class ParseFailure(ValueError):
 # associative; (separator, node) per level
 _CONNECTIVE_LEVELS = (("iff", Iff), ("or", Or), (",", And), ("and", And))
 
-# arithmetic levels, loosest first; {symbol: rawNoun2 key} per level
-_TERM_LEVELS = ({"+": "SUM"}, {"-": "MINUS"}, {"*": "PROD", "/": "DIV"}, {"^": "EXP"})
+_LEXICON = default_lexicon()
+_OPERATORS = _LEXICON.entries(Category.RAW_NOUN2)
+# arithmetic levels, loosest first: the lexicon's operators grouped by
+# precedence, {symbol: rawNoun2 key} per level
+_TERM_LEVELS = tuple(
+    {symbol: e.key for e in _OPERATORS if e.precedence == level for (symbol,) in e.surface}
+    for level in sorted({e.precedence for e in _OPERATORS})
+)
 
 _QUANTIFIERS = {q.value: q for q in Quantifier}
 
@@ -99,8 +107,9 @@ class _Parser:
     """Memoized recursive descent; every production returns all
     (node, next_position) alternatives.
 
-    ``connective`` and ``term`` keep their alternatives per (level, position)
-    as immutable tuples, and lexicon matches are kept per position.  The
+    ``connective`` keeps its alternatives per (level, position) as immutable
+    tuples; ``term`` keeps, per position, one such tuple for each operator
+    width it has built, and lexicon matches are kept per position.  The
     grammar is not left recursive, so a memo entry is complete before it is
     read.
 
@@ -113,9 +122,8 @@ class _Parser:
     ``furthest`` nor ``expected``.
     """
 
-    def __init__(self, tokens: Sequence[Token], lexicon: Lexicon, furthest: int):
+    def __init__(self, tokens: Sequence[Token], furthest: int):
         self.toks = list(tokens)
-        self.lex = lexicon
         self.furthest = furthest
         self.expected: set[str] = set()
         # token texts by kind and position, None elsewhere and one past the
@@ -128,7 +136,7 @@ class _Parser:
         self._ints = [t.value if t.kind is TokenKind.INT_LIT else None for t in self.toks] + [None]
         self._matches: dict[int, list[tuple]] = {}
         self._connectives: dict[tuple[int, int], tuple] = {}
-        self._terms: dict[tuple[int, int], tuple] = {}
+        self._terms: dict[int, list[tuple]] = {}
 
     # --- primitives ---------------------------------------------------------
     # each failure site checks ``pos >= self.furthest`` before it builds what
@@ -180,7 +188,7 @@ class _Parser:
     def lex_matches(self, pos: int, category: Category) -> list[tuple]:
         found = self._matches.get(pos)
         if found is None:
-            found = self._matches[pos] = self.lex.match(self.toks, pos)
+            found = self._matches[pos] = _LEXICON.match(self.toks, pos)
         matches = [(entry, pos + length) for entry, length in found if entry.category is category]
         if not matches and pos >= self.furthest:
             self._want(pos, category.value)
@@ -338,17 +346,24 @@ class _Parser:
 
     # --- terms ----------------------------------------------------------------
 
-    def term(self, pos: int, level: int = 0) -> tuple:
-        # the memo is read here rather than in a wrapper, which would cost a
-        # Python frame per level and so lower the nesting depth that parses
-        memo = self._terms.get((pos, level))
-        if memo is not None:
-            return memo
-        if level == len(_TERM_LEVELS):
-            results = self.atom_term(pos)
-        else:
-            operators = _TERM_LEVELS[level]
-            results = list(self.term(pos, level + 1))
+    def term(self, pos: int, width: int = len(_TERM_LEVELS)) -> tuple:
+        """The terms at ``pos`` built with the ``width`` tightest operator
+        levels: width 0 gives the atoms, the default every term.
+
+        A position keeps one result per width, and one call extends that list
+        from the widest it holds up to ``width``, each width adding one looser
+        level.  A right operand asks for one width less, so each level is
+        left-associative.  Building every width in one frame, not one call per
+        level, makes a parenthesis cost two frames (``term``, ``atom_term``)
+        and so lets deeper nesting parse.
+        """
+        levels = self._terms.get(pos)
+        if levels is None:
+            levels = self._terms[pos] = [tuple(self.atom_term(pos))]
+        while len(levels) <= width:
+            tighter = len(levels) - 1
+            operators = _TERM_LEVELS[-len(levels)]
+            results = list(levels[tighter])
             frontier = results
             while frontier:
                 grown = []
@@ -358,12 +373,12 @@ class _Parser:
                         self._want_others(p, operators, found)
                     key = operators.get(found)
                     if key is not None:
-                        for right, p1 in self.term(p + 1, level + 1):
+                        for right, p1 in self.term(p + 1, tighter):
                             grown.append((BinApp(key, left, right), p1))
                 results.extend(grown)
                 frontier = grown
-        memo = self._terms[pos, level] = tuple(results)
-        return memo
+            levels.append(tuple(results))
+        return levels[width]
 
     def definite_term(self, pos: int) -> list[tuple]:
         return [(t, p) for t, p in self.term(pos) if not isinstance(t, Quantified)]
@@ -398,10 +413,9 @@ class _Parser:
         return out
 
 
-def _run(tokens: Sequence[Token], lexicon: Lexicon | None, production: str) -> ParseResult:
-    lexicon = lexicon or default_lexicon()
+def _run(tokens: Sequence[Token], production: str) -> ParseResult:
     # no position reaches sys.maxsize, so this parse records nothing
-    parser = _Parser(tokens, lexicon, sys.maxsize)
+    parser = _Parser(tokens, sys.maxsize)
     trees: list = []
     for tree, end in getattr(parser, production)(0):
         if end == len(parser.toks) and tree not in trees:
@@ -409,7 +423,7 @@ def _run(tokens: Sequence[Token], lexicon: Lexicon | None, production: str) -> P
     if trees:
         return ParseResult(tuple(trees))
     # no complete parse: parse again, recording from the start, to explain it
-    parser = _Parser(parser.toks, lexicon, 0)
+    parser = _Parser(parser.toks, 0)
     getattr(parser, production)(0)
     at = min(parser.furthest, len(parser.toks))
     if at < len(parser.toks):
@@ -423,16 +437,16 @@ def _run(tokens: Sequence[Token], lexicon: Lexicon | None, production: str) -> P
     return ParseResult((), ((span, message),))
 
 
-def parse_text(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> ParseResult:
+def parse_text(tokens: Sequence[Token]) -> ParseResult:
     """Parse a full text ``ex. <assumptions> [then] <statement> .``"""
-    return _run(tokens, lexicon, "text")
+    return _run(tokens, "text")
 
 
-def parse_statement(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> ParseResult:
+def parse_statement(tokens: Sequence[Token]) -> ParseResult:
     """Parse the token list as one complete statement."""
-    return _run(tokens, lexicon, "statement")
+    return _run(tokens, "statement")
 
 
-def parse_term(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> ParseResult:
+def parse_term(tokens: Sequence[Token]) -> ParseResult:
     """Parse the token list as one complete arithmetic term."""
-    return _run(tokens, lexicon, "term")
+    return _run(tokens, "term")

@@ -14,7 +14,7 @@ from .lean import DuplicateBinderName, LeanCommand, print_command
 from .lexicon import Token, TokenKind, UnknownCharacter, detokenize, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import simplify
-from .translate import DEFAULT_SEMANTICS, UntranslatableNode, translate_text
+from .translate import UntranslatableNode, translate_text
 
 __all__ = ["PipelineTrace", "run_pipeline", "split_texts"]
 
@@ -71,7 +71,7 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
         # the bench's stage spans expect
         memo = {} if len(parses) > 1 else None
         normals = tuple(simplify(tree, memo) for tree in parses)
-        commands = tuple(translate_text(normal, DEFAULT_SEMANTICS, memo) for normal in normals)
+        commands = tuple(translate_text(normal, memo) for normal in normals)
         printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
     except RecursionError:
         message = "input nested too deeply"

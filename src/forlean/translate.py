@@ -1,9 +1,8 @@
 """Conversion of simplified source trees into Lean statement trees.
 
-The lexicon image is fixed: nouns become the types ℝ/ℤ/ℚ, arithmetic nouns
-become the corresponding operators, plain adjectives become the unary
-predicates pos/odd/even/nneg/neg, and comparative adjectives become the
-relations < ≤ > ≥ = ≠.
+Each word becomes the Lean image its lexicon entry gives: nouns become types
+(ℝ/ℤ/ℚ), arithmetic nouns operators, plain adjectives unary predicates
+(pos, odd, ...) and comparative adjectives relations (< ≤ > ≥ = ≠).
 
 Translation is pure, so ``translate_text`` can take one memo for all parses of
 a text: each statement the parses share is translated once, and the parses
@@ -13,9 +12,6 @@ then share its Lean proposition too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from . import forthel as ftl
 from .forthel import Polarity, Quantifier
@@ -39,10 +35,9 @@ from .lean import (
     TypeBinder,
     VarT,
 )
+from .lexicon import Category, default_lexicon
 
 __all__ = [
-    "DEFAULT_SEMANTICS",
-    "LexiconSemantics",
     "UntranslatableNode",
     "translate_predicate",
     "translate_statement",
@@ -55,45 +50,11 @@ class UntranslatableNode(ValueError):
     """A construct outside the simplifier's normal form reached translation."""
 
 
-@dataclass(frozen=True)
-class LexiconSemantics:
-    noun_types: Mapping[str, LeanType]
-    noun2_ops: Mapping[str, str]
-    adj0_preds: Mapping[str, str]
-    adj1_rels: Mapping[str, str]
-
-
-DEFAULT_SEMANTICS = LexiconSemantics(
-    noun_types=MappingProxyType(
-        {
-            "REAL_NUMBER": LeanType.REAL,
-            "INTEGER": LeanType.INT,
-            "RATIONAL_NUMBER": LeanType.RAT,
-        }
-    ),
-    noun2_ops=MappingProxyType(
-        {"SUM": "+", "MINUS": "-", "PROD": "*", "DIV": "/", "EXP": "^"}
-    ),
-    adj0_preds=MappingProxyType(
-        {
-            "POSITIVE": "pos",
-            "ODD": "odd",
-            "EVEN": "even",
-            "NONNEGATIVE": "nneg",
-            "NEGATIVE": "neg",
-        }
-    ),
-    adj1_rels=MappingProxyType(
-        {
-            "LESS_THAN": "<",
-            "LESS_TE": "≤",
-            "GREATER_THAN": ">",
-            "GREATER_TE": "≥",
-            "EQUAL_TO": "=",
-            "NOT_EQUAL_TO": "≠",
-        }
-    ),
-)
+_LEXICON = default_lexicon()
+_TYPES = {key: LeanType(image) for key, image in _LEXICON.images(Category.RAW_NOUN0).items()}
+_OPERATORS = _LEXICON.images(Category.RAW_NOUN2)
+_PREDICATES = _LEXICON.images(Category.RAW_ADJECTIVE0)
+_RELATIONS = _LEXICON.images(Category.RAW_ADJECTIVE1)
 
 
 def _binder_name(notion: ftl.Notion) -> str:
@@ -105,7 +66,7 @@ def _binder_name(notion: ftl.Notion) -> str:
     raise UntranslatableNode(f"unnamed notion {notion!r}")
 
 
-def translate_term(t: ftl.Term, semantics: LexiconSemantics = DEFAULT_SEMANTICS) -> LeanTerm:
+def translate_term(t: ftl.Term) -> LeanTerm:
     match t:
         case ftl.Var(name):
             return VarT(name)
@@ -114,26 +75,20 @@ def translate_term(t: ftl.Term, semantics: LexiconSemantics = DEFAULT_SEMANTICS)
         case ftl.IntLit(value):
             return LitT(value)
         case ftl.BinApp(op, left, right):
-            return ArithT(
-                semantics.noun2_ops[op],
-                translate_term(left, semantics),
-                translate_term(right, semantics),
-            )
+            return ArithT(_OPERATORS[op], translate_term(left), translate_term(right))
         case ftl.Quantified():
             raise UntranslatableNode("in-situ quantified term (simplifier should have raised it)")
     raise TypeError(f"not a term: {t!r}")
 
 
-def translate_predicate(
-    subject: LeanTerm, p: ftl.Predicate, semantics: LexiconSemantics = DEFAULT_SEMANTICS
-) -> LeanProp:
+def translate_predicate(subject: LeanTerm, p: ftl.Predicate) -> LeanProp:
     match p:
         case ftl.IsAdj(polarity, adjective):
-            prop: LeanProp = PredApp(semantics.adj0_preds[adjective], subject)
+            prop: LeanProp = PredApp(_PREDICATES[adjective], subject)
         case ftl.IsAdj1(polarity, adjective, term):
-            prop = Rel(semantics.adj1_rels[adjective], subject, translate_term(term, semantics))
+            prop = Rel(_RELATIONS[adjective], subject, translate_term(term))
         case ftl.IsTerm(polarity, term):
-            prop = Rel("=", subject, translate_term(term, semantics))
+            prop = Rel("=", subject, translate_term(term))
         case ftl.IsNotion():
             raise UntranslatableNode("notion predicate (simplifier should have split it)")
         case _:
@@ -141,12 +96,12 @@ def translate_predicate(
     return NotP(prop) if polarity is Polarity.NEG else prop
 
 
-def _condition(notion: ftl.Notion, semantics: LexiconSemantics, memo) -> LeanProp | None:
+def _condition(notion: ftl.Notion, memo) -> LeanProp | None:
     match notion.right_attribute:
         case None:
             pass
         case ftl.SuchThat(statement):
-            return translate_statement(statement, semantics, memo)
+            return translate_statement(statement, memo)
         case _:
             raise UntranslatableNode("unflattened notion attribute")
     if notion.left_attribute is not None:
@@ -154,13 +109,13 @@ def _condition(notion: ftl.Notion, semantics: LexiconSemantics, memo) -> LeanPro
     return None
 
 
-def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, semantics, memo) -> LeanProp:
+def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, memo) -> LeanProp:
     """Ex-situ quantifier semantics: every C, P -> ∀ (C → P); some C, P ->
     ∃ (C ∧ P); no C, P -> ∀ (C → ¬P)."""
     notion = qn.notion
     name = _binder_name(notion)
-    type_ = semantics.noun_types[notion.head]
-    condition = _condition(notion, semantics, memo)
+    type_ = _TYPES[notion.head]
+    condition = _condition(notion, memo)
     match qn.quantifier:
         case Quantifier.EVERY:
             inner = Imp(condition, body) if condition is not None else body
@@ -178,31 +133,27 @@ def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, semantics, memo) -> Le
 _CONNECTIVES = {ftl.And: AndP, ftl.Or: OrP, ftl.IfThen: Imp, ftl.Iff: IffP}
 
 
-def translate_statement(
-    s: ftl.Statement, semantics: LexiconSemantics = DEFAULT_SEMANTICS, memo: dict | None = None
-) -> LeanProp:
+def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
     """``memo`` caches the result per node identity and holds each node it
-    keys; share one only between calls with the same semantics."""
+    keys."""
     if memo is not None:
         hit = memo.get(id(s))
         if hit is not None:
             return hit[1]
     match s:
         case ftl.And(l, r) | ftl.Or(l, r) | ftl.IfThen(l, r) | ftl.Iff(l, r):
-            prop = _CONNECTIVES[type(s)](
-                translate_statement(l, semantics, memo), translate_statement(r, semantics, memo)
-            )
+            prop = _CONNECTIVES[type(s)](translate_statement(l, memo), translate_statement(r, memo))
         case ftl.Not(body):
-            prop = NotP(translate_statement(body, semantics, memo))
+            prop = NotP(translate_statement(body, memo))
         case ftl.ForQuantified(qn, body):
-            prop = _quantified(qn, translate_statement(body, semantics, memo), semantics, memo)
+            prop = _quantified(qn, translate_statement(body, memo), memo)
         case ftl.Does(subject, predicate):
-            prop = translate_predicate(translate_term(subject, semantics), predicate, semantics)
+            prop = translate_predicate(translate_term(subject), predicate)
         case ftl.ThereExists(notion) | ftl.ThereExistsNo(notion):
-            condition = _condition(notion, semantics, memo)
+            condition = _condition(notion, memo)
             if condition is None:
                 raise UntranslatableNode("existential without a condition has no Lean image")
-            prop = Exists(_binder_name(notion), semantics.noun_types[notion.head], condition)
+            prop = Exists(_binder_name(notion), _TYPES[notion.head], condition)
             if type(s) is ftl.ThereExistsNo:
                 prop = NotP(prop)
         case _:
@@ -226,11 +177,7 @@ def _bare_typing(assumption: ftl.Statement) -> tuple[str, str] | None:
     return None
 
 
-def translate_text(
-    nf: ftl.ForthelText,
-    semantics: LexiconSemantics = DEFAULT_SEMANTICS,
-    memo: dict | None = None,
-) -> LeanCommand:
+def translate_text(nf: ftl.ForthelText, memo: dict | None = None) -> LeanCommand:
     """Map split assumptions to binders in order and the conclusion to the
     goal.  Hypothesis labels are provisional; normalize_names gives the
     deterministic h1, h2, ... numbering.
@@ -245,12 +192,9 @@ def translate_text(
         typing = _bare_typing(assumption)
         if typing is not None:
             variable, head = typing
-            binders.append(TypeBinder(variable, semantics.noun_types[head]))
+            binders.append(TypeBinder(variable, _TYPES[head]))
         else:
-            binders.append(
-                HypBinder(
-                    f"h{next(labels)}", translate_statement(assumption, semantics, statements)
-                )
-            )
-    goal = translate_statement(nf.example.conclusion, semantics, statements)
+            hypothesis = translate_statement(assumption, statements)
+            binders.append(HypBinder(f"h{next(labels)}", hypothesis))
+    goal = translate_statement(nf.example.conclusion, statements)
     return LeanCommand(tuple(binders), goal)

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import forlean
 from conftest import canonical
 from forlean.cli import main
 from forlean.corpus import (
@@ -338,6 +343,45 @@ class TestCli:
     def test_corpus_command(self, capsys):
         assert main(["corpus", str(default_corpus_path())]) == 0
         assert "passed 42/42" in capsys.readouterr().out
+
+    def test_lexicon_is_the_only_vocabulary_table(self, tmp_path):
+        # a new adjective and a moved operator precedence, written in a copy
+        # of the lexicon and nowhere else, reach every stage
+        shutil.copytree(
+            Path(forlean.__file__).parent,
+            tmp_path / "forlean",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        table = tmp_path / "forlean" / "data" / "lexicon.tsv"
+        lines = table.read_text(encoding="utf-8").splitlines()
+        (minus,) = [i for i, line in enumerate(lines) if line.startswith("rawNoun2\tMINUS\t")]
+        lines[minus] = lines[minus].rsplit("\t", 1)[0] + "\t0"
+        lines.append("rawAdjective0\tPRIME\tprime\tprime")
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, *args],
+                input="Ex. Assume x is a prime integer. Then x + 1 - 2 is not prime.",
+                capture_output=True,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONIOENCODING": "utf-8"},
+                encoding="utf-8",
+                check=True,
+            ).stdout.splitlines()
+
+        header, simplified, printed = run("-m", "forlean.cli", "translate", "--show-simplified")
+        assert header == "-- simplified 0"
+        assert "then x + 1 - 2 is not prime." in simplified
+        assert printed == "example (x : ℤ) (h1 : prime x) : (¬ prime ((x + 1) - 2)) := sorry"
+        read_back = (
+            "import sys, forlean; (trace,) = forlean.run_pipeline(sys.stdin.read()); "
+            "print(forlean.__file__); "
+            "print(forlean.read_command(trace.printed[0]) == trace.commands[0])"
+        )
+        location, same = run("-c", read_back)
+        assert Path(location).is_relative_to(tmp_path)
+        assert same == "True"
 
     def test_corpus_command_failure(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"

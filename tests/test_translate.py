@@ -3,6 +3,7 @@ import pytest
 from conftest import canonical, parse_source
 from forlean import forthel as ftl
 from forlean.lean import (
+    LeanType,
     LitT,
     Rel,
     VarT,
@@ -13,7 +14,6 @@ from forlean.lean import (
 from forlean.lexicon import Category, default_lexicon
 from forlean.simplify import simplify
 from forlean.translate import (
-    DEFAULT_SEMANTICS,
     UntranslatableNode,
     translate_predicate,
     translate_statement,
@@ -33,15 +33,24 @@ def pipeline(source: str) -> list[str]:
 class TestLexiconSemantics:
     def test_total_over_lexicon(self):
         lex = default_lexicon()
-        assert set(lex.keys(Category.RAW_NOUN0)) == set(DEFAULT_SEMANTICS.noun_types)
-        assert set(lex.keys(Category.RAW_NOUN2)) == set(DEFAULT_SEMANTICS.noun2_ops)
-        assert set(lex.keys(Category.RAW_ADJECTIVE0)) == set(DEFAULT_SEMANTICS.adj0_preds)
-        assert set(lex.keys(Category.RAW_ADJECTIVE1)) == set(DEFAULT_SEMANTICS.adj1_rels)
+        for category in (
+            Category.RAW_NOUN0,
+            Category.RAW_NOUN2,
+            Category.RAW_ADJECTIVE0,
+            Category.RAW_ADJECTIVE1,
+        ):
+            assert None not in lex.images(category).values(), category
+        types = {t.value for t in LeanType}
+        assert set(lex.images(Category.RAW_NOUN0).values()) <= types
+        for entry in lex.entries(Category.RAW_NOUN2):
+            assert entry.precedence is not None, entry.key
+            assert all(len(form) == 1 for form in entry.surface), entry.key
 
     def test_images(self):
-        assert DEFAULT_SEMANTICS.noun_types["INTEGER"].value == "ℤ"
-        assert DEFAULT_SEMANTICS.adj0_preds["NONNEGATIVE"] == "nneg"
-        assert DEFAULT_SEMANTICS.adj1_rels["NOT_EQUAL_TO"] == "≠"
+        lex = default_lexicon()
+        assert lex.images(Category.RAW_NOUN0)["INTEGER"] == "ℤ"
+        assert lex.images(Category.RAW_ADJECTIVE0)["NONNEGATIVE"] == "nneg"
+        assert lex.images(Category.RAW_ADJECTIVE1)["NOT_EQUAL_TO"] == "≠"
 
 
 class TestTranslateTerm:
