@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Union
 
 from .lexicon import Category, default_lexicon
@@ -219,12 +218,13 @@ class ForthelText:
 # the lexicon's precedence of each arithmetic operator; a higher level binds
 # tighter, and every level is left-associative
 _TERM_PREC = {e.key: e.precedence for e in default_lexicon().entries(Category.RAW_NOUN2)}
-
-
-@lru_cache(maxsize=None)
-def _surface(category: Category) -> dict[str, str]:
-    lex = default_lexicon()
-    return {e.key: " ".join(e.surface[0]) for e in lex.entries(category)}
+# the first surface form of each entry, {key: surface} per category
+_NOUNS, _OPERATORS, _ADJECTIVES, _COMPARATIVES = (
+    {e.key: " ".join(e.surface[0]) for e in default_lexicon().entries(category)}
+    for category in (
+        Category.RAW_NOUN0, Category.RAW_NOUN2, Category.RAW_ADJECTIVE0, Category.RAW_ADJECTIVE1
+    )
+)
 
 
 def _article(phrase: str) -> str:
@@ -249,7 +249,7 @@ def _lin_term(t: Term) -> str:
                 ls = f"({ls})"
             if isinstance(right, BinApp) and _TERM_PREC[right.op] <= prec:
                 rs = f"({rs})"
-            return f"{ls} {_surface(Category.RAW_NOUN2)[op]} {rs}"
+            return f"{ls} {_OPERATORS[op]} {rs}"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -269,9 +269,9 @@ def _lin_attribute(p: Predicate) -> str:
     neg = "not " if p.polarity is Polarity.NEG else ""
     match p:
         case IsAdj(_, adjective):
-            return f"{neg}{_surface(Category.RAW_ADJECTIVE0)[adjective]}"
+            return f"{neg}{_ADJECTIVES[adjective]}"
         case IsAdj1(_, adjective, term):
-            return f"{neg}{_surface(Category.RAW_ADJECTIVE1)[adjective]} {_lin_term(term)}"
+            return f"{neg}{_COMPARATIVES[adjective]} {_lin_term(term)}"
         case _:
             return f"that {_lin_is_predicate(p)}"
 
@@ -279,8 +279,8 @@ def _lin_attribute(p: Predicate) -> str:
 def _lin_notion(n: Notion, article: bool) -> str:
     parts: list[str] = []
     if n.left_attribute is not None:
-        parts.append(_surface(Category.RAW_ADJECTIVE0)[n.left_attribute])
-    parts.append(_surface(Category.RAW_NOUN0)[n.head])
+        parts.append(_ADJECTIVES[n.left_attribute])
+    parts.append(_NOUNS[n.head])
     name = _lin_name(n.name)
     if name:
         parts.append(name)
@@ -303,9 +303,9 @@ def _lin_is_predicate(p: Predicate) -> str:
     neg = "not " if p.polarity is Polarity.NEG else ""
     match p:
         case IsAdj(_, adjective):
-            return f"is {neg}{_surface(Category.RAW_ADJECTIVE0)[adjective]}"
+            return f"is {neg}{_ADJECTIVES[adjective]}"
         case IsAdj1(_, adjective, term):
-            return f"is {neg}{_surface(Category.RAW_ADJECTIVE1)[adjective]} {_lin_term(term)}"
+            return f"is {neg}{_COMPARATIVES[adjective]} {_lin_term(term)}"
         case IsNotion(_, notion):
             return f"is {neg}{_lin_notion(notion, article=True)}"
         case IsTerm(_, term):

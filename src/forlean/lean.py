@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 from .tree import _IS_NODE, iter_nodes, transform
@@ -36,7 +35,6 @@ __all__ = [
     "LeanCommand",
     "LeanProp",
     "LeanTerm",
-    "LeanType",
     "LitT",
     "NotP",
     "OrP",
@@ -50,12 +48,6 @@ __all__ = [
     "print_prop",
     "print_term",
 ]
-
-
-class LeanType(Enum):
-    REAL = "ℝ"
-    INT = "ℤ"
-    RAT = "ℚ"
 
 
 # --- terms ---------------------------------------------------------------------
@@ -129,14 +121,14 @@ class IffP:
 @dataclass(frozen=True)
 class Forall:
     name: str
-    type: LeanType
+    type: str  # a rawNoun0 image of the lexicon, such as ℤ
     body: "LeanProp"
 
 
 @dataclass(frozen=True)
 class Exists:
     name: str
-    type: LeanType
+    type: str  # a rawNoun0 image of the lexicon, such as ℤ
     body: "LeanProp"
 
 
@@ -149,7 +141,7 @@ LeanProp = Union[Rel, PredApp, NotP, AndP, OrP, Imp, IffP, Forall, Exists]
 @dataclass(frozen=True)
 class TypeBinder:
     name: str
-    type: LeanType
+    type: str  # a rawNoun0 image of the lexicon, such as ℤ
 
 
 @dataclass(frozen=True)
@@ -208,9 +200,9 @@ def print_prop(p: LeanProp, memo: dict | None = None) -> str:
                 left = f"({left})"
             text = f"({left} {symbol} {print_prop(p.right, memo)})"
         case Forall(name, type_, body):
-            text = f"∀ ({name} : {type_.value}), {print_prop(body, memo)}"
+            text = f"∀ ({name} : {type_}), {print_prop(body, memo)}"
         case Exists(name, type_, body):
-            text = f"∃ ({name} : {type_.value}), {print_prop(body, memo)}"
+            text = f"∃ ({name} : {type_}), {print_prop(body, memo)}"
         case _:
             raise TypeError(f"not a proposition: {p!r}")
     if memo is not None:
@@ -231,7 +223,7 @@ def print_command(c: LeanCommand, memo: dict | None = None) -> str:
     for binder in c.binders:
         match binder:
             case TypeBinder(name, type_):
-                parts.append(f"({name} : {type_.value})")
+                parts.append(f"({name} : {type_})")
             case HypBinder(label, prop):
                 parts.append(f"({label} : {print_prop(prop, props)})")
     return " ".join(parts) + f" : {print_prop(c.goal, props)} := sorry"
@@ -283,7 +275,7 @@ def alpha_equivalent(a: LeanCommand, b: LeanCommand) -> bool:
     for ba, bb in zip(a.binders, b.binders):
         match (ba, bb):
             case (TypeBinder(na, ta), TypeBinder(nb, tb)):
-                if ta is not tb:
+                if ta != tb:
                     return False
                 env[na] = nb
                 rev[nb] = na
@@ -305,7 +297,7 @@ def _alpha(s, t, env: dict[str, str], rev: dict[str, str]) -> bool:
         return env.get(s.name, s.name) == t.name and rev.get(t.name, t.name) == s.name
     if cls is Forall or cls is Exists:
         inner_env, inner_rev = {**env, s.name: t.name}, {**rev, t.name: s.name}
-        return s.type is t.type and _alpha(s.body, t.body, inner_env, inner_rev)
+        return s.type == t.type and _alpha(s.body, t.body, inner_env, inner_rev)
     for x, y in zip(vars(s).values(), vars(t).values()):
         if not (_alpha(x, y, env, rev) if _IS_NODE[type(x)] else x == y):
             return False

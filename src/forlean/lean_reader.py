@@ -7,6 +7,8 @@ compound terms and propositions, bare relations and applications, and
 ``∀``/``∃`` with a single annotated binder.  A proposition may carry extra
 parentheses, and a quantifier body reaches as far right as it does in Lean,
 over bare connectives grouped by Lean's precedence.
+Its tokens are integers, identifiers, Lean's own symbols and the lexicon's
+type, relation and operator images.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .lean import (
     LeanCommand,
     LeanProp,
     LeanTerm,
-    LeanType,
     LitT,
     NotP,
     OrP,
@@ -37,16 +38,19 @@ from .lexicon import Category, default_lexicon
 
 __all__ = ["LeanReadError", "read_command"]
 
-_TOKEN = r":=|-?[0-9]+|[A-Za-z][A-Za-z0-9]*|[()∀∃∧∨¬→↔≤≥≠ℝℤℚ<>=+\-*/^:,]"
+_TYPES = set(default_lexicon().images(Category.RAW_NOUN0).values())
+# the lexicon's relations, and the "=" that "is <term>" prints
+_RELS = {*default_lexicon().images(Category.RAW_ADJECTIVE1).values(), "="}
+_ARITH = set(default_lexicon().images(Category.RAW_NOUN2).values())
+# Lean's own syntax and the lexicon's types, relations and operators, longest
+# first so that ":=" is not read as ":"; the integer pattern comes first, so
+# "-3" is a literal
+_SYMBOLS = sorted({":=", *"()∀∃∧∨¬→↔:,", *_TYPES, *_RELS, *_ARITH}, key=lambda t: (-len(t), t))
+_TOKEN = "|".join([r"-?[0-9]+", r"[A-Za-z][A-Za-z0-9]*", *map(re.escape, _SYMBOLS)])
 # one token and the whitespace before it
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 # the tokens that follow one another from the start of the input
 _READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
-
-_TYPES = {t.value: t for t in LeanType}
-# the lexicon's relations, and the "=" that "is <term>" prints
-_RELS = {*default_lexicon().images(Category.RAW_ADJECTIVE1).values(), "="}
-_ARITH = set(default_lexicon().images(Category.RAW_NOUN2).values())
 _CONNECTIVES = {"∧": AndP, "∨": OrP, "→": Imp, "↔": IffP}
 # Lean's precedence of each connective; ∧ ∨ → group to the right, ↔ not at all
 _PRECEDENCE = {"∧": 35, "∨": 30, "→": 25, "↔": 20}
@@ -117,7 +121,7 @@ class _Reader:
         if tok in _TYPES and self.peek(1) == ")":
             self.take()
             self.expect(")")
-            return TypeBinder(name, _TYPES[tok])
+            return TypeBinder(name, tok)
         prop = self.prop()
         self.expect(")")
         return HypBinder(name, prop)
@@ -150,7 +154,7 @@ class _Reader:
         self.expect(",")
         body = self.chain()
         cls = Forall if head == "∀" else Exists
-        return cls(name, _TYPES[type_tok], body)
+        return cls(name, type_tok, body)
 
     def chain(self, floor: int = 0) -> LeanProp:
         """A proposition followed by bare connectives whose precedence is at

@@ -3,9 +3,11 @@ that every stage reads.
 
 The lexicon is a static table loaded from ``data/lexicon.tsv``, one entry per
 line: ``category<TAB>KEY<TAB>form1|form2|...[<TAB>Lean image[<TAB>precedence]]``.
-It is the only place that says what a word means in Lean and how tightly an
-arithmetic operator binds; the parser, the translator, the linearizer and the
-Lean reader build their tables from it.  Surface forms may span several words
+It is the only place that says which words and symbols exist, what each
+means in Lean and how tightly an operator binds; every stage builds its
+tables from it.  An operator is one character, not a letter, digit,
+whitespace, ``.`` or ``'``, so the tokenizer can split it from the words
+around it.  Surface forms may span several words
 ("less than or equal to") and singular/plural variants of a noun map to the
 same entry, so number agreement is deliberately not checked: "x are an odd
 integers" is accepted.
@@ -32,9 +34,6 @@ __all__ = [
     "preprocess",
     "tokenize",
 ]
-
-SYMBOLS = "+-*/^(),"
-
 
 class TokenKind(Enum):
     WORD = "Word"
@@ -88,10 +87,11 @@ def _byte_offsets(text: str) -> list[int]:
 def tokenize(text: str) -> list[Token]:
     """Turn preprocessed text into word/integer/symbol/period tokens.
 
-    The symbols ``+ - * / ^ ( ) ,`` and the sentence terminator ``.`` become
-    their own tokens even when glued to words.  A ``-`` immediately followed
-    by digits is a negative integer literal; a spaced ``-`` is the binary
-    operator.  An apostrophe is allowed inside a word ("it's").
+    A word starts with a letter, an integer is ``-?[0-9]+``, a symbol is one
+    of ``SYMBOLS`` and a period is ``.``, so a token's kind follows from its
+    text.  A ``-`` immediately followed by digits is a negative integer
+    literal; a spaced ``-`` is the binary operator.  An apostrophe is allowed
+    inside a word ("it's").
     """
     offsets = _byte_offsets(text)
     tokens: list[Token] = []
@@ -178,7 +178,9 @@ class Lexicon:
                         f"duplicate surface form {' '.join(form)!r} in category {entry.category.value}"
                     )
                 seen.add(marker)
-                self._by_first.setdefault(form[0], []).append((entry, form))
+                # an integer literal is a term of its own, never part of a form
+                if not any(element.lstrip("-").isdecimal() for element in form):
+                    self._by_first.setdefault(form[0], []).append((entry, form))
 
     @classmethod
     def parse(cls, text: str) -> "Lexicon":
@@ -195,6 +197,11 @@ class Lexicon:
             except ValueError:
                 raise LexiconError(f"line {line_no}: unknown category {cat_name!r}") from None
             surface = tuple(tuple(form.split()) for form in forms.split("|"))
+            if category is Category.RAW_NOUN2 and any(
+                len(form) != 1 or len(form[0]) != 1 or form[0].isalnum() or form[0] in ".'"
+                for form in surface
+            ):
+                raise LexiconError(f"line {line_no}: an operator is one symbol character")
             lean = rest[0] if rest else None
             try:
                 precedence = int(rest[1]) if len(rest) == 2 else None
@@ -212,18 +219,13 @@ class Lexicon:
         """``{key: Lean image}`` for every entry of ``category``."""
         return {e.key: e.lean for e in self.entries(category)}
 
-    @staticmethod
-    def _element_matches(element: str, token: Token) -> bool:
-        if len(element) == 1 and element in SYMBOLS:
-            return token.kind is TokenKind.SYMBOL and token.text == element
-        return token.kind is TokenKind.WORD and token.text == element
-
     def match(self, tokens: Sequence[Token], position: int) -> list[tuple[LexiconEntry, int]]:
         """Every entry whose surface form starts at ``position``, longest first.
 
-        All matches are returned; ambiguity between overlapping forms (such as
-        "greater than" inside "greater than or equal to") is left to the
-        parser.
+        A form matches where the token texts equal it; a text fixes its
+        token's kind, so no kind is compared.  All matches are returned;
+        ambiguity between overlapping forms (such as "greater than" inside
+        "greater than or equal to") is left to the parser.
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
@@ -231,12 +233,7 @@ class Lexicon:
             return []
         out: list[tuple[LexiconEntry, int]] = []
         for entry, form in self._by_first.get(tokens[position].text, ()):
-            if position + len(form) > len(tokens):
-                continue
-            if all(
-                self._element_matches(el, tokens[position + k])
-                for k, el in enumerate(form)
-            ):
+            if tuple(t.text for t in tokens[position : position + len(form)]) == form:
                 candidate = (entry, len(form))
                 if candidate not in out:
                     out.append(candidate)
@@ -249,3 +246,8 @@ def default_lexicon() -> Lexicon:
     data = resources.files("forlean").joinpath("data/lexicon.tsv").read_text("utf-8")
     return Lexicon.parse(data)
 
+
+# the fixed punctuation and the lexicon's operators, one character each
+SYMBOLS = "()," + "".join(
+    symbol for e in default_lexicon().entries(Category.RAW_NOUN2) for (symbol,) in e.surface
+)

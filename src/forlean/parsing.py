@@ -55,7 +55,7 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .lexicon import SYMBOLS, Category, Token, TokenKind, default_lexicon
+from .lexicon import Category, Token, TokenKind, default_lexicon
 
 __all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
 
@@ -126,13 +126,9 @@ class _Parser:
         self.toks = list(tokens)
         self.furthest = furthest
         self.expected: set[str] = set()
-        # token texts by kind and position, None elsewhere and one past the
-        # end; the period counts as a symbol
-        self._words = [t.text if t.kind is TokenKind.WORD else None for t in self.toks] + [None]
-        self._symbols = [
-            t.text if t.kind is TokenKind.SYMBOL or t.kind is TokenKind.PERIOD else None
-            for t in self.toks
-        ] + [None]
+        # token texts by position, None one past the end; a text fixes its
+        # token's kind, so matching a word, symbol or period compares texts
+        self._texts = [t.text for t in self.toks] + [None]
         self._ints = [t.value if t.kind is TokenKind.INT_LIT else None for t in self.toks] + [None]
         self._matches: dict[int, list[tuple]] = {}
         self._connectives: dict[tuple[int, int], tuple] = {}
@@ -157,33 +153,26 @@ class _Parser:
                 self._want(pos, repr(text))
 
     def word(self, pos: int, text: str) -> list[int]:
-        if self._words[pos] == text:
+        if self._texts[pos] == text:
             return [pos + 1]
         if pos >= self.furthest:
             self._want(pos, repr(text))
         return []
 
     def word_any(self, pos: int, texts: tuple[str, ...]) -> list[int]:
-        found = self._words[pos]
+        found = self._texts[pos]
         if pos >= self.furthest:
             self._want_others(pos, texts, found)
         return [pos + 1] if found in texts else []
 
     def words(self, pos: int, texts: tuple[str, ...]) -> list[int]:
         for text in texts:
-            if self._words[pos] != text:
+            if self._texts[pos] != text:
                 if pos >= self.furthest:
                     self._want(pos, repr(text))
                 return []
             pos += 1
         return [pos]
-
-    def symbol(self, pos: int, text: str) -> list[int]:
-        if self._symbols[pos] == text:
-            return [pos + 1]
-        if pos >= self.furthest:
-            self._want(pos, repr(text))
-        return []
 
     def lex_matches(self, pos: int, category: Category) -> list[tuple]:
         found = self._matches.get(pos)
@@ -199,12 +188,12 @@ class _Parser:
     def text(self, pos: int) -> list[tuple]:
         out = []
         for p1 in self.word(pos, "ex"):
-            for p2 in self.symbol(p1, "."):
+            for p2 in self.word(p1, "."):
                 for assumptions, p3 in self.assumption_list(p2):
                     # "then" is optional and not recorded in the tree
                     for p4 in self.word(p3, "then") + [p3]:
                         for conclusion, p5 in self.statement(p4):
-                            for p6 in self.symbol(p5, "."):
+                            for p6 in self.word(p5, "."):
                                 out.append(
                                     (ForthelText(Example(assumptions, conclusion)), p6)
                                 )
@@ -214,7 +203,7 @@ class _Parser:
         out: list[tuple] = [((), pos)]
         for p1 in self.word(pos, "assume"):
             for stmt, p2 in self.statement(p1):
-                for p3 in self.symbol(p2, "."):
+                for p3 in self.word(p2, "."):
                     for rest, p4 in self.assumption_list(p3):
                         out.append(((stmt, *rest), p4))
         return out
@@ -239,11 +228,10 @@ class _Parser:
             out = self.atom_statement(pos)
         else:
             separator, build = _CONNECTIVE_LEVELS[level]
-            texts = self._symbols if separator in SYMBOLS else self._words
             out = []
             for left, p1 in self.connective(pos, level + 1):
                 out.append((left, p1))
-                if texts[p1] == separator:
+                if self._texts[p1] == separator:
                     for right, p2 in self.connective(p1 + 1, level):
                         out.append((build(left, right), p2))
                 elif p1 >= self.furthest:
@@ -258,7 +246,7 @@ class _Parser:
                 out.append((Not(body), p2))
         for p1 in self.word(pos, "for"):
             for qnotion, p2 in self.quantified_notion(p1):
-                for p3 in self.symbol(p2, ","):
+                for p3 in self.word(p2, ","):
                     for body, p4 in self.statement(p3):
                         out.append((ForQuantified(qnotion, body), p4))
         for p1 in self.word(pos, "there"):
@@ -336,7 +324,7 @@ class _Parser:
         return out
 
     def quantified_notion(self, pos: int) -> list[tuple]:
-        found = self._words[pos]
+        found = self._texts[pos]
         if pos >= self.furthest:
             self._want_others(pos, _QUANTIFIERS, found)
         quantifier = _QUANTIFIERS.get(found)
@@ -368,7 +356,7 @@ class _Parser:
             while frontier:
                 grown = []
                 for left, p in frontier:
-                    found = self._symbols[p]
+                    found = self._texts[p]
                     if p >= self.furthest:
                         self._want_others(p, operators, found)
                     key = operators.get(found)
@@ -393,9 +381,9 @@ class _Parser:
         for entry, p1 in self.lex_matches(pos, Category.VARIABLE):
             out.append((Var(entry.key), p1))
         out.extend(self.meta_ref(pos))
-        for p1 in self.symbol(pos, "("):
+        for p1 in self.word(pos, "("):
             for inner, p2 in self.term(p1):
-                for p3 in self.symbol(p2, ")"):
+                for p3 in self.word(p2, ")"):
                     out.append((inner, p3))
         for qnotion, p1 in self.quantified_notion(pos):
             out.append((Quantified(qnotion), p1))
@@ -404,11 +392,11 @@ class _Parser:
     def meta_ref(self, pos: int) -> list[tuple]:
         # generated-name reference "(x N)"
         out = []
-        for p1 in self.symbol(pos, "("):
+        for p1 in self.word(pos, "("):
             for p2 in self.word(p1, "x"):
                 value = self._ints[p2]
                 if value is not None and value >= 0:
-                    for p3 in self.symbol(p2 + 1, ")"):
+                    for p3 in self.word(p2 + 1, ")"):
                         out.append((MetaVar(value), p3))
         return out
 
@@ -416,10 +404,10 @@ class _Parser:
 def _run(tokens: Sequence[Token], production: str) -> ParseResult:
     # no position reaches sys.maxsize, so this parse records nothing
     parser = _Parser(tokens, sys.maxsize)
-    trees: list = []
-    for tree, end in getattr(parser, production)(0):
-        if end == len(parser.toks) and tree not in trees:
-            trees.append(tree)
+    # the distinct complete parses in order of first occurrence, found by hash
+    trees = dict.fromkeys(
+        tree for tree, end in getattr(parser, production)(0) if end == len(parser.toks)
+    )
     if trees:
         return ParseResult(tuple(trees))
     # no complete parse: parse again, recording from the start, to explain it

@@ -1,8 +1,8 @@
 """Conversion of simplified source trees into Lean statement trees.
 
-Each word becomes the Lean image its lexicon entry gives: nouns become types
-(ℝ/ℤ/ℚ), arithmetic nouns operators, plain adjectives unary predicates
-(pos, odd, ...) and comparative adjectives relations (< ≤ > ≥ = ≠).
+Each word becomes the Lean image its lexicon entry gives, as text: nouns
+become types, arithmetic nouns operators, plain adjectives unary predicates
+and comparative adjectives relations.
 
 Translation is pure, so ``translate_text`` can take one memo for all parses of
 a text: each statement the parses share is translated once, and the parses
@@ -26,7 +26,6 @@ from .lean import (
     LeanCommand,
     LeanProp,
     LeanTerm,
-    LeanType,
     LitT,
     NotP,
     OrP,
@@ -51,7 +50,7 @@ class UntranslatableNode(ValueError):
 
 
 _LEXICON = default_lexicon()
-_TYPES = {key: LeanType(image) for key, image in _LEXICON.images(Category.RAW_NOUN0).items()}
+_TYPES = _LEXICON.images(Category.RAW_NOUN0)
 _OPERATORS = _LEXICON.images(Category.RAW_NOUN2)
 _PREDICATES = _LEXICON.images(Category.RAW_ADJECTIVE0)
 _RELATIONS = _LEXICON.images(Category.RAW_ADJECTIVE1)

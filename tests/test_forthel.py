@@ -30,7 +30,6 @@ from forlean.lean import (
     Exists,
     HypBinder,
     LeanCommand,
-    LeanType,
     LitT,
     PredApp,
     Rel,
@@ -144,8 +143,8 @@ def test_debug_tree_json_keeps_field_order():
         '"left_attribute": "ODD", "right_attribute": null}}}'
     )
     command = LeanCommand(
-        (TypeBinder("x", LeanType.INT), HypBinder("h1", PredApp("odd", VarT("x")))),
-        Exists("y", LeanType.REAL, Rel(">", VarT("y"), LitT(3))),
+        (TypeBinder("x", "ℤ"), HypBinder("h1", PredApp("odd", VarT("x")))),
+        Exists("y", "ℝ", Rel(">", VarT("y"), LitT(3))),
     )
     assert json.dumps(to_debug_tree(command), ensure_ascii=False) == (
         '{"node": "LeanCommand", "binders": [{"node": "TypeBinder", "name": "x", "type": "ℤ"}, '

@@ -13,7 +13,6 @@ from forlean.lean import (
     IffP,
     Imp,
     LeanCommand,
-    LeanType,
     LitT,
     NotP,
     OrP,
@@ -55,14 +54,14 @@ class TestPrintTerm:
 
 class TestPrintProp:
     def test_forall_with_condition(self):
-        prop = Forall("x34", LeanType.INT, Imp(Rel("<", VarT("x34"), LitT(32)), Rel(">", X, VarT("x34"))))
+        prop = Forall("x34", "ℤ", Imp(Rel("<", VarT("x34"), LitT(32)), Rel(">", X, VarT("x34"))))
         assert print_prop(prop) == "∀ (x34 : ℤ), (x34 < 32 → x > x34)"
 
     def test_negated_forall(self):
         prop = NotP(
             Forall(
                 "x53",
-                LeanType.INT,
+                "ℤ",
                 Imp(PredApp("neg", VarT("x53")), Rel("<", VarT("x32"), VarT("x53"))),
             )
         )
@@ -83,7 +82,7 @@ class TestPrintProp:
         assert print_prop(IffP(even_x, odd_x)) == "(even x ↔ odd x)"
 
     def test_exists(self):
-        assert print_prop(Exists("y", LeanType.RAT, PredApp("pos", VarT("y")))) == (
+        assert print_prop(Exists("y", "ℚ", PredApp("pos", VarT("y")))) == (
             "∃ (y : ℚ), pos y"
         )
 
@@ -93,7 +92,7 @@ class TestPrintProp:
     def test_quantifier_as_left_operand_is_parenthesized(self, connective, symbol, quantifier, head):
         # a quantifier reaches as far right as it can, so only a left operand
         # needs closing; Lean reads the right one the same either way
-        quantified = quantifier("y", LeanType.INT, PredApp("odd", VarT("y")))
+        quantified = quantifier("y", "ℤ", PredApp("odd", VarT("y")))
         even_x = PredApp("even", X)
         assert print_prop(connective(quantified, even_x)) == (
             f"(({head} (y : ℤ), odd y) {symbol} even x)"
@@ -107,7 +106,7 @@ class TestPrintCommand:
     def test_binders_and_goal(self):
         command = LeanCommand(
             (
-                TypeBinder("x", LeanType.REAL),
+                TypeBinder("x", "ℝ"),
                 HypBinder("h1", Rel("<", X, LitT(0))),
             ),
             Rel(">", ArithT("+", ArithT("^", X, LitT(2)), LitT(1)), LitT(0)),
@@ -123,14 +122,14 @@ class TestPrintCommand:
     def test_goal_quantifier_without_parens(self):
         command = LeanCommand(
             (
-                TypeBinder("a", LeanType.INT),
+                TypeBinder("a", "ℤ"),
                 HypBinder("h1", PredApp("odd", VarT("a"))),
-                TypeBinder("c", LeanType.INT),
+                TypeBinder("c", "ℤ"),
                 HypBinder("h2", PredApp("odd", VarT("c"))),
             ),
             Forall(
                 "b",
-                LeanType.INT,
+                "ℤ",
                 PredApp(
                     "even",
                     ArithT("+", ArithT("*", VarT("a"), VarT("b")), ArithT("*", VarT("a"), VarT("c"))),
@@ -150,7 +149,7 @@ class TestPrintCommand:
 
     def test_duplicate_binder_names_rejected(self):
         command = LeanCommand(
-            (TypeBinder("x", LeanType.INT), TypeBinder("x", LeanType.INT)),
+            (TypeBinder("x", "ℤ"), TypeBinder("x", "ℤ")),
             Rel(">", LitT(4), LitT(3)),
         )
         with pytest.raises(DuplicateBinderName):
@@ -257,13 +256,13 @@ class TestReader:
     def test_quantifier_body_reaches_as_far_right_as_in_lean(self):
         command = read_command("example (x : ℤ) : (∀ (y : ℤ), odd y ∨ even x) := sorry")
         assert command.goal == Forall(
-            "y", LeanType.INT, OrP(PredApp("odd", VarT("y")), PredApp("even", X))
+            "y", "ℤ", OrP(PredApp("odd", VarT("y")), PredApp("even", X))
         )
 
     def test_reads_a_parenthesized_quantifier(self):
         command = read_command("example (x : ℤ) : ((∃ (y : ℤ), odd y) ∧ even x) := sorry")
         assert command.goal == AndP(
-            Exists("y", LeanType.INT, PredApp("odd", VarT("y"))), PredApp("even", X)
+            Exists("y", "ℤ", PredApp("odd", VarT("y"))), PredApp("even", X)
         )
 
     def test_bare_connectives_in_a_quantifier_body_use_lean_precedence(self):
@@ -275,7 +274,7 @@ class TestReader:
         )
         assert command.goal == Forall(
             "y",
-            LeanType.INT,
+            "ℤ",
             IffP(Imp(OrP(AndP(odd, even), pos), neg), Imp(odd, Imp(even, pos))),
         )
         with pytest.raises(LeanReadError):  # ↔ does not associate

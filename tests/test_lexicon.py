@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from forlean.lexicon import (
+    SYMBOLS,
     Category,
     Lexicon,
     LexiconError,
@@ -106,6 +109,21 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokenize(detokenize(tokens)) == tokens
 
+    def test_text_fixes_kind(self):
+        # a token's kind follows from its text, so matching may compare texts
+        rng = random.Random(0)
+        alphabet = "abxyz019'." + SYMBOLS + " \téß²"
+        kinds = {}
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            try:
+                tokens = tokenize(text)
+            except UnknownCharacter:
+                continue
+            for token in tokens:
+                assert kinds.setdefault(token.text, token.kind) is token.kind, (text, token)
+        assert set(kinds.values()) == set(TokenKind)
+
 
 # independent re-listing of every lexical item, used as the matching oracle
 LEXICON_FORMS = {
@@ -160,6 +178,13 @@ class TestLexicon:
     def test_no_duplicate_surface_within_category(self):
         with pytest.raises(LexiconError):
             Lexicon.parse("rawAdjective0\tODD\todd\nrawAdjective0\tODD2\todd\n")
+
+    @pytest.mark.parametrize("surface", ["mod", "**", ".", "'"])
+    def test_operator_surface_is_one_symbol_character(self, surface):
+        # a word, a longer form, the period or the apostrophe would split the
+        # tokens around it differently
+        with pytest.raises(LexiconError):
+            Lexicon.parse(f"rawNoun2\tOP\t{surface}\t{surface}\t0\n")
 
     def test_surface_forms_tokenize_cleanly(self):
         # word entries tokenize to words only; arithmetic entries are single symbols

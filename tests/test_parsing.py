@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import parse_source
@@ -276,6 +278,18 @@ class TestParseSetProperties:
             for tree in parse_source(case.input).expect_trees():
                 again = parse_source(linearize_forthel(tree))
                 assert tree in again.trees, case.id
+
+    def test_many_ambiguous_phrases_parse_quickly(self):
+        # 11 "not equal to" phrases, each with two readings: 2,048 distinct
+        # parses, deduplicated by hash rather than by scanning the trees kept
+        phrases = " and ".join(f"x is not equal to {i}" for i in range(11))
+        source = f"Ex. Assume x is an integer. Then {phrases}."
+        tokens = tokenize(preprocess(source))
+        start = time.perf_counter()
+        result = parse_text(tokens)
+        elapsed = time.perf_counter() - start
+        assert len(result.trees) == 2048
+        assert elapsed < 1.0
 
     def test_metavariable_reference_reparses(self):
         source = (

@@ -35,6 +35,19 @@ AMBIGUOUS = (
 )
 
 
+def _new_adjective_and_moved_precedence(lines):
+    (minus,) = [i for i, line in enumerate(lines) if line.startswith("rawNoun2\tMINUS\t")]
+    lines[minus] = lines[minus].rsplit("\t", 1)[0] + "\t0"
+    return lines + ["rawAdjective0\tPRIME\tprime\tprime"]
+
+
+def _new_operator_and_type(lines):
+    return lines + [
+        "rawNoun2\tMOD\t%\t%\t2",
+        "rawNoun0\tNATURAL_NUMBER\tnatural number|natural numbers\tℕ",
+    ]
+
+
 class QuantifiedOperandGenerator(SentenceGenerator):
     """Generator texts in which arithmetic operands may be quantified terms."""
 
@@ -344,25 +357,43 @@ class TestCli:
         assert main(["corpus", str(default_corpus_path())]) == 0
         assert "passed 42/42" in capsys.readouterr().out
 
-    def test_lexicon_is_the_only_vocabulary_table(self, tmp_path):
-        # a new adjective and a moved operator precedence, written in a copy
-        # of the lexicon and nowhere else, reach every stage
+    @pytest.mark.parametrize(
+        "edit, source, simplified_line, expected",
+        [
+            pytest.param(
+                _new_adjective_and_moved_precedence,
+                "Ex. Assume x is a prime integer. Then x + 1 - 2 is not prime.",
+                "then x + 1 - 2 is not prime.",
+                "example (x : ℤ) (h1 : prime x) : (¬ prime ((x + 1) - 2)) := sorry",
+                id="adjective-and-precedence",
+            ),
+            pytest.param(
+                _new_operator_and_type,
+                "Ex. Assume n is a natural number. Then n % 2 is less than 2.",
+                "then n % 2 is less than 2.",
+                "example (n : ℕ) : (n % 2) < 2 := sorry",
+                id="operator-and-type",
+            ),
+        ],
+    )
+    def test_lexicon_is_the_only_vocabulary_table(
+        self, tmp_path, edit, source, simplified_line, expected
+    ):
+        # words, symbols, types and precedences written in a copy of the
+        # lexicon and nowhere else reach every stage
         shutil.copytree(
             Path(forlean.__file__).parent,
             tmp_path / "forlean",
             ignore=shutil.ignore_patterns("__pycache__"),
         )
         table = tmp_path / "forlean" / "data" / "lexicon.tsv"
-        lines = table.read_text(encoding="utf-8").splitlines()
-        (minus,) = [i for i, line in enumerate(lines) if line.startswith("rawNoun2\tMINUS\t")]
-        lines[minus] = lines[minus].rsplit("\t", 1)[0] + "\t0"
-        lines.append("rawAdjective0\tPRIME\tprime\tprime")
+        lines = edit(table.read_text(encoding="utf-8").splitlines())
         table.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         def run(*args):
             return subprocess.run(
                 [sys.executable, *args],
-                input="Ex. Assume x is a prime integer. Then x + 1 - 2 is not prime.",
+                input=source,
                 capture_output=True,
                 cwd=tmp_path,
                 env={**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONIOENCODING": "utf-8"},
@@ -372,8 +403,8 @@ class TestCli:
 
         header, simplified, printed = run("-m", "forlean.cli", "translate", "--show-simplified")
         assert header == "-- simplified 0"
-        assert "then x + 1 - 2 is not prime." in simplified
-        assert printed == "example (x : ℤ) (h1 : prime x) : (¬ prime ((x + 1) - 2)) := sorry"
+        assert simplified_line in simplified
+        assert printed == expected
         read_back = (
             "import sys, forlean; (trace,) = forlean.run_pipeline(sys.stdin.read()); "
             "print(forlean.__file__); "

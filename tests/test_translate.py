@@ -3,7 +3,6 @@ import pytest
 from conftest import canonical, parse_source
 from forlean import forthel as ftl
 from forlean.lean import (
-    LeanType,
     LitT,
     Rel,
     VarT,
@@ -11,6 +10,7 @@ from forlean.lean import (
     print_command,
     print_prop,
 )
+from forlean.lean_reader import _lex
 from forlean.lexicon import Category, default_lexicon
 from forlean.simplify import simplify
 from forlean.translate import (
@@ -40,8 +40,8 @@ class TestLexiconSemantics:
             Category.RAW_ADJECTIVE1,
         ):
             assert None not in lex.images(category).values(), category
-        types = {t.value for t in LeanType}
-        assert set(lex.images(Category.RAW_NOUN0).values()) <= types
+        for image in lex.images(Category.RAW_NOUN0).values():
+            assert _lex(image) == [image]
         for entry in lex.entries(Category.RAW_NOUN2):
             assert entry.precedence is not None, entry.key
             assert all(len(form) == 1 for form in entry.surface), entry.key
