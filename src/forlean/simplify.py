@@ -1,26 +1,28 @@
 """Tree normalization between parsing and translation.
 
-Passes run in this order: fresh-name assignment, variable unification,
-quantifier raising, attribute flattening, assumption splitting.  The middle
-three repeat until nothing changes: flattening an adjectival attribute can
-expose an in-situ quantifier that still has to be raised, and raising can
-expose a clause whose metavariable still has to unify.  On ordinary input one
+Fresh-name assignment runs first and assumption splitting last.  Between
+them, variable unification and quantifier raising (at a ``Does`` clause) and
+attribute flattening (at a ``Notion``) run as one node-local rewrite,
+``_normalize_one``: unification needs a variable subject and a notion
+predicate, raising a quantified term, so no clause matches both, and renaming
+a metavariable commutes with flattening.  One rewrite can expose another
+(flattening can expose an in-situ quantifier, raising a clause that still has
+to unify), so it repeats until a round changes nothing; on ordinary input one
 round rewrites and a second confirms.
 
-Every pass but the last is one node-local rewrite run through
-``tree.transform``, which rebuilds a tree bottom-up and returns the very same
-object for a subtree it did not change; so "nothing changed" is an identity
-test.  A caller that passes one memo for all parses of a text does the work
-for each subtree the parses share only once: the names in use are collected
-from the first parse (every parse holds the same generated names, each read
-from a ``(x N)`` token group), fresh naming is cached per node identity and
-next fresh id, and unification, raising and flattening, which are pure, per
-node identity.
+Every pass is run through ``tree.transform``, which rebuilds a tree bottom-up
+and returns the very same object for a subtree it did not change; so "nothing
+changed" is an identity test.  A caller that passes one memo for all parses
+of a text does the work for each subtree the parses share only once: the
+names in use are collected from the first parse (every parse holds the same
+generated names, each read from a ``(x N)`` token group), fresh naming is
+cached per node identity and next fresh id, and the rewrite, which is pure,
+per node identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .forthel import (
     And,
@@ -155,33 +157,24 @@ def raise_quantifiers(stmt: Statement) -> Statement:
     In each clause the subject is raised first, then quantified terms inside
     the predicate, left to right; earlier raisings scope over later ones.
     """
-    return transform(stmt, _raise_one)
+    return transform(stmt, _raise_does)
 
 
-def _raise_one(n):
-    return _raise_does(n) if type(n) is Does else n
-
-
-def _raise_does(does: Does) -> Statement:
-    found = _find_quantified(does.subject)
-    where = "subject"
-    if found is None:
-        where = "predicate"
-        match does.predicate:
-            case IsAdj1(_, _, term) | IsTerm(_, term):
-                found = _find_quantified(term)
+def _raise_does(does):
+    if type(does) is not Does:
+        return does
+    subject, predicate = does.subject, does.predicate
+    found = _find_quantified(subject)
+    if found is not None:
+        subject = _replace_first(subject, found, _name_ref(found.qnotion.notion))
+    elif type(predicate) in (IsAdj1, IsTerm):
+        found = _find_quantified(predicate.term)
+        if found is not None:
+            ref = _name_ref(found.qnotion.notion)
+            predicate = replace(predicate, term=_replace_first(predicate.term, found, ref))
     if found is None:
         return does
-    ref = _name_ref(found.qnotion.notion)
-    if where == "subject":
-        residual = Does(_replace_first(does.subject, found, ref), does.predicate)
-    else:
-        match does.predicate:
-            case IsAdj1(pol, adj, term):
-                residual = Does(does.subject, IsAdj1(pol, adj, _replace_first(term, found, ref)))
-            case IsTerm(pol, term):
-                residual = Does(does.subject, IsTerm(pol, _replace_first(term, found, ref)))
-    return ForQuantified(found.qnotion, _raise_does(residual))
+    return ForQuantified(found.qnotion, _raise_does(Does(subject, predicate)))
 
 
 def _find_quantified(t: Term) -> Quantified | None:
@@ -283,9 +276,9 @@ def _conjuncts(s: Statement) -> list[Statement]:
 def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     """Full normalization; the result satisfies the normal-form invariants.
 
-    Unification stays in the loop because raising can expose new "v is a
-    <notion>" clauses (a quantified subject over a notion predicate) whose
-    metavariables still have to unify.
+    After fresh naming, each round is one ``transform`` of ``_normalize_one``,
+    until a round returns its input (``is``): a rewrite can expose another,
+    such as a "v is a <notion>" clause that raising builds and that must unify.
 
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and the names in use are collected once and a subtree the parses
@@ -293,22 +286,25 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     without it.
     """
     memos = {} if memo is None else memo
-    unify, raise_, flatten = (
-        memos.setdefault(fn, {}) for fn in (_unify_one, _raise_one, _flatten_one)
-    )
+    normalized = memos.setdefault(_normalize_one, {})
     if NameSupply not in memos:
         memos[NameSupply] = NameSupply.for_text(text).used_names
     # fresh naming runs once per parse, so its cache pays only across parses
     named = None if memo is None else memo.setdefault(assign_names, {})
     t = assign_names(text, NameSupply(memos[NameSupply]), named)
-    while True:
-        t2 = transform(t, _unify_one, unify)
-        t2 = transform(t2, _raise_one, raise_)
-        t2 = transform(t2, _flatten_one, flatten)
-        if t2 is t:
-            break
+    while (t2 := transform(t, _normalize_one, normalized)) is not t:
         t = t2
     return ForthelText(split_assumptions(t.example))
+
+
+def _normalize_one(n):
+    cls = type(n)
+    if cls is Does:
+        unified = _unify_one(n)
+        return unified if unified is not n else _raise_does(n)
+    if cls is Notion:
+        return _flatten_one(n)
+    return n
 
 
 # --- normal-form checking ----------------------------------------------------------------
