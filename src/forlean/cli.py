@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         if args.command == "translate":
             return _cmd_translate(args)
         return _cmd_corpus(args)
-    except (OSError, CorpusFormatError) as err:
+    except (OSError, UnicodeDecodeError, CorpusFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -211,4 +211,7 @@ class _Reader:
 
 def read_command(text: str) -> LeanCommand:
     """Parse one printed command back into its tree."""
-    return _Reader(_lex(text)).command()
+    try:
+        return _Reader(_lex(text)).command()
+    except RecursionError:
+        raise LeanReadError("input nested too deeply") from None

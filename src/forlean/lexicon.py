@@ -79,7 +79,8 @@ def _byte_offsets(text: str) -> list[int]:
     offsets = [0]
     total = 0
     for ch in text:
-        total += len(ch.encode("utf-8"))
+        # a lone surrogate is not valid UTF-8 but must still get a span
+        total += len(ch.encode("utf-8", "surrogatepass"))
         offsets.append(total)
     return offsets
 

@@ -92,10 +92,18 @@ class TestRunPipeline:
         assert not first.ok
         assert second.ok
 
-    def test_unknown_character(self):
-        (trace,) = run_pipeline("Ex. Then x % 2 is even.")
+    @pytest.mark.parametrize(
+        "source, span",
+        [("Ex. Then x % 2 is even.", (11, 12)), ("Ex. Then x is odd\ud800.", (17, 20))],
+        ids=["percent", "lone-surrogate"],
+    )
+    def test_unknown_character(self, source, span):
+        # a lone surrogate is no UTF-8, yet it gets a span like any character
+        (trace,) = run_pipeline(source)
         assert not trace.ok
-        assert "unknown character" in trace.diagnostics[0][1]
+        ((got_span, message),) = trace.diagnostics
+        assert message.startswith("unknown character")
+        assert got_span == span
 
     def test_empty_source(self):
         assert run_pipeline("") == []
@@ -109,6 +117,12 @@ class TestRunPipeline:
             ("Ex. Then there exists an integer.", "untranslatable: "),
             (
                 "Ex. Assume x is an integer. Assume x is a real number. Then x is odd.",
+                "duplicate binder name: x",
+            ),
+            # flattening "that is a rational number" exposes a unification
+            # that only a later simplifier round makes
+            (
+                "Ex. Assume x is an integer that is a rational number. Then x is odd.",
                 "duplicate binder name: x",
             ),
         ],
@@ -429,6 +443,26 @@ class TestCli:
         corpus.write_text("-- input\nstray\n", encoding="utf-8")
         assert main(["corpus", str(corpus)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["translate", "corpus"])
+    def test_file_not_utf8_exit_code(self, tmp_path, capsys, command):
+        source = tmp_path / "input.txt"
+        source.write_bytes(b"Ex. Then x is odd\xff.\n")
+        assert main([command, str(source)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+    def test_corpus_deeply_nested_expectation_fails_the_case(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        nested = "(" * 2000 + "4" + ")" * 2000
+        corpus.write_text(
+            "== deep\n-- input\nEx. Then 4 is greater than 3.\n-- expect\n"
+            f"example : {nested} > 3 := sorry\n",
+            encoding="utf-8",
+        )
+        assert main(["corpus", str(corpus)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL deep" in out
+        assert "unreadable expectation: input nested too deeply" in out
 
     def test_translate_matches_golden_output(self, capsys):
         # the corpus inputs plus multi-parse texts with unnamed notions and
