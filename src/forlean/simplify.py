@@ -10,14 +10,14 @@ a metavariable commutes with flattening.  One rewrite can expose another
 to unify), so it repeats until a round changes nothing; on ordinary input one
 round rewrites and a second confirms.
 
-Every pass is run through ``tree.transform``, which rebuilds a tree bottom-up
-and returns the very same object for a subtree it did not change; so "nothing
-changed" is an identity test.  A caller that passes one memo for all parses
-of a text does the work for each subtree the parses share only once: the
-names in use are collected from the first parse (every parse holds the same
-generated names, each read from a ``(x N)`` token group), fresh naming is
-cached per node identity and next fresh id, and the rewrite, which is pure,
-per node identity.
+Every pass but the last runs through ``tree.transform``, which rebuilds a
+tree bottom-up and returns the very same object for a subtree it did not
+change; so "nothing changed" is an identity test.  A caller that passes one
+memo for all parses of a text does the work for each subtree the parses
+share only once: the names in use are collected from the first parse (every
+parse holds the same generated names, each read from a ``(x N)`` token
+group), fresh naming is cached per node identity and next fresh id, and the
+rewrite, which is pure, per node identity.
 """
 
 from __future__ import annotations

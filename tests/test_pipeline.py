@@ -98,7 +98,6 @@ class TestRunPipeline:
         ids=["percent", "lone-surrogate"],
     )
     def test_unknown_character(self, source, span):
-        # a lone surrogate is no UTF-8, yet it gets a span like any character
         (trace,) = run_pipeline(source)
         assert not trace.ok
         ((got_span, message),) = trace.diagnostics
