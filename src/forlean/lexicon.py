@@ -15,6 +15,7 @@ integers" is accepted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -71,64 +72,35 @@ def preprocess(raw: str) -> str:
     return " ".join(raw.lower().split())
 
 
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _byte_offsets(text: str) -> list[int]:
-    offsets = [0]
-    total = 0
-    for ch in text:
-        # a lone surrogate is not valid UTF-8 but must still get a span
-        total += len(ch.encode("utf-8", "surrogatepass"))
-        offsets.append(total)
-    return offsets
-
-
 def tokenize(text: str) -> list[Token]:
     """Turn preprocessed text into word/integer/symbol/period tokens.
 
-    A word starts with a letter, an integer is ``-?[0-9]+``, a symbol is one
-    of ``SYMBOLS`` and a period is ``.``, so a token's kind follows from its
-    text.  A ``-`` immediately followed by digits is a negative integer
-    literal; a spaced ``-`` is the binary operator.  An apostrophe is allowed
-    inside a word ("it's").
+    One pattern, built from ``SYMBOLS`` at import, scans the text: a period
+    is ``.``, an integer is ``-?[0-9]+``, a symbol is one of ``SYMBOLS`` and
+    a word is a letter followed by letters or ``'`` ("it's"), so a token's
+    kind follows from its text.  A ``-`` immediately followed by digits is a
+    negative integer literal; a spaced ``-`` is the binary operator.  Spans
+    come from a running count of the UTF-8 length of each gap and token.
     """
-    offsets = _byte_offsets(text)
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == ".":
-            tokens.append(Token(TokenKind.PERIOD, ".", span=(offsets[i], offsets[i + 1])))
-            i += 1
-        elif ch == "-" and i + 1 < n and _is_digit(text[i + 1]):
-            j = i + 1
-            while j < n and _is_digit(text[j]):
-                j += 1
-            lit = text[i:j]
-            tokens.append(Token(TokenKind.INT_LIT, lit, value=int(lit), span=(offsets[i], offsets[j])))
-            i = j
-        elif ch in SYMBOLS:
-            tokens.append(Token(TokenKind.SYMBOL, ch, span=(offsets[i], offsets[i + 1])))
-            i += 1
-        elif _is_digit(ch):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            lit = text[i:j]
-            tokens.append(Token(TokenKind.INT_LIT, lit, value=int(lit), span=(offsets[i], offsets[j])))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and (text[j].isalpha() or (text[j] == "'" and j > i)):
-                j += 1
-            tokens.append(Token(TokenKind.WORD, text[i:j], span=(offsets[i], offsets[j])))
-            i = j
-        else:
-            raise UnknownCharacter(ch, (offsets[i], offsets[i + 1]))
+    offset = end = 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = _KINDS[m.lastindex], m.group()
+        # the gap since the last token is whitespace
+        offset += len(text[end : m.start()].encode())
+        end = m.end()
+        if kind is TokenKind.WORD and not lexeme.replace("'", "").isalpha():
+            # [^\W\d_] also takes numerics such as ² and ½, which are not letters
+            bad = next(i for i, ch in enumerate(lexeme) if not ch.isalpha() and ch != "'")
+            offset += len(lexeme[:bad].encode())
+            kind, lexeme = None, lexeme[bad]
+        # a lone surrogate is not valid UTF-8 but must still get a span
+        size = len(lexeme.encode("utf-8", "surrogatepass"))
+        span = (offset, offset + size)
+        offset += size
+        if kind is None:
+            raise UnknownCharacter(lexeme, span)
+        tokens.append(Token(kind, lexeme, int(lexeme) if kind is TokenKind.INT_LIT else None, span))
     return tokens
 
 
@@ -166,7 +138,8 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[LexiconEntry]):
         self._entries = tuple(entries)
-        # (entry, form) pairs by the first element of the form, in table order
+        # (entry, form) pairs by the first element of the form, in the order
+        # ``match`` returns them (the sort below is stable)
         self._by_first: dict[str, list[tuple[LexiconEntry, tuple[str, ...]]]] = {}
         seen: set[tuple[Category, tuple[str, ...]]] = set()
         for entry in self._entries:
@@ -182,6 +155,8 @@ class Lexicon:
                 # an integer literal is a term of its own, never part of a form
                 if not any(element.lstrip("-").isdecimal() for element in form):
                     self._by_first.setdefault(form[0], []).append((entry, form))
+        for pairs in self._by_first.values():
+            pairs.sort(key=lambda pair: (-len(pair[1]), pair[0].category.value, pair[0].key))
 
     @classmethod
     def parse(cls, text: str) -> "Lexicon":
@@ -221,25 +196,25 @@ class Lexicon:
         return {e.key: e.lean for e in self.entries(category)}
 
     def match(self, tokens: Sequence[Token], position: int) -> list[tuple[LexiconEntry, int]]:
-        """Every entry whose surface form starts at ``position``, longest first.
+        """Every entry whose surface form starts at ``position``: longest
+        form first, then by category and key, then in table order.
 
-        A form matches where the token texts equal it; a text fixes its
-        token's kind, so no kind is compared.  All matches are returned;
-        ambiguity between overlapping forms (such as "greater than" inside
-        "greater than or equal to") is left to the parser.
+        The index is put in that order when the lexicon loads, so ``match``
+        only filters it.  A form matches where the token texts equal it; a
+        text fixes its token's kind, so no kind is compared.  No entry
+        matches twice, as a category rejects duplicate forms.  Ambiguity
+        between overlapping forms ("greater than" inside "greater than or
+        equal to") is left to the parser.
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
         if position == len(tokens):
             return []
-        out: list[tuple[LexiconEntry, int]] = []
-        for entry, form in self._by_first.get(tokens[position].text, ()):
-            if tuple(t.text for t in tokens[position : position + len(form)]) == form:
-                candidate = (entry, len(form))
-                if candidate not in out:
-                    out.append(candidate)
-        out.sort(key=lambda pair: (-pair[1], pair[0].category.value, pair[0].key))
-        return out
+        return [
+            (entry, len(form))
+            for entry, form in self._by_first.get(tokens[position].text, ())
+            if tuple(t.text for t in tokens[position : position + len(form)]) == form
+        ]
 
 
 @lru_cache(maxsize=1)
@@ -252,3 +227,8 @@ def default_lexicon() -> Lexicon:
 SYMBOLS = "()," + "".join(
     symbol for e in default_lexicon().entries(Category.RAW_NOUN2) for (symbol,) in e.surface
 )
+
+# one group per token kind, tried in order, so a "-" glued to digits is a
+# literal; the last group, any other character but whitespace, has no kind
+_TOKEN = re.compile(rf"(\.)|(-?[0-9]+)|([{re.escape(SYMBOLS)}])|([^\W\d_]+(?:'[^\W\d_]*)*)|(\S)")
+_KINDS = (None, TokenKind.PERIOD, TokenKind.INT_LIT, TokenKind.SYMBOL, TokenKind.WORD, None)

@@ -55,7 +55,7 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .lexicon import Category, Token, TokenKind, default_lexicon
+from .lexicon import Category, Token, default_lexicon
 
 __all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
 
@@ -129,7 +129,7 @@ class _Parser:
         # token texts by position, None one past the end; a text fixes its
         # token's kind, so matching a word, symbol or period compares texts
         self._texts = [t.text for t in self.toks] + [None]
-        self._ints = [t.value if t.kind is TokenKind.INT_LIT else None for t in self.toks] + [None]
+        self._ints = [t.value for t in self.toks] + [None]
         self._matches: dict[int, list[tuple]] = {}
         self._connectives: dict[tuple[int, int], tuple] = {}
         self._terms: dict[int, list[tuple]] = {}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .forthel import ForthelText
 from .lean import DuplicateBinderName, LeanCommand, print_command
-from .lexicon import Token, TokenKind, UnknownCharacter, detokenize, preprocess, tokenize
+from .lexicon import Token, UnknownCharacter, detokenize, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import simplify
 from .translate import UntranslatableNode, translate_text
@@ -41,11 +41,10 @@ def split_texts(tokens: list[Token]) -> list[list[Token]]:
     starts = [
         i
         for i, tok in enumerate(tokens)
-        if tok.kind is TokenKind.WORD
-        and tok.text == "ex"
+        if tok.text == "ex"
         and i + 1 < len(tokens)
-        and tokens[i + 1].kind is TokenKind.PERIOD
-        and (i == 0 or tokens[i - 1].kind is TokenKind.PERIOD)
+        and tokens[i + 1].text == "."
+        and (i == 0 or tokens[i - 1].text == ".")
     ]
     if not tokens:
         return []
