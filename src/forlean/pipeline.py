@@ -38,19 +38,11 @@ class PipelineTrace:
 
 def split_texts(tokens: list[Token]) -> list[list[Token]]:
     """Split a token stream on the text delimiter "ex." at sentence starts."""
-    starts = [
-        i
-        for i, tok in enumerate(tokens)
-        if tok.text == "ex"
-        and i + 1 < len(tokens)
-        and tokens[i + 1].text == "."
-        and (i == 0 or tokens[i - 1].text == ".")
-    ]
-    if not tokens:
-        return []
-    if not starts or starts[0] != 0:
-        starts = [0] + starts
-    bounds = starts + [len(tokens)]
+    # texts[i] is the text before token i: a sentence starts after a period
+    # or at the first token
+    texts = [".", *(t.text for t in tokens)]
+    starts = [i for i in range(len(tokens)) if texts[i : i + 3] == [".", "ex", "."]]
+    bounds = sorted({0, *starts, len(tokens)})
     return [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
