@@ -28,6 +28,7 @@ from .lean_reader import LeanReadError, read_command
 from .lexicon import (
     Lexicon,
     Token,
+    TokenError,
     TokenKind,
     UnknownCharacter,
     default_lexicon,

@@ -195,7 +195,10 @@ class _Reader:
     def term(self) -> LeanTerm:
         tok = self.take()
         if _INT_RE.fullmatch(tok):
-            return LitT(int(tok))
+            try:
+                return LitT(int(tok))
+            except ValueError:  # more digits than Python converts to an int
+                raise LeanReadError("integer literal too long") from None
         if tok == "(":
             left = self.term()
             op = self.take()

@@ -28,6 +28,7 @@ __all__ = [
     "LexiconEntry",
     "LexiconError",
     "Token",
+    "TokenError",
     "TokenKind",
     "UnknownCharacter",
     "default_lexicon",
@@ -58,13 +59,20 @@ class Token:
         return f"{self.kind.value}({self.text!r})"
 
 
-class UnknownCharacter(ValueError):
+class TokenError(ValueError):
+    """Text that is not a sequence of tokens; ``span`` is in bytes."""
+
+    def __init__(self, message: str, span: tuple[int, int]):
+        super().__init__(f"{message} at byte offset {span[0]}")
+        self.span = span
+
+
+class UnknownCharacter(TokenError):
     """A character outside letters, digits, symbols, whitespace and '.'."""
 
     def __init__(self, char: str, span: tuple[int, int]):
-        super().__init__(f"unknown character {char!r} at byte offset {span[0]}")
+        super().__init__(f"unknown character {char!r}", span)
         self.char = char
-        self.span = span
 
 
 def preprocess(raw: str) -> str:
@@ -100,7 +108,11 @@ def tokenize(text: str) -> list[Token]:
         offset += size
         if kind is None:
             raise UnknownCharacter(lexeme, span)
-        tokens.append(Token(kind, lexeme, int(lexeme) if kind is TokenKind.INT_LIT else None, span))
+        try:
+            value = int(lexeme) if kind is TokenKind.INT_LIT else None
+        except ValueError:  # more digits than Python converts to an int
+            raise TokenError("integer literal too long", span) from None
+        tokens.append(Token(kind, lexeme, value, span))
     return tokens
 
 

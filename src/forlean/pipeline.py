@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .forthel import ForthelText
 from .lean import DuplicateBinderName, LeanCommand, print_command
-from .lexicon import Token, UnknownCharacter, detokenize, preprocess, tokenize
+from .lexicon import Token, TokenError, detokenize, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import simplify
 from .translate import UntranslatableNode, translate_text
@@ -82,6 +82,6 @@ def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[Pipelin
     pre = preprocess(source)
     try:
         tokens = tokenize(pre)
-    except UnknownCharacter as err:
+    except TokenError as err:
         return [PipelineTrace(source=pre, diagnostics=((err.span, str(err)),))]
     return [_run_one(segment, first_parse_only) for segment in split_texts(tokens)]

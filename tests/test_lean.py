@@ -294,6 +294,12 @@ class TestReader:
             read_command(text)
         assert str(raised.value) == f"unreadable input at {unreadable}"
 
+    def test_integer_literal_too_long(self):
+        # more digits than Python converts to an int (4,300 by default)
+        with pytest.raises(LeanReadError) as raised:
+            read_command(f"example : {'9' * 5000} > 3 := sorry")
+        assert str(raised.value) == "integer literal too long"
+
     def test_rejects_garbage(self):
         with pytest.raises(LeanReadError):
             read_command("example : := sorry")

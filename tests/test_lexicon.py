@@ -7,6 +7,7 @@ from forlean.lexicon import (
     Category,
     Lexicon,
     LexiconError,
+    TokenError,
     TokenKind,
     UnknownCharacter,
     default_lexicon,
@@ -95,6 +96,15 @@ class TestTokenize:
     def test_spans_are_byte_offsets(self):
         tokens = tokenize("x + 12")
         assert [t.span for t in tokens] == [(0, 1), (2, 3), (4, 6)]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_literal_too_long(self, sign):
+        # more digits than Python converts to an int (4,300 by default)
+        literal = sign + "9" * 5000
+        with pytest.raises(TokenError) as raised:
+            tokenize(f"x + {literal} .")
+        assert raised.value.span == (4, 4 + len(literal))
+        assert str(raised.value) == "integer literal too long at byte offset 4"
 
     @pytest.mark.parametrize(
         "text",

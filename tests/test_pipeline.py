@@ -35,6 +35,9 @@ AMBIGUOUS = (
 )
 
 
+LONG_LITERAL_SOURCE = "Ex. Assume x is an integer. Then x is less than " + "9" * 5000 + "."
+
+
 def _new_adjective_and_moved_precedence(lines):
     (minus,) = [i for i, line in enumerate(lines) if line.startswith("rawNoun2\tMINUS\t")]
     lines[minus] = lines[minus].rsplit("\t", 1)[0] + "\t0"
@@ -106,6 +109,12 @@ class TestRunPipeline:
 
     def test_empty_source(self):
         assert run_pipeline("") == []
+
+    def test_integer_literal_too_long(self):
+        # more digits than Python converts to an int (4,300 by default)
+        (trace,) = run_pipeline(LONG_LITERAL_SOURCE)
+        assert not trace.ok
+        assert trace.diagnostics == (((48, 5048), "integer literal too long at byte offset 48"),)
 
     def test_deterministic(self):
         assert run_pipeline(AMBIGUOUS) == run_pipeline(AMBIGUOUS)
@@ -426,6 +435,29 @@ class TestCli:
         location, same = run("-c", read_back)
         assert Path(location).is_relative_to(tmp_path)
         assert same == "True"
+
+    def test_translate_integer_literal_too_long(self, tmp_path, capsys):
+        source = tmp_path / "input.txt"
+        source.write_text(LONG_LITERAL_SOURCE, encoding="utf-8")
+        assert main(["translate", str(source)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "integer literal too long at byte offset 48 (bytes 48..5048)"
+        assert captured.err == f"error: {message}\n"
+
+    def test_corpus_integer_literal_too_long_in_expectation_fails_the_case(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "== long\n-- input\nEx. Then 4 is greater than 3.\n-- expect\n"
+            f"example : {'9' * 5000} > 3 := sorry\n",
+            encoding="utf-8",
+        )
+        assert main(["corpus", str(corpus)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL long" in out
+        assert "unreadable expectation: integer literal too long" in out
 
     def test_corpus_command_failure(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
