@@ -231,8 +231,16 @@ class Lexicon:
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
+    """The bundled table, which every stage builds its tables from: each
+    entry but a variable needs a Lean image, and each operator a precedence."""
     data = resources.files("forlean").joinpath("data/lexicon.tsv").read_text("utf-8")
-    return Lexicon.parse(data)
+    lexicon = Lexicon.parse(data)
+    for e in lexicon.entries():
+        if not e.lean and e.category is not Category.VARIABLE:
+            raise LexiconError(f"entry {e.key} has no Lean image")
+        if e.precedence is None and e.category is Category.RAW_NOUN2:
+            raise LexiconError(f"operator {e.key} has no precedence")
+    return lexicon
 
 
 # the fixed punctuation and the lexicon's operators, one character each

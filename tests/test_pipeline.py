@@ -51,6 +51,20 @@ def _new_operator_and_type(lines):
     ]
 
 
+def _package_copy(tmp_path, edit):
+    """Copy the forlean package under ``tmp_path`` with its lexicon's lines
+    passed through ``edit``; return the environment that imports the copy."""
+    shutil.copytree(
+        Path(forlean.__file__).parent,
+        tmp_path / "forlean",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    table = tmp_path / "forlean" / "data" / "lexicon.tsv"
+    lines = edit(table.read_text(encoding="utf-8").splitlines())
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONIOENCODING": "utf-8"}
+
+
 class QuantifiedOperandGenerator(SentenceGenerator):
     """Generator texts in which arithmetic operands may be quantified terms."""
 
@@ -403,14 +417,7 @@ class TestCli:
     ):
         # words, symbols, types and precedences written in a copy of the
         # lexicon and nowhere else reach every stage
-        shutil.copytree(
-            Path(forlean.__file__).parent,
-            tmp_path / "forlean",
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        table = tmp_path / "forlean" / "data" / "lexicon.tsv"
-        lines = edit(table.read_text(encoding="utf-8").splitlines())
-        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = _package_copy(tmp_path, edit)
 
         def run(*args):
             return subprocess.run(
@@ -418,7 +425,7 @@ class TestCli:
                 input=source,
                 capture_output=True,
                 cwd=tmp_path,
-                env={**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONIOENCODING": "utf-8"},
+                env=env,
                 encoding="utf-8",
                 check=True,
             ).stdout.splitlines()
@@ -435,6 +442,38 @@ class TestCli:
         location, same = run("-c", read_back)
         assert Path(location).is_relative_to(tmp_path)
         assert same == "True"
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("rawNoun2\tEXP\t^\t^", "operator EXP has no precedence"),
+            ("rawAdjective0\tODD\todd", "entry ODD has no Lean image"),
+            ("rawNoun0\tINTEGER\tinteger|integers", "entry INTEGER has no Lean image"),
+            ("rawAdjective1\tLESS_THAN\tless than\t", "entry LESS_THAN has no Lean image"),
+        ],
+        ids=[
+            "operator-without-precedence",
+            "adjective-without-image",
+            "noun-without-image",
+            "relation-with-empty-image",
+        ],
+    )
+    def test_incomplete_lexicon_is_rejected(self, tmp_path, line, error):
+        # every stage builds its tables from the bundled lexicon, so an entry
+        # it cannot use stops the import instead of a later stage
+        key = line.split("\t")[1]
+        env = _package_copy(
+            tmp_path, lambda lines: [line if old.split("\t")[1:2] == [key] else old for old in lines]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", "import forlean"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=env,
+            encoding="utf-8",
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == f"forlean.lexicon.LexiconError: {error}"
 
     def test_translate_integer_literal_too_long(self, tmp_path, capsys):
         source = tmp_path / "input.txt"
