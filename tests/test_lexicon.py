@@ -97,6 +97,25 @@ class TestTokenize:
         tokens = tokenize("x + 12")
         assert [t.span for t in tokens] == [(0, 1), (2, 3), (4, 6)]
 
+    def test_spans_of_non_ascii_tokens(self):
+        # slicing the input's UTF-8 bytes by a token's span gives its text
+        rng = random.Random(1)
+        letters = ["é", "ß", "ǅ", "ı", "ﬁ", "ab", "xyz"]
+        alphabet = [*letters, "0", "19", "'", ".", *SYMBOLS, " ", "\t", "\u3000"]
+        non_ascii = 0
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            data = text.encode("utf-8")
+            try:
+                tokens = tokenize(text)
+            except UnknownCharacter as err:  # an apostrophe that starts a token
+                assert data[err.span[0] : err.span[1]].decode("utf-8") == err.char == "'"
+                continue
+            for token in tokens:
+                assert data[token.span[0] : token.span[1]].decode("utf-8") == token.text, text
+                non_ascii += not token.text.isascii()
+        assert non_ascii > 1000
+
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_integer_literal_too_long(self, sign):
         # more digits than Python converts to an int (4,300 by default)
