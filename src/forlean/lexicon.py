@@ -11,6 +11,10 @@ around it.  Surface forms may span several words
 ("less than or equal to") and singular/plural variants of a noun map to the
 same entry, so number agreement is deliberately not checked: "x are an odd
 integers" is accepted.
+
+The table decides scanning and matching once, at import: ``tokenize`` runs
+one pattern built from ``SYMBOLS`` and counts byte spans as it goes, and a
+``Lexicon`` keeps its index in the order ``match`` returns.
 """
 
 from __future__ import annotations
@@ -211,12 +215,11 @@ class Lexicon:
         """Every entry whose surface form starts at ``position``: longest
         form first, then by category and key, then in table order.
 
-        The index is put in that order when the lexicon loads, so ``match``
-        only filters it.  A form matches where the token texts equal it; a
-        text fixes its token's kind, so no kind is compared.  No entry
-        matches twice, as a category rejects duplicate forms.  Ambiguity
-        between overlapping forms ("greater than" inside "greater than or
-        equal to") is left to the parser.
+        The index is kept in that order, so ``match`` only filters it; no
+        entry matches twice, as a category rejects duplicate forms.  A form
+        matches where the token texts equal it: a text fixes its token's
+        kind.  Ambiguity between overlapping forms ("greater than" inside
+        "greater than or equal to") is left to the parser.
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
