@@ -535,8 +535,9 @@ class TestCli:
         assert "unreadable expectation: input nested too deeply" in out
 
     def test_translate_matches_golden_output(self, capsys):
-        # the corpus inputs plus multi-parse texts with unnamed notions and
-        # user-written metavariables, byte for byte, fresh ids included;
+        # the corpus inputs plus multi-parse texts with unnamed notions,
+        # user-written metavariables and ambiguous or splitting assumptions,
+        # byte for byte, fresh ids included;
         # regenerate with: forlean translate --show-simplified
         #   tests/data/translate.input > tests/data/translate.golden
         assert main(["translate", "--show-simplified", str(DATA / "translate.input")]) == 0
