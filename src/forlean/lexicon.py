@@ -20,11 +20,11 @@ one pattern built from ``SYMBOLS`` and counts byte spans as it goes, and a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Category",
@@ -48,14 +48,22 @@ class TokenKind(Enum):
     PERIOD = "Period"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: int | None = None
-    # byte offsets into the tokenized string; excluded from equality so that
-    # tokens compare by content
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
+    # byte offsets into the tokenized string; excluded from equality and
+    # hashing so that tokens compare by content
+    span: tuple[int, int] = (0, 0)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Token and self[:3] == other[:3]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     def __repr__(self) -> str:
         if self.kind is TokenKind.INT_LIT:

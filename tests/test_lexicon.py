@@ -7,6 +7,7 @@ from forlean.lexicon import (
     Category,
     Lexicon,
     LexiconError,
+    Token,
     TokenError,
     TokenKind,
     UnknownCharacter,
@@ -96,6 +97,28 @@ class TestTokenize:
     def test_spans_are_byte_offsets(self):
         tokens = tokenize("x + 12")
         assert [t.span for t in tokens] == [(0, 1), (2, 3), (4, 6)]
+
+    def test_tokens_compare_and_hash_without_their_spans(self):
+        first, second = tokenize("x + x")[::2]
+        assert first.span != second.span
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert first != Token(TokenKind.WORD, "y", None, first.span)
+        # a plain tuple of the same fields is not a token
+        assert first != (first.kind, first.text, first.value, first.span)
+
+    def test_tokens_are_immutable(self):
+        (token,) = tokenize("x")
+        with pytest.raises(AttributeError):
+            token.text = "y"
+        with pytest.raises(AttributeError):
+            token.note = "new attribute"
+
+    def test_token_repr(self):
+        tokens = tokenize("x is 12 + -3 .")
+        assert repr(tokens) == (
+            "[Word('x'), Word('is'), IntLit(12), Symbol('+'), IntLit(-3), Period('.')]"
+        )
 
     def test_spans_of_non_ascii_tokens(self):
         # slicing the input's UTF-8 bytes by a token's span gives its text
