@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .tree import _IS_NODE, iter_nodes, transform
+from .tree import _IS_NODE, iter_nodes, once, transform
 
 __all__ = [
     "AndP",
@@ -212,21 +212,21 @@ def print_prop(p: LeanProp, memo: dict | None = None) -> str:
 
 def print_command(c: LeanCommand, memo: dict | None = None) -> str:
     """``memo`` is a cache handle: pass the same dict for every command of
-    one text, and a proposition the commands share is printed once.  The
-    result is the same with or without it."""
+    one text, and a proposition the commands share is printed once, and a
+    binders tuple they share is checked and printed once.  The result is the
+    same with or without it."""
     props = None if memo is None else memo.setdefault(print_prop, {})
-    names = [b.name if isinstance(b, TypeBinder) else b.label for b in c.binders]
+    prefix = once(memo, _print_binders, c.binders, props)
+    return f"{prefix} : {print_prop(c.goal, props)} := sorry"
+
+
+def _print_binders(binders: tuple[Binder, ...], props: dict | None) -> str:
+    names = [b.name if isinstance(b, TypeBinder) else b.label for b in binders]
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:
         raise DuplicateBinderName(", ".join(sorted(duplicates)))
-    parts = ["example"]
-    for binder in c.binders:
-        match binder:
-            case TypeBinder(name, type_):
-                parts.append(f"({name} : {type_})")
-            case HypBinder(label, prop):
-                parts.append(f"({label} : {print_prop(prop, props)})")
-    return " ".join(parts) + f" : {print_prop(c.goal, props)} := sorry"
+    types = [b.type if isinstance(b, TypeBinder) else print_prop(b.prop, props) for b in binders]
+    return " ".join(["example", *(f"({n} : {t})" for n, t in zip(names, types))])
 
 
 # --- name normalization ------------------------------------------------------------------

@@ -1,23 +1,19 @@
 """Tree normalization between parsing and translation.
 
-Fresh-name assignment runs first and assumption splitting last.  Between
-them, variable unification and quantifier raising (at a ``Does`` clause) and
-attribute flattening (at a ``Notion``) run as one node-local rewrite,
-``_normalize_one``: unification needs a variable subject and a notion
-predicate, raising a quantified term, so no clause matches both, and renaming
-a metavariable commutes with flattening.  One rewrite can expose another
-(flattening can expose an in-situ quantifier, raising a clause that still has
-to unify), so it repeats until a round changes nothing; on ordinary input one
-round rewrites and a second confirms.
+One ``tree.transform`` per parse names each unnamed notion and rewrites each
+node with ``_normalize_one``: variable unification and quantifier raising at
+a ``Does`` clause, attribute flattening at a ``Notion``.  No clause both
+unifies and raises, and renaming a metavariable commutes with flattening.
+A rewrite can expose another (flattening an in-situ quantifier, raising a
+clause that still has to unify), so a node is rewritten to a local fixpoint:
+the node a rewrite builds is walked again, and the walk stops at subtrees
+already recorded as normal.  Assumption splitting runs last.
 
-Every pass but the last runs through ``tree.transform``, which rebuilds a
-tree bottom-up and returns the very same object for a subtree it did not
-change; so "nothing changed" is an identity test.  A caller that passes one
-memo for all parses of a text does the work for each subtree the parses
-share only once: the names in use are collected from the first parse (every
-parse holds the same generated names, each read from a ``(x N)`` token
-group), fresh naming is cached per node identity and next fresh id, and the
-rewrite, which is pure, per node identity.
+A caller that passes one memo for all parses of a text does the work for
+each subtree the parses share only once: the names in use are collected from
+the first parse (every parse holds the same generated names, each read from
+a ``(x N)`` token group), a node's result is cached per node identity and
+next fresh id, and a shared assumptions tuple is split once.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .tree import iter_nodes, transform
+from .tree import iter_nodes, once, transform
 
 __all__ = [
     "NameSupply",
@@ -238,10 +234,11 @@ def _conjoin(conjuncts: list[Statement]) -> Statement:
 def split_assumptions(ex: Example) -> Example:
     """Split conjunctive assumptions, and "v is a <notion such that S>" into
     the bare typing assumption followed by the conjuncts of S."""
-    out: list[Statement] = []
-    for assumption in ex.assumptions:
-        out.extend(_split_one(assumption))
-    return Example(tuple(out), ex.conclusion)
+    return Example(_split_all(ex.assumptions), ex.conclusion)
+
+
+def _split_all(assumptions: tuple[Statement, ...]) -> tuple[Statement, ...]:
+    return tuple(piece for assumption in assumptions for piece in _split_one(assumption))
 
 
 def _split_one(stmt: Statement) -> list[Statement]:
@@ -276,25 +273,30 @@ def _conjuncts(s: Statement) -> list[Statement]:
 def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     """Full normalization; the result satisfies the normal-form invariants.
 
-    After fresh naming, each round is one ``transform`` of ``_normalize_one``,
-    until a round returns its input (``is``): a rewrite can expose another,
-    such as a "v is a <notion>" clause that raising builds and that must unify.
-
+    One walk names each unnamed notion and rewrites each node to a local
+    fixpoint; each result is recorded as normal, so a re-walk stops there.
     ``memo`` is a cache handle: pass the same dict for every parse of one
-    text, and the names in use are collected once and a subtree the parses
-    share is named and rewritten once.  The result is the same with or
-    without it.
+    text, and a subtree or an assumptions tuple the parses share is
+    normalized once.  The result is the same with or without it.
     """
     memos = {} if memo is None else memo
-    normalized = memos.setdefault(_normalize_one, {})
     if NameSupply not in memos:
         memos[NameSupply] = NameSupply.for_text(text).used_names
-    # fresh naming runs once per parse, so its cache pays only across parses
-    named = None if memo is None else memo.setdefault(assign_names, {})
-    t = assign_names(text, NameSupply(memos[NameSupply]), named)
-    while (t2 := transform(t, _normalize_one, normalized)) is not t:
-        t = t2
-    return ForthelText(split_assumptions(t.example))
+    supply = NameSupply(memos[NameSupply])
+    normal = memos.setdefault(simplify, {})
+
+    def normalize(n):
+        if type(n) is Unnamed:
+            return Meta(supply.fresh())
+        rewritten = _normalize_one(n)
+        if rewritten is not n:
+            return transform(rewritten, normalize, normal, supply)
+        normal[id(n), supply.next_id] = (n, n, supply.next_id)
+        return n
+
+    example = transform(text, normalize, normal, supply).example
+    assumptions = once(memo, _split_all, example.assumptions)
+    return ForthelText(Example(assumptions, example.conclusion))
 
 
 def _normalize_one(n):

@@ -35,6 +35,7 @@ from .lean import (
     VarT,
 )
 from .lexicon import Category, default_lexicon
+from .tree import once
 
 __all__ = [
     "UntranslatableNode",
@@ -182,12 +183,18 @@ def translate_text(nf: ftl.ForthelText, memo: dict | None = None) -> LeanCommand
     deterministic h1, h2, ... numbering.
 
     ``memo`` is a cache handle: pass the same dict for every parse of one
-    text, and a statement the parses share is translated once.  The result is
-    equal with or without it."""
+    text, and a statement the parses share is translated once, and an
+    assumptions tuple they share becomes binders once, which their commands
+    then share.  The result is equal with or without it."""
     statements = None if memo is None else memo.setdefault(translate_statement, {})
+    binders = once(memo, _binders, nf.example.assumptions, statements)
+    return LeanCommand(binders, translate_statement(nf.example.conclusion, statements))
+
+
+def _binders(assumptions: tuple[ftl.Statement, ...], statements: dict | None) -> tuple:
     labels = itertools.count(1)
     binders = []
-    for assumption in nf.example.assumptions:
+    for assumption in assumptions:
         typing = _bare_typing(assumption)
         if typing is not None:
             variable, head = typing
@@ -195,5 +202,4 @@ def translate_text(nf: ftl.ForthelText, memo: dict | None = None) -> LeanCommand
         else:
             hypothesis = translate_statement(assumption, statements)
             binders.append(HypBinder(f"h{next(labels)}", hypothesis))
-    goal = translate_statement(nf.example.conclusion, statements)
-    return LeanCommand(tuple(binders), goal)
+    return tuple(binders)

@@ -5,8 +5,9 @@ A tree is made of nodes and leaves.  Nodes are tuples and dataclass
 instances; everything else (str, int, enums, None) is a leaf.  A pass names
 only the node types it treats specially and leaves the walk to what is here:
 ``transform`` rebuilds a tree bottom-up, ``iter_nodes`` visits it top-down,
-and ``_IS_NODE`` tells a node from a leaf for code that walks fields itself
-(``vars(node)`` gives a node's fields in field order).
+``_IS_NODE`` tells a node from a leaf for code that walks fields itself
+(``vars(node)`` gives a node's fields in field order), and ``once`` caches a
+function of a whole node per node identity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .simplify import NameSupply
 
-__all__ = ["iter_nodes", "transform"]
+__all__ = ["iter_nodes", "once", "transform"]
 
 
 class _NodeTypes(dict):
@@ -95,3 +96,15 @@ def iter_nodes(node):
         for child in reversed(children):
             if _IS_NODE[type(child)]:
                 stack.append(child)
+
+
+def once(memo: dict | None, fn, node, *args):
+    """``fn(node, *args)``, cached per ``node`` identity in ``memo[fn]``,
+    which holds each node it keys; with ``memo`` None, a plain call."""
+    if memo is None:
+        return fn(node, *args)
+    table = memo.setdefault(fn, {})
+    hit = table.get(id(node))
+    if hit is None:
+        hit = table[id(node)] = (node, fn(node, *args))
+    return hit[1]

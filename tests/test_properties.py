@@ -119,6 +119,20 @@ class SentenceGenerator:
         return str(self.rng.randint(-9, 9))
 
 
+class QuantifiedOperandGenerator(SentenceGenerator):
+    """Generator texts in which arithmetic operands may be quantified terms."""
+
+    def term(self, depth: int, allow_quantified: bool) -> str:
+        if depth > 0 and self.rng.random() < 0.3:
+            quantified = f"{self.rng.choice(QUANTIFIERS)} {self.notion(0)}"
+            other = super().term(depth - 1, False)
+            op = self.rng.choice("+-*/^")
+            if self.rng.random() < 0.5:
+                return f"{other} {op} {quantified}"
+            return f"{quantified} {op} {other}"
+        return super().term(depth, allow_quantified)
+
+
 def generate_sentences(count: int, seed: int = 20240317) -> list[str]:
     generator = SentenceGenerator(seed)
     return [generator.text() for _ in range(count)]

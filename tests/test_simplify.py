@@ -1,4 +1,8 @@
+import importlib
 import re
+from collections import Counter
+
+import pytest
 
 from conftest import parse_source
 from forlean.forthel import (
@@ -37,11 +41,12 @@ from forlean.simplify import (
 )
 from forlean.translate import UntranslatableNode, translate_text
 from forlean.tree import transform
-from test_properties import generate_sentences
+from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 POS = Polarity.POS
-# multi-parse texts with unnamed notions in the ambiguous part, and with
-# user-written metavariables, which fresh names skip
+# multi-parse texts with unnamed notions in the ambiguous part, with
+# user-written metavariables, which fresh names skip, and with conjunctive,
+# splitting or ambiguous assumptions
 MULTI_PARSE_TEXTS = [
     "Ex. Then every integer is not equal to some integer and "
     "some integer is not equal to every integer.",
@@ -49,6 +54,16 @@ MULTI_PARSE_TEXTS = [
     "Then some integer is not equal to x or x is not equal to some integer.",
     "Ex. Assume y is a real number (x 1). Assume y is not equal to 0. Then every rational "
     "number is not equal to y and no odd integer less than y is not equal to some integer.",
+    "Ex. Assume x is an integer and y is an integer. "
+    "Then x is not equal to 1 and y is not equal to 2 or x is not equal to y.",
+    "Ex. Assume x is an integer such that x is positive and x is less than 5. "
+    "Then x is not equal to 0 and x is not equal to 7.",
+    "Ex. Assume x is an integer such that x is not equal to 1. Assume x is not equal to 2. "
+    "Then x is not equal to 3.",
+    "Ex. Assume x is an integer. Assume every integer is not equal to some integer. "
+    "Then x is not equal to some integer.",
+    "Ex. Assume x is an integer less than some odd integer. Then every integer is not equal "
+    "to some integer and x is not equal to every integer.",
 ]
 
 
@@ -345,7 +360,10 @@ class TestTransform:
         # parses of a text, gives what the memo-free stages give per parse
         ambiguous = [s for s in generate_sentences(300) if 1 <= s.count("not equal to") <= 4]
         assert ambiguous
-        for source in [case.input for case in corpus_cases] + ambiguous + MULTI_PARSE_TEXTS:
+        generator = QuantifiedOperandGenerator(seed=6262)
+        quantified = [generator.text() for _ in range(200)]
+        sources = [case.input for case in corpus_cases] + ambiguous + MULTI_PARSE_TEXTS + quantified
+        for source in sources:
             memo: dict = {}
             for tree in parse_source(source).expect_trees():
                 assert simplify(tree, memo) == simplify(tree), source
@@ -360,6 +378,28 @@ class TestTransform:
             assert trace.commands == commands, source
             printed = tuple(dict.fromkeys(print_command(command) for command in commands))
             assert trace.printed == printed, source
+
+    @pytest.mark.parametrize("phrases", [1, 3, 5])
+    def test_assumptions_are_split_and_typed_once_per_text(self, monkeypatch, phrases):
+        calls: Counter = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, count)
+
+        counted(importlib.import_module("forlean.simplify"), "_split_one")
+        counted(importlib.import_module("forlean.translate"), "_bare_typing")
+        clauses = " and ".join(f"x is not equal to {k}" for k in range(phrases))
+        (trace,) = run_pipeline(
+            f"Ex. Assume x is an integer. Assume y is an integer. Then {clauses}."
+        )
+        assert len(trace.printed) == 2**phrases
+        assert calls == {"_split_one": 2, "_bare_typing": 2}
 
     def test_parses_share_the_translation_of_a_common_assumption(self):
         (trace,) = run_pipeline(
