@@ -6,7 +6,7 @@ atoms and predicate applications never are, and quantifiers only as the left
 operand of a connective, because a quantifier reaches as far right as it can.
 
 Printing is pure, so ``print_command`` can take one memo for all parses of a
-text: each proposition object the parses share is printed once.
+text: each proposition and binders tuple the parses share is printed once.
 
 ``normalize_names`` collects names in one ``tree.iter_nodes`` pass and renames
 them in one ``tree.transform``; ``alpha_equivalent`` is one paired walk over

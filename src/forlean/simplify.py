@@ -4,10 +4,10 @@ One ``tree.transform`` per parse names each unnamed notion and rewrites each
 node with ``_normalize_one``: variable unification and quantifier raising at
 a ``Does`` clause, attribute flattening at a ``Notion``.  No clause both
 unifies and raises, and renaming a metavariable commutes with flattening.
-A rewrite can expose another (flattening an in-situ quantifier, raising a
-clause that still has to unify), so a node is rewritten to a local fixpoint:
-the node a rewrite builds is walked again, and the walk stops at subtrees
-already recorded as normal.  Assumption splitting runs last.
+A rewrite can expose another (flattening can expose an in-situ quantifier,
+raising a clause that still has to unify), so a node is rewritten to a local
+fixpoint: the node a rewrite builds is walked again, and that walk stops at
+subtrees already recorded as normal.  Assumption splitting runs last.
 
 A caller that passes one memo for all parses of a text does the work for
 each subtree the parses share only once: the names in use are collected from

@@ -5,8 +5,8 @@ become types, arithmetic nouns operators, plain adjectives unary predicates
 and comparative adjectives relations.
 
 Translation is pure, so ``translate_text`` can take one memo for all parses of
-a text: each statement the parses share is translated once, and the parses
-then share its Lean proposition too.
+a text: each statement and assumptions tuple the parses share is translated
+once, and the parses then share its Lean image too.
 """
 
 from __future__ import annotations
