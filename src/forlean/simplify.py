@@ -106,13 +106,10 @@ def _name_ref(notion: Notion) -> Term:
 # --- fresh names --------------------------------------------------------------
 
 
-def assign_names(text: ForthelText, supply: NameSupply, memo: dict | None = None) -> ForthelText:
+def assign_names(text: ForthelText, supply: NameSupply) -> ForthelText:
     """Replace every unnamed notion slot by a fresh metavariable name, in
-    field order.  ``memo`` is as in ``transform``; share one only between
-    supplies with the same used names."""
-    return transform(
-        text, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n, memo, supply
-    )
+    field order."""
+    return transform(text, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n)
 
 
 # --- variable unification -------------------------------------------------------

@@ -108,13 +108,17 @@ class TestAssignNames:
     def test_memo_keys_on_node_and_next_fresh_id(self):
         stmt = Does(Var("x"), IsNotion(POS, Notion("INTEGER", Unnamed())))
         memo: dict = {}
-        first = assign_names(stmt, NameSupply(), memo)
+
+        def fresh_names(supply):
+            return transform(stmt, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n, memo, supply)
+
+        first = fresh_names(NameSupply())
         supply = NameSupply()
-        assert assign_names(stmt, supply, memo) is first  # a hit
+        assert fresh_names(supply) is first  # a hit
         assert supply.next_id == 2  # as the first visit left it
         assert first.predicate.notion.name == Meta(1)
         later = NameSupply(next_id=5)  # the same subtree after four fresh names
-        assert assign_names(stmt, later, memo).predicate.notion.name == Meta(5)
+        assert fresh_names(later).predicate.notion.name == Meta(5)
         assert later.next_id == 6
 
 
