@@ -1,5 +1,6 @@
-"""Abstract syntax of the controlled input language and its linearization
-back to surface text.
+"""Abstract syntax of the controlled input language, its one concrete
+syntax ``GRAMMAR``, from which parsing.py generates the parser, and the
+linearization back to surface text that reads ``GRAMMAR`` backwards.
 
 Linearization is the display convention used by the stage-dump CLI flags:
 metavariable names print as ``(x n)``, ex-situ quantified statements print as
@@ -213,164 +214,165 @@ class ForthelText:
     example: Example
 
 
+# --- concrete syntax ------------------------------------------------------------
+
+
+class Index:
+    """Source of the N in a generated name "(x N)": an integer literal >= 0,
+    whose absence the parser does not report."""
+
+
+ARTICLE = "[a|an]"
+
+# The concrete syntax, from which parsing.py generates the parser and which
+# ``linearize_forthel`` reads backwards, as one GF concrete syntax gives both
+# (Ranta, "Grammatical Framework", JFP 2004).  A category lists its rules in
+# parse order.  A rule is (head, elements); its head is a node class, a tuple
+# of classes each holding the next as its one field, ``tuple`` for
+# ``(first, *rest)``, None for a pass-through of its one field (named None),
+# or else a constant.  An element is keywords or a (field, source) pair.
+# Keywords are words separated by spaces, "a|b" for either word and "[a|b]"
+# if optional; each prints its first form, and "[a|an]" the article the next
+# word takes.  A source is a category: one of these, ``connective``, ``term``
+# or ``definite_term`` (code in parsing.py) or a lexicon category, giving the
+# entry's key, and "[c]" if optional (None when absent); or ``int``, an
+# integer literal; ``Index``; or an Enum whose values are words.
+GRAMMAR = {
+    "text": [
+        ((ForthelText, Example), ["ex .", ("assumptions", "assumption_list"), "[then]",
+                                  ("conclusion", "statement"), "."]),
+    ],
+    "assumption_list": [
+        ((), []),
+        (tuple, ["assume", ("first", "statement"), ".", ("rest", "assumption_list")]),
+    ],
+    "statement": [
+        (IfThen, ["if", ("antecedent", "statement"), "then", ("consequent", "statement")]),
+        (None, [(None, "connective")]),
+    ],
+    "atom_statement": [
+        (Not, ["it's not that", ("body", "statement")]),
+        (ForQuantified, ["for", ("qnotion", "quantified_notion"), ",", ("body", "statement")]),
+        (ThereExistsNo, ["there exists|exist", "no", ("notion", "notion")]),
+        (ThereExists, ["there exists|exist", ARTICLE, ("notion", "notion")]),
+        (Does, [("subject", "term"), ("predicate", "does_predicate")]),
+    ],
+    "polarity": [(Polarity.POS, []), (Polarity.NEG, ["not"])],
+    "does_predicate": [
+        (IsAdj, ["is|are", ("polarity", "polarity"), ("adjective", "rawAdjective0")]),
+        (IsAdj1, ["is|are", ("polarity", "polarity"), ("adjective", "rawAdjective1"), ("term", "term")]),
+        (IsNotion, ["is|are", ("polarity", "polarity"), ARTICLE, ("notion", "notion")]),
+        (IsTerm, ["is|are", ("polarity", "polarity"), ("term", "definite_term")]),
+    ],
+    "notion": [
+        (Notion, [("left_attribute", "[rawAdjective0]"), ("head", "rawNoun0"),
+                  ("name", "name_slot"), ("right_attribute", "[right_attribute]")]),
+    ],
+    "name_slot": [
+        (Unnamed(), []),
+        (Named, [("letter", "variable")]),
+        (Meta, ["(", "x", ("ident", Index), ")"]),
+    ],
+    # an adjective after the noun is bare; any other predicate takes "that"
+    "right_attribute": [
+        ((IsPred, IsAdj), [("polarity", "polarity"), ("adjective", "rawAdjective0")]),
+        ((IsPred, IsAdj1), [("polarity", "polarity"), ("adjective", "rawAdjective1"), ("term", "term")]),
+        (IsPred, ["that", ("predicate", "does_predicate")]),
+        (SuchThat, ["such that", ("statement", "statement")]),
+    ],
+    "quantified_notion": [(QuantifiedNotion, [("quantifier", Quantifier), ("notion", "notion")])],
+    "atom_term": [
+        (IntLit, [("value", int)]),
+        (Var, [("name", "variable")]),
+        (MetaVar, ["(", "x", ("ident", Index), ")"]),
+        (None, ["(", (None, "term"), ")"]),
+        (Quantified, [("qnotion", "quantified_notion")]),
+    ],
+}
+
+# statement connectives below "if ... then", loosest first, each right
+# associative: (separator, node) per level
+CONNECTIVES = (("iff", Iff), ("or", Or), (",", And), ("and", And))
+
+
 # --- linearization ------------------------------------------------------------
 
+_LEXICON = default_lexicon()
+# the first surface form of each entry, {key: surface} per category
+_SURFACE = {c.value: {e.key: " ".join(e.surface[0]) for e in _LEXICON.entries(c)} for c in Category}
 # the lexicon's precedence of each arithmetic operator; a higher level binds
 # tighter, and every level is left-associative
-_TERM_PREC = {e.key: e.precedence for e in default_lexicon().entries(Category.RAW_NOUN2)}
-# the first surface form of each entry, {key: surface} per category
-_NOUNS, _OPERATORS, _ADJECTIVES, _COMPARATIVES = (
-    {e.key: " ".join(e.surface[0]) for e in default_lexicon().entries(category)}
-    for category in (
-        Category.RAW_NOUN0, Category.RAW_NOUN2, Category.RAW_ADJECTIVE0, Category.RAW_ADJECTIVE1
-    )
-)
-
-
-def _article(phrase: str) -> str:
-    return "an" if phrase[:1] in "aeiou" else "a"
-
-
-def _lin_term(t: Term) -> str:
-    match t:
-        case Var(name):
-            return name
-        case MetaVar(ident):
-            return f"(x {ident})"
-        case IntLit(value):
-            return str(value)
-        case Quantified(qnotion):
-            return _lin_qnotion(qnotion)
-        case BinApp(op, left, right):
-            prec = _TERM_PREC[op]
-            ls = _lin_term(left)
-            rs = _lin_term(right)
-            if isinstance(left, BinApp) and _TERM_PREC[left.op] < prec:
-                ls = f"({ls})"
-            if isinstance(right, BinApp) and _TERM_PREC[right.op] <= prec:
-                rs = f"({rs})"
-            return f"{ls} {_OPERATORS[op]} {rs}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _lin_name(name: NameSlot) -> str:
-    match name:
-        case Named(letter):
-            return letter
-        case Meta(ident):
-            return f"(x {ident})"
-        case Unnamed():
-            return ""
-    raise TypeError(f"not a name slot: {name!r}")
-
-
-def _lin_attribute(p: Predicate) -> str:
-    # bare adjectival phrase for adjectives, a "that is ..." clause otherwise
-    neg = "not " if p.polarity is Polarity.NEG else ""
-    match p:
-        case IsAdj(_, adjective):
-            return f"{neg}{_ADJECTIVES[adjective]}"
-        case IsAdj1(_, adjective, term):
-            return f"{neg}{_COMPARATIVES[adjective]} {_lin_term(term)}"
-        case _:
-            return f"that {_lin_is_predicate(p)}"
-
-
-def _lin_notion(n: Notion, article: bool) -> str:
-    parts: list[str] = []
-    if n.left_attribute is not None:
-        parts.append(_ADJECTIVES[n.left_attribute])
-    parts.append(_NOUNS[n.head])
-    name = _lin_name(n.name)
-    if name:
-        parts.append(name)
-    match n.right_attribute:
-        case IsPred(predicate):
-            parts.append(_lin_attribute(predicate))
-        case SuchThat(statement):
-            parts.append(f"such that {_lin_statement(statement)}")
-        case None:
-            pass
-    phrase = " ".join(parts)
-    return f"{_article(phrase)} {phrase}" if article else phrase
-
-
-def _lin_qnotion(qn: QuantifiedNotion) -> str:
-    return f"{qn.quantifier.value} {_lin_notion(qn.notion, article=False)}"
-
-
-def _lin_is_predicate(p: Predicate) -> str:
-    neg = "not " if p.polarity is Polarity.NEG else ""
-    match p:
-        case IsAdj(_, adjective):
-            return f"is {neg}{_ADJECTIVES[adjective]}"
-        case IsAdj1(_, adjective, term):
-            return f"is {neg}{_COMPARATIVES[adjective]} {_lin_term(term)}"
-        case IsNotion(_, notion):
-            return f"is {neg}{_lin_notion(notion, article=True)}"
-        case IsTerm(_, term):
-            return f"is {neg}{_lin_term(term)}"
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _lin_statement(s: Statement) -> str:
-    match s:
-        case Does(subject, predicate):
-            return f"{_lin_term(subject)} {_lin_is_predicate(predicate)}"
-        case And(left, right):
-            # a left-nested And can only come from the comma form, which binds
-            # looser than "and"; print it back as a comma so it reparses
-            lin = f"{_lin_statement(left)}, " if isinstance(left, And) else f"{_lin_statement(left)} and "
-            return lin + _lin_statement(right)
-        case Or(left, right):
-            return f"{_lin_statement(left)} or {_lin_statement(right)}"
-        case Iff(left, right):
-            return f"{_lin_statement(left)} iff {_lin_statement(right)}"
-        case IfThen(antecedent, consequent):
-            return f"if {_lin_statement(antecedent)} then {_lin_statement(consequent)}"
-        case Not(body):
-            return f"it's not that {_lin_statement(body)}"
-        case ForQuantified(qnotion, body):
-            return f"for {_lin_qnotion(qnotion)}, {_lin_statement(body)}"
-        case ThereExists(notion):
-            phrase = _lin_notion(notion, article=False)
-            return f"there exists {_article(phrase)} {phrase}"
-        case ThereExistsNo(notion):
-            return f"there exists no {_lin_notion(notion, article=False)}"
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def _lin_example(ex: Example) -> str:
-    parts = ["ex ."]
-    for assumption in ex.assumptions:
-        parts.append(f"assume {_lin_statement(assumption)}.")
-    parts.append(f"then {_lin_statement(ex.conclusion)}.")
-    return " ".join(parts)
+_TERM_PREC = {e.key: e.precedence for e in _LEXICON.entries(Category.RAW_NOUN2)}
+_RULES = [rule for rules in GRAMMAR.values() for rule in rules]
 
 
 def linearize_forthel(node) -> str:
-    """Deterministic surface string for any node of the source syntax."""
-    match node:
-        case ForthelText(example):
-            return _lin_example(example)
-        case Example():
-            return _lin_example(node)
-        case Notion():
-            return _lin_notion(node, article=True)
-        case QuantifiedNotion():
-            return _lin_qnotion(node)
-        case IsAdj() | IsAdj1() | IsNotion() | IsTerm():
-            return _lin_is_predicate(node)
-        case IsPred(predicate):
-            return _lin_attribute(predicate)
-        case SuchThat(statement):
-            return f"such that {_lin_statement(statement)}"
-        case Named() | Meta() | Unnamed():
-            return _lin_name(node)
-        case Var() | MetaVar() | IntLit() | BinApp() | Quantified():
-            return _lin_term(node)
-        case _:
-            return _lin_statement(node)
+    """Deterministic surface string for any node of the source syntax, by
+    the first rule that builds it or holds it; a notion takes its article."""
+    return _join([ARTICLE, _lin(node)]) if type(node) is Notion else _lin(node)
+
+
+def _lin(value) -> str:
+    cls = type(value)
+    if cls is BinApp:
+        # parentheses where the operands' precedence needs them
+        prec, left, right = _TERM_PREC[value.op], _lin(value.left), _lin(value.right)
+        if type(value.left) is BinApp and _TERM_PREC[value.left.op] < prec:
+            left = f"({left})"
+        if type(value.right) is BinApp and _TERM_PREC[value.right.op] <= prec:
+            right = f"({right})"
+        return f"{left} {_SURFACE['rawNoun2'][value.op]} {right}"
+    separators = [separator for separator, node in CONNECTIVES if node is cls]
+    if separators:
+        # a left operand of the same connective can only have come from a
+        # looser level; the loosest separator makes it reparse so
+        separator = separators[0 if type(value.left) is cls else -1]
+        return _join([_lin(value.left), separator, _lin(value.right)])
+    for head, elements in _RULES:
+        if (fields := _fields(head, value)) is not None:
+            return _join([_piece(element, fields) for element in elements])
+    raise TypeError(f"no rule prints {value!r}")
+
+
+def _fields(head, value) -> dict | None:
+    # the fields from which the rule with ``head`` builds ``value``, or a node
+    # its head holds; None if it builds neither
+    if head is tuple:
+        return {"first": value[0], "rest": value[1:]} if type(value) is tuple and value else None
+    classes = head if type(head) is tuple else (head,)
+    if type(value) not in classes:  # a constant, or another node
+        return {} if head is not None and value == head else None
+    for cls in classes[classes.index(type(value)) + 1 :]:
+        (value,) = vars(value).values()
+        if type(value) is not cls:
+            return None
+    return vars(value)
+
+
+def _piece(element, fields: dict):
+    if type(element) is str:  # keywords, printed in their first forms
+        return element if element == ARTICLE else " ".join(
+            word.strip("[]").split("|")[0] for word in element.split()
+        )
+    name, source = element
+    child = fields[name]
+    if child is None or type(source) is not str:
+        return "" if child is None else child.value if isinstance(child, Enum) else str(child)
+    source = source.strip("[]")
+    return _SURFACE[source][child] if source in _SURFACE else _lin(child)
+
+
+def _join(pieces: list) -> str:
+    # words separated by spaces: empty pieces drop out, ",", "." and ")"
+    # attach to the word on their left and "(" to the word on its right
+    out, glue = [], True
+    for i, piece in enumerate(pieces):
+        if piece == ARTICLE:
+            piece = "an" if pieces[i + 1][:1] in "aeiou" else "a"
+        if piece:
+            out.append(piece if glue or piece in (",", ".", ")") else f" {piece}")
+            glue = piece == "("
+    return "".join(out)
 
 
 def to_debug_tree(node):

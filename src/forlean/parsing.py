@@ -1,6 +1,14 @@
 """Parser for the controlled language, returning every tree the grammar
 admits for a token stream.
 
+The grammar is ``forthel.GRAMMAR``.  At import, ``_install`` generates one
+``_Parser`` method per category from it, the nested loops a hand-written
+recursive descent would have, and compiles them, as ``dataclasses`` builds
+``__init__`` and pegen builds CPython's parser from its grammar (PEP 617).
+Three categories are code: ``connective``, the levels of
+``forthel.CONNECTIVES``; ``term``, the arithmetic operator levels; and
+``definite_term``, a filter on ``term``.
+
 The parser is top-down and memoized per (production, position), after
 Johnson 1995, "Memoization in top-down parsing".  It still returns every
 parse, in the order plain backtracking would.  A parse records nothing for
@@ -11,50 +19,23 @@ position reached, as CPython's PEG parser does for its error messages.
 Arithmetic precedence is the lexicon's: its operators grouped by their
 precedence column, which in the bundled table gives, tightest first, ``^``,
 then ``* /``, then ``-``, then ``+``.  Each level is left-associative and
-parentheses override.  Statement connectives, tightest first: "and", ",",
-"or", "iff", "if ... then"; "and", "," and "or" associate to the right.
-Genuinely ambiguous inputs yield multiple trees; the documented case is "not
-equal to", which parses both as the lexical unit and as polarity "not" plus
-"equal to".
+parentheses override.  Genuinely ambiguous inputs yield multiple trees; the
+documented case is "not equal to", which parses both as the lexical unit and
+as polarity "not" plus "equal to".
 """
 
 from __future__ import annotations
 
+import dataclasses
+import linecache
 import sys
 from dataclasses import dataclass
+from enum import Enum
+from itertools import groupby
 from typing import Iterable, Sequence
 
-from .forthel import (
-    And,
-    BinApp,
-    Does,
-    Example,
-    ForQuantified,
-    ForthelText,
-    IfThen,
-    Iff,
-    IntLit,
-    IsAdj,
-    IsAdj1,
-    IsNotion,
-    IsPred,
-    IsTerm,
-    Meta,
-    MetaVar,
-    Named,
-    Not,
-    Notion,
-    Or,
-    Polarity,
-    Quantified,
-    QuantifiedNotion,
-    Quantifier,
-    SuchThat,
-    ThereExists,
-    ThereExistsNo,
-    Unnamed,
-    Var,
-)
+from . import forthel
+from .forthel import CONNECTIVES, GRAMMAR, BinApp, Index, Quantified
 from .lexicon import Category, Token, default_lexicon
 
 __all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
@@ -87,10 +68,6 @@ class ParseFailure(ValueError):
         self.span = span
 
 
-# statement connectives below "if ... then", loosest first, each right
-# associative; (separator, node) per level
-_CONNECTIVE_LEVELS = (("iff", Iff), ("or", Or), (",", And), ("and", And))
-
 _LEXICON = default_lexicon()
 _OPERATORS = _LEXICON.entries(Category.RAW_NOUN2)
 # arithmetic levels, loosest first: the lexicon's operators grouped by
@@ -100,12 +77,10 @@ _TERM_LEVELS = tuple(
     for level in sorted({e.precedence for e in _OPERATORS})
 )
 
-_QUANTIFIERS = {q.value: q for q in Quantifier}
-
 
 class _Parser:
-    """Memoized recursive descent; every production returns all
-    (node, next_position) alternatives.
+    """Memoized recursive descent; every category returns all
+    (node, next_position) alternatives.  Those of ``GRAMMAR`` are generated.
 
     ``connective`` keeps its alternatives per (level, position) as immutable
     tuples; ``term`` keeps, per position, one such tuple for each operator
@@ -152,82 +127,25 @@ class _Parser:
             if text != found:
                 self._want(pos, repr(text))
 
-    def word(self, pos: int, text: str) -> list[int]:
-        if self._texts[pos] == text:
-            return [pos + 1]
-        if pos >= self.furthest:
-            self._want(pos, repr(text))
-        return []
-
-    def word_any(self, pos: int, texts: tuple[str, ...]) -> list[int]:
-        found = self._texts[pos]
-        if pos >= self.furthest:
-            self._want_others(pos, texts, found)
-        return [pos + 1] if found in texts else []
-
-    def words(self, pos: int, texts: tuple[str, ...]) -> list[int]:
-        for text in texts:
-            if self._texts[pos] != text:
-                if pos >= self.furthest:
-                    self._want(pos, repr(text))
-                return []
-            pos += 1
-        return [pos]
-
     def lex_matches(self, pos: int, category: Category) -> list[tuple]:
         found = self._matches.get(pos)
         if found is None:
             found = self._matches[pos] = _LEXICON.match(self.toks, pos)
-        matches = [(entry, pos + length) for entry, length in found if entry.category is category]
+        matches = [(e.key, pos + length) for e, length in found if e.category is category]
         if not matches and pos >= self.furthest:
             self._want(pos, category.value)
         return matches
 
-    # --- texts --------------------------------------------------------------
-
-    def text(self, pos: int) -> list[tuple]:
-        out = []
-        for p1 in self.word(pos, "ex"):
-            for p2 in self.word(p1, "."):
-                for assumptions, p3 in self.assumption_list(p2):
-                    # "then" is optional and not recorded in the tree
-                    for p4 in self.word(p3, "then") + [p3]:
-                        for conclusion, p5 in self.statement(p4):
-                            for p6 in self.word(p5, "."):
-                                out.append(
-                                    (ForthelText(Example(assumptions, conclusion)), p6)
-                                )
-        return out
-
-    def assumption_list(self, pos: int) -> list[tuple]:
-        out: list[tuple] = [((), pos)]
-        for p1 in self.word(pos, "assume"):
-            for stmt, p2 in self.statement(p1):
-                for p3 in self.word(p2, "."):
-                    for rest, p4 in self.assumption_list(p3):
-                        out.append(((stmt, *rest), p4))
-        return out
-
-    # --- statements ---------------------------------------------------------
-
-    def statement(self, pos: int) -> list[tuple]:
-        out = []
-        for p1 in self.word(pos, "if"):
-            for antecedent, p2 in self.statement(p1):
-                for p3 in self.word(p2, "then"):
-                    for consequent, p4 in self.statement(p3):
-                        out.append((IfThen(antecedent, consequent), p4))
-        out.extend(self.connective(pos))
-        return out
+    # --- hand-written categories -----------------------------------------
 
     def connective(self, pos: int, level: int = 0) -> tuple:
         memo = self._connectives.get((pos, level))
         if memo is not None:
             return memo
-        if level == len(_CONNECTIVE_LEVELS):
+        if level == len(CONNECTIVES):
             out = self.atom_statement(pos)
         else:
-            separator, build = _CONNECTIVE_LEVELS[level]
+            separator, build = CONNECTIVES[level]
             out = []
             for left, p1 in self.connective(pos, level + 1):
                 out.append((left, p1))
@@ -238,101 +156,6 @@ class _Parser:
                     self._want(p1, repr(separator))
         memo = self._connectives[pos, level] = tuple(out)
         return memo
-
-    def atom_statement(self, pos: int) -> list[tuple]:
-        out = []
-        for p1 in self.words(pos, ("it's", "not", "that")):
-            for body, p2 in self.statement(p1):
-                out.append((Not(body), p2))
-        for p1 in self.word(pos, "for"):
-            for qnotion, p2 in self.quantified_notion(p1):
-                for p3 in self.word(p2, ","):
-                    for body, p4 in self.statement(p3):
-                        out.append((ForQuantified(qnotion, body), p4))
-        for p1 in self.word(pos, "there"):
-            for p2 in self.word_any(p1, ("exists", "exist")):
-                for p3 in self.word(p2, "no"):
-                    for notion, p4 in self.notion(p3):
-                        out.append((ThereExistsNo(notion), p4))
-                for p3 in self.opt_article(p2):
-                    for notion, p4 in self.notion(p3):
-                        out.append((ThereExists(notion), p4))
-        for subject, p1 in self.term(pos):
-            for predicate, p2 in self.does_predicate(p1):
-                out.append((Does(subject, predicate), p2))
-        return out
-
-    # --- predicates ---------------------------------------------------------
-
-    def polarity(self, pos: int) -> list[tuple]:
-        return [(Polarity.POS, pos)] + [(Polarity.NEG, p) for p in self.word(pos, "not")]
-
-    def opt_article(self, pos: int) -> list[int]:
-        return [pos] + self.word_any(pos, ("a", "an"))
-
-    def does_predicate(self, pos: int) -> list[tuple]:
-        out = []
-        for p1 in self.word_any(pos, ("is", "are")):
-            for polarity, p2 in self.polarity(p1):
-                for entry, p3 in self.lex_matches(p2, Category.RAW_ADJECTIVE0):
-                    out.append((IsAdj(polarity, entry.key), p3))
-                for entry, p3 in self.lex_matches(p2, Category.RAW_ADJECTIVE1):
-                    for term, p4 in self.term(p3):
-                        out.append((IsAdj1(polarity, entry.key, term), p4))
-                for p3 in self.opt_article(p2):
-                    for notion, p4 in self.notion(p3):
-                        out.append((IsNotion(polarity, notion), p4))
-                for term, p3 in self.definite_term(p2):
-                    out.append((IsTerm(polarity, term), p3))
-        return out
-
-    # --- notions ------------------------------------------------------------
-
-    def notion(self, pos: int) -> list[tuple]:
-        out = []
-        lefts: list[tuple] = [(None, pos)]
-        lefts += [(e.key, p) for e, p in self.lex_matches(pos, Category.RAW_ADJECTIVE0)]
-        for left, p1 in lefts:
-            for head, p2 in self.lex_matches(p1, Category.RAW_NOUN0):
-                for name, p3 in self.name_slot(p2):
-                    for right, p4 in self.right_attribute(p3):
-                        out.append((Notion(head.key, name, left, right), p4))
-        return out
-
-    def name_slot(self, pos: int) -> list[tuple]:
-        out: list[tuple] = [(Unnamed(), pos)]
-        for entry, p1 in self.lex_matches(pos, Category.VARIABLE):
-            out.append((Named(entry.key), p1))
-        for mv, p1 in self.meta_ref(pos):
-            out.append((Meta(mv.ident), p1))
-        return out
-
-    def right_attribute(self, pos: int) -> list[tuple]:
-        out: list[tuple] = [(None, pos)]
-        for polarity, p1 in self.polarity(pos):
-            for entry, p2 in self.lex_matches(p1, Category.RAW_ADJECTIVE0):
-                out.append((IsPred(IsAdj(polarity, entry.key)), p2))
-            for entry, p2 in self.lex_matches(p1, Category.RAW_ADJECTIVE1):
-                for term, p3 in self.term(p2):
-                    out.append((IsPred(IsAdj1(polarity, entry.key, term)), p3))
-        for p1 in self.word(pos, "that"):
-            for predicate, p2 in self.does_predicate(p1):
-                out.append((IsPred(predicate), p2))
-        for p1 in self.words(pos, ("such", "that")):
-            for stmt, p2 in self.statement(p1):
-                out.append((SuchThat(stmt), p2))
-        return out
-
-    def quantified_notion(self, pos: int) -> list[tuple]:
-        found = self._texts[pos]
-        if pos >= self.furthest:
-            self._want_others(pos, _QUANTIFIERS, found)
-        quantifier = _QUANTIFIERS.get(found)
-        if quantifier is None:
-            return []
-        return [(QuantifiedNotion(quantifier, notion), p1) for notion, p1 in self.notion(pos + 1)]
-
-    # --- terms ----------------------------------------------------------------
 
     def term(self, pos: int, width: int = len(_TERM_LEVELS)) -> tuple:
         """The terms at ``pos`` built with the ``width`` tightest operator
@@ -371,34 +194,106 @@ class _Parser:
     def definite_term(self, pos: int) -> list[tuple]:
         return [(t, p) for t, p in self.term(pos) if not isinstance(t, Quantified)]
 
-    def atom_term(self, pos: int) -> list[tuple]:
-        out: list[tuple] = []
-        value = self._ints[pos]
-        if value is not None:
-            out.append((IntLit(value), pos + 1))
-        elif pos >= self.furthest:
-            self._want(pos, "integer literal")
-        for entry, p1 in self.lex_matches(pos, Category.VARIABLE):
-            out.append((Var(entry.key), p1))
-        out.extend(self.meta_ref(pos))
-        for p1 in self.word(pos, "("):
-            for inner, p2 in self.term(p1):
-                for p3 in self.word(p2, ")"):
-                    out.append((inner, p3))
-        for qnotion, p1 in self.quantified_notion(pos):
-            out.append((Quantified(qnotion), p1))
-        return out
 
-    def meta_ref(self, pos: int) -> list[tuple]:
-        # generated-name reference "(x N)"
-        out = []
-        for p1 in self.word(pos, "("):
-            for p2 in self.word(p1, "x"):
-                value = self._ints[p2]
-                if value is not None and value >= 0:
-                    for p3 in self.word(p2 + 1, ")"):
-                        out.append((MetaVar(value), p3))
-        return out
+# --- the categories of GRAMMAR ------------------------------------------------
+
+# the generated methods are compiled under this name and their source is kept
+# in linecache under it, so that tracebacks, pdb and inspect show their lines
+_SOURCE_FILE = f"<{__name__}: generated from forthel.GRAMMAR>"
+
+
+def _install() -> None:
+    """Generate, compile and add one ``_Parser`` method per category of
+    ``GRAMMAR``: an ``if`` per element that matches one token, a ``for`` per
+    element that can match in several ways and an ``out.append`` per rule,
+    labelled ``# category[i]``.  Consecutive rules that start with equal
+    elements share their code, so a shared prefix is matched once and the
+    parses still come in the order of backtracking through the rules."""
+    # the node classes, constants and lexicon categories are forthel's names
+    namespace = {**vars(forthel), "__name__": __name__}
+    lexical = {category.value: category for category in Category}
+    lines: list[str] = []
+
+    def ref(value) -> str:
+        # an expression for a class, an enum member or a constant of forthel
+        if isinstance(value, type):
+            return value.__name__
+        return f"{type(value).__name__}.{value.name}" if isinstance(value, Enum) else repr(value)
+
+    def build(head, fields: dict) -> str:
+        if head is None or head is tuple:
+            return fields[None] if head is None else f"({fields['first']}, *{fields['rest']})"
+        classes = head if type(head) is tuple else (head,) if isinstance(head, type) else ()
+        if not classes:
+            return ref(head)
+        built = ", ".join(fields[f.name] for f in dataclasses.fields(classes[-1]))
+        for cls in reversed(classes):
+            built = f"{ref(cls)}({built})"
+        return built
+
+    def match(e, pos: str, p: str, v: str, t: str) -> tuple[list[str], list[str], list[str]]:
+        # the lines that open the block where ``e`` has matched at ``pos``,
+        # the first lines inside that block, and the lines after it
+        source = e[1] if type(e) is tuple else None
+        if type(source) is str:
+            # a category or a lexicon category, optional in brackets
+            name = source.strip("[]")
+            call = f"lex_matches({pos}, {ref(lexical[name])})" if name in lexical else f"{name}({pos})"
+            pairs = f"[(None, {pos}), *self.{call}]" if source[0] == "[" else f"self.{call}"
+            return [f"for {v}, {p} in {pairs}:"], [], []
+        step = [f"{p} = {pos} + 1"]
+        if type(e) is str and "|" not in e and "[" not in e:
+            want = [f"elif {pos} >= self.furthest:", f"    self._want({pos}, {repr(e)!r})"]
+            return [f"if texts[{pos}] == {e!r}:"], step, want
+        if source is int or source is Index:
+            test = f"{v} is not None" + (f" and {v} >= 0" if source is Index else "")
+            want = [f"elif {pos} >= self.furthest:", f"    self._want({pos}, 'integer literal')"]
+            return [f"{v} = self._ints[{pos}]", f"if {test}:"], step, want if source is int else []
+        # one of several words: "a|b", "[a|b]" or the values of an Enum
+        words = tuple(e.strip("[]").split("|")) if source is None else tuple(m.value for m in source)
+        if source is not None:
+            step.append(f"{v} = {ref(source)}({t})")
+        opened = [f"{t} = texts[{pos}]", f"if {pos} >= self.furthest:",
+                  f"    self._want_others({pos}, {words!r}, {t})"]
+        if e[0] == "[":
+            loop = f"for {p} in ({pos} + 1, {pos}) if {t} in {words!r} else ({pos},):"
+            return opened + [loop], [], []
+        return opened + [f"if {t} in {words!r}:"], step, []
+
+    def emit(rules: list, indent: int, pos: str, fields: dict, n: int) -> None:
+        # rules are (label, head, elements not matched yet); the next element
+        # binds p<n> to the position after it and v<n> to its value
+        pad, p, v, t = "    " * indent, f"p{n}", f"v{n}", f"t{n}"
+        for first, group in groupby(rules, key=lambda rule: rule[2][:1]):
+            if not first:
+                for label, head, _ in group:
+                    lines.append(f"{pad}out.append(({build(head, fields)}, {pos}))  # {label}")
+                continue
+            opened, inside, closed = match(first[0], pos, p, v, t)
+            lines.extend(pad + line for line in opened)
+            lines.extend(f"{pad}    {line}" for line in inside)
+            named = {**fields, first[0][0]: v} if type(first[0]) is tuple else fields
+            emit([(lb, hd, more[1:]) for lb, hd, more in group], indent + 1, p, named, n + 1)
+            lines.extend(pad + line for line in closed)
+
+    for category, rules in GRAMMAR.items():
+        lines += [f"def {category}(self, pos):", "    texts = self._texts", "    out = []"]
+        labelled = []
+        for i, (head, elements) in enumerate(rules):
+            # a keyword of several words is matched word by word
+            words = [w for e in elements for w in (e.split() if type(e) is str else [e])]
+            labelled.append((f"{category}[{i}]", head, words))
+        emit(labelled, 1, "pos", {}, 1)
+        lines += ["    return out", ""]
+    source = "\n".join(lines)
+    linecache.cache[_SOURCE_FILE] = (len(source), None, source.splitlines(True), _SOURCE_FILE)
+    exec(compile(source, _SOURCE_FILE, "exec"), namespace)
+    for category in GRAMMAR:
+        namespace[category].__qualname__ = f"_Parser.{category}"
+        setattr(_Parser, category, namespace[category])
+
+
+_install()
 
 
 def _run(tokens: Sequence[Token], production: str) -> ParseResult:

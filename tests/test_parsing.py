@@ -1,12 +1,19 @@
+import inspect
+import linecache
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import parse_source
+from forlean import parsing
 from forlean.forthel import (
     And,
     BinApp,
     Does,
+    GRAMMAR,
     IntLit,
     IsAdj,
     IsAdj1,
@@ -25,6 +32,7 @@ from forlean.forthel import (
 from forlean.lexicon import preprocess, tokenize
 from forlean.parsing import ParseFailure, parse_statement, parse_term, parse_text
 from forlean.pipeline import run_pipeline
+from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 
 def term_of(text: str):
@@ -273,11 +281,14 @@ class TestParseSetProperties:
                 assert a not in trees[i + 1 :]
 
     def test_linearization_reparses_to_same_tree(self, corpus_cases):
-        # parse(linearize(t)) contains t for every corpus parse t
-        for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+        # parse(linearize(t)) contains t for every parse t of the corpus and
+        # of generated texts
+        generator = QuantifiedOperandGenerator(seed=4242)
+        sources = [case.input for case in corpus_cases] + generate_sentences(300)
+        for source in sources + [generator.text() for _ in range(200)]:
+            for tree in parse_source(source).expect_trees():
                 again = parse_source(linearize_forthel(tree))
-                assert tree in again.trees, case.id
+                assert tree in again.trees, source
 
     def test_many_ambiguous_phrases_parse_quickly(self):
         # 11 "not equal to" phrases, each with two readings: 2,048 distinct
@@ -310,3 +321,44 @@ def test_deeply_nested_parentheses_parse_and_print():
     )
     (trace,) = run_pipeline(source)
     assert trace.printed == ("example (x : ℤ) : x = x := sorry",)
+
+
+class TestGeneratedParser:
+    def test_generated_methods_show_their_source(self):
+        source = inspect.getsource(parsing._Parser.does_predicate)
+        assert source.startswith("def does_predicate(self, pos):\n")
+        assert "out.append((IsAdj1(v2, v3, v4), p4))  # does_predicate[1]\n" in source
+        assert inspect.getsourcefile(parsing._Parser.does_predicate) == parsing._SOURCE_FILE
+
+    def test_every_rule_builds_a_node(self, corpus_cases):
+        # the out.append line of each rule of GRAMMAR runs while these texts
+        # and the linearizations of their parses parse; only the latter write
+        # an adjective after a noun without "that is"
+        lines = linecache.getlines(parsing._SOURCE_FILE)
+        labels = {}
+        for number, line in enumerate(lines, start=1):
+            if found := re.search(r"  # (\w+\[\d+\])$", line):
+                labels[number] = found.group(1)
+        rules = {f"{category}[{i}]" for category, rs in GRAMMAR.items() for i in range(len(rs))}
+        assert sorted(labels.values()) == sorted(rules)
+        built = set()
+
+        def trace_lines(frame, event, arg):
+            if event == "line" and frame.f_lineno in labels:
+                built.add(labels[frame.f_lineno])
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            return trace_lines if frame.f_code.co_filename == parsing._SOURCE_FILE else None
+
+        inputs = Path(__file__).parent / "data" / "translate.input"
+        sources = [case.input for case in corpus_cases] + inputs.read_text().splitlines()
+        previous = sys.gettrace()
+        sys.settrace(trace_calls)
+        try:
+            for source in sources + generate_sentences(300):
+                for tree in parse_source(source).trees:
+                    parse_source(linearize_forthel(tree))
+        finally:
+            sys.settrace(previous)
+        assert rules - built == set()
