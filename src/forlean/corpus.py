@@ -13,7 +13,8 @@ Corpus files hold blocks of the form::
 Blocks are separated by blank lines; ``#`` starts a comment line.  Outputs
 are compared as trees: the commands a text printed are taken from its trace,
 and only the expectations are read (``read_command``, which also drops their
-layout).  A case passes when both multisets of commands, printed again with
+layout).  An expectation may use any bracketing Lean reads, such as
+``x + 1 > 1`` for the printed ``(x + 1) > 1``.  A case passes when both multisets of commands, printed again with
 hypothesis labels and generated variables renamed to their canonical forms,
 are equal.
 """
@@ -163,6 +164,8 @@ def _check_one(case: CorpusCase) -> str | None:
         expected = sorted(_canonical(read_command(e)) for e in case.expected)
     except LeanReadError as err:
         return f"unreadable expectation: {err}"
+    except RecursionError:  # a tree read without recursion may be too deep to print
+        return "unreadable expectation: input nested too deeply"
     # a text whose print failed keeps its commands but printed nothing
     got = sorted(
         _canonical(command)

@@ -1,4 +1,9 @@
-"""Target expression trees and their printer.
+"""Target expression trees, Lean's notation for them, and their printer.
+
+``NOTATION`` is the one description of Lean's operators: each symbol with
+the node it builds and its precedences, transcribed from Lean 4 core.  The
+printer takes its connective and quantifier symbols from it, and
+``lean_reader`` parses with it.
 
 Printing is deliberately rigid so that output is byte-stable: every compound
 arithmetic term and every binary or negated proposition is parenthesized;
@@ -18,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .tree import _IS_NODE, iter_nodes, once, transform
 
@@ -36,7 +41,10 @@ __all__ = [
     "LeanProp",
     "LeanTerm",
     "LitT",
+    "MAX_PREC",
+    "NOTATION",
     "NotP",
+    "Notation",
     "OrP",
     "PredApp",
     "Rel",
@@ -163,9 +171,56 @@ class DuplicateBinderName(ValueError):
     pass
 
 
+# --- notation ------------------------------------------------------------------------
+
+
+class Notation(NamedTuple):
+    """How Lean parses an operator: the precedence of the whole, and the
+    least precedence of each operand (``left`` is None for a prefix)."""
+
+    node: type
+    precedence: int
+    left: int | None
+    right: int
+
+
+# Lean's `max`, the precedence of atoms, applications and parentheses
+MAX_PREC = 1024
+
+# Lean 4 core's notation for forlean's fragment, one row per declaration.
+# Lean expands `infixl:p` to `notation:p lhs:p op rhs:(p+1)`, `infixr:p` to
+# `lhs:(p+1) op rhs:p` and `infix:p` to `lhs:(p+1) op rhs:(p+1)`, so an
+# `infix` operator neither associates nor chains.  These are Lean's
+# precedences, not those of the input language in lexicon.tsv.
+NOTATION = {
+    "↔": Notation(IffP, 20, 21, 21),  # infix:20 " ↔ " => Iff
+    "→": Notation(Imp, 25, 26, 25),  # the built-in arrow, right-associative at 25
+    "∨": Notation(OrP, 30, 31, 30),  # infixr:30 " ∨ " => Or
+    "∧": Notation(AndP, 35, 36, 35),  # infixr:35 " ∧ " => And
+    "¬": Notation(NotP, MAX_PREC, None, 40),  # notation:max "¬" p:40 => Not p
+    "=": Notation(Rel, 50, 51, 51),  # infix:50 " = " => Eq
+    "≠": Notation(Rel, 50, 51, 51),  # infix:50 " ≠ " => Ne
+    "<": Notation(Rel, 50, 51, 51),  # infix:50 " < " => LT.lt
+    ">": Notation(Rel, 50, 51, 51),  # infix:50 " > " => GT.gt
+    "≤": Notation(Rel, 50, 51, 51),  # infix:50 " ≤ " => LE.le
+    "≥": Notation(Rel, 50, 51, 51),  # infix:50 " ≥ " => GE.ge
+    "+": Notation(ArithT, 65, 65, 66),  # infixl:65 " + " => HAdd.hAdd
+    "-": Notation(ArithT, 65, 65, 66),  # infixl:65 " - " => HSub.hSub
+    "*": Notation(ArithT, 70, 70, 71),  # infixl:70 " * " => HMul.hMul
+    "/": Notation(ArithT, 70, 70, 71),  # infixl:70 " / " => HDiv.hDiv
+    "%": Notation(ArithT, 70, 70, 71),  # infixl:70 " % " => HMod.hMod
+    "^": Notation(ArithT, 75, 76, 75),  # infixr:75 " ^ " => HPow.hPow
+    # the binder notations `∀ x, p` and `∃ x, p` lead at `lead` (max - 1) and
+    # read their body at 0, so that it reaches as far right as it can
+    "∀": Notation(Forall, MAX_PREC - 1, None, 0),
+    "∃": Notation(Exists, MAX_PREC - 1, None, 0),
+}
+
+
 # --- printing ------------------------------------------------------------------------
 
-_CONNECTIVES = {AndP: "∧", OrP: "∨", Imp: "→", IffP: "↔"}
+# the symbol of each connective and quantifier
+_SYMBOLS = {n.node: symbol for symbol, n in NOTATION.items() if n.node not in (Rel, ArithT)}
 
 
 def print_term(t: LeanTerm) -> str:
@@ -192,17 +247,15 @@ def print_prop(p: LeanProp, memo: dict | None = None) -> str:
         case PredApp(pred, arg):
             text = f"{pred} {print_term(arg)}"
         case NotP(body):
-            text = f"(¬ {print_prop(body, memo)})"
+            text = f"({_SYMBOLS[NotP]} {print_prop(body, memo)})"
         case AndP() | OrP() | Imp() | IffP():
-            symbol = _CONNECTIVES[type(p)]
+            symbol = _SYMBOLS[type(p)]
             left = print_prop(p.left, memo)
             if type(p.left) in (Forall, Exists):
                 left = f"({left})"
             text = f"({left} {symbol} {print_prop(p.right, memo)})"
-        case Forall(name, type_, body):
-            text = f"∀ ({name} : {type_}), {print_prop(body, memo)}"
-        case Exists(name, type_, body):
-            text = f"∃ ({name} : {type_}), {print_prop(body, memo)}"
+        case Forall(name, type_, body) | Exists(name, type_, body):
+            text = f"{_SYMBOLS[type(p)]} ({name} : {type_}), {print_prop(body, memo)}"
         case _:
             raise TypeError(f"not a proposition: {p!r}")
     if memo is not None:

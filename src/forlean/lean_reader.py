@@ -1,14 +1,14 @@
-"""Reader for the printer's Lean fragment.
+"""Reader for forlean's fragment of Lean, in Lean's notation.
 
-The corpus harness compares outputs modulo renaming, so it needs to parse
-expected output strings back into command trees before normalizing them.
-Only the fixed fragment the printer emits is supported: fully parenthesized
-compound terms and propositions, bare relations and applications, and
-``∀``/``∃`` with a single annotated binder.  A proposition may carry extra
-parentheses, and a quantifier body reaches as far right as it does in Lean,
-over bare connectives grouped by Lean's precedence.
-Its tokens are integers, identifiers, Lean's own symbols and the lexicon's
-type, relation and operator images.
+The corpus harness compares outputs modulo renaming, so it reads expected
+output strings back into command trees before normalizing them.  Terms and
+propositions are one expression language, as in Lean, read by one Pratt
+loop over ``lean.NOTATION`` that checks sorts as it builds: so any
+bracketing Lean accepts reads to the tree Lean builds, and ``∀``/``∃``
+bodies reach as far right as they can.  The one departure from Lean is a
+``-`` glued to digits, which is read as a negative literal (see ``_TOKEN``).
+Its tokens are integers, identifiers, Lean's own symbols, the symbols of
+``NOTATION`` and the lexicon's types.
 """
 
 from __future__ import annotations
@@ -16,19 +16,16 @@ from __future__ import annotations
 import re
 
 from .lean import (
-    AndP,
+    MAX_PREC,
+    NOTATION,
     ArithT,
     Exists,
     Forall,
     HypBinder,
-    IffP,
-    Imp,
     LeanCommand,
     LeanProp,
-    LeanTerm,
     LitT,
-    NotP,
-    OrP,
+    Notation,
     PredApp,
     Rel,
     TypeBinder,
@@ -39,24 +36,28 @@ from .lexicon import Category, default_lexicon
 __all__ = ["LeanReadError", "read_command"]
 
 _TYPES = set(default_lexicon().images(Category.RAW_NOUN0).values())
-# the lexicon's relations, and the "=" that "is <term>" prints
-_RELS = {*default_lexicon().images(Category.RAW_ADJECTIVE1).values(), "="}
-_ARITH = set(default_lexicon().images(Category.RAW_NOUN2).values())
-# Lean's own syntax and the lexicon's types, relations and operators, longest
-# first so that ":=" is not read as ":"; the integer pattern comes first, so
-# "-3" is a literal
-_SYMBOLS = sorted({":=", *"()∀∃∧∨¬→↔:,", *_TYPES, *_RELS, *_ARITH}, key=lambda t: (-len(t), t))
+# Lean's own syntax, the notation's symbols and the lexicon's types, longest
+# first so that ":=" is not read as ":"
+_SYMBOLS = sorted({":=", *"():,", *NOTATION, *_TYPES}, key=lambda t: (-len(t), t))
+# The integer pattern comes first, so "-3" is one literal although Lean reads
+# it as Neg.neg 3 (`prefix:75 "-"`): Lean parses `pos -3` as `pos - 3` and
+# `(-3 ^ 2)` as `-(3 ^ 2)`.  forlean's printer and the bench's reference
+# printer both print negative literals bare, so the reader keeps their
+# reading until both bracket them.
 _TOKEN = "|".join([r"-?[0-9]+", r"[A-Za-z][A-Za-z0-9]*", *map(re.escape, _SYMBOLS)])
 # one token and the whitespace before it
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 # the tokens that follow one another from the start of the input
 _READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
-_CONNECTIVES = {"∧": AndP, "∨": OrP, "→": Imp, "↔": IffP}
-# Lean's precedence of each connective; ∧ ∨ → group to the right, ↔ not at all
-_PRECEDENCE = {"∧": 35, "∨": 30, "→": 25, "↔": 20}
 _PREDS = set(default_lexicon().images(Category.RAW_ADJECTIVE0).values())
-_INT_RE = re.compile(r"-?[0-9]+\Z")
+# an integer literal (group 1) or an identifier
+_ATOM_RE = re.compile(r"(-?[0-9]+)|[A-Za-z][A-Za-z0-9]*")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+_INFIX = {symbol: n for symbol, n in NOTATION.items() if n.left is not None}
+_PREFIX = {symbol: n for symbol, n in NOTATION.items() if n.left is None}
+# a predicate applied to its argument, which Lean reads at `max`
+_APPLICATION = Notation(PredApp, MAX_PREC, None, MAX_PREC)
+_TERMS = (VarT, LitT, ArithT)
 
 
 class LeanReadError(ValueError):
@@ -127,93 +128,83 @@ class _Reader:
         return HypBinder(name, prop)
 
     def prop(self) -> LeanProp:
-        tok = self.peek()
-        if tok in ("∀", "∃"):
-            return self.quantifier()
-        if tok == "(":
-            saved = self.pos
-            try:
-                return self.compound()
-            except LeanReadError:
-                self.pos = saved
-            return self.relation()
-        if tok in _PREDS:
-            self.take()
-            return PredApp(tok, self.term())
-        return self.relation()
+        expr = self.expr()
+        if type(expr) in _TERMS:
+            raise LeanReadError("expected a proposition, found a term")
+        return expr
 
-    def quantifier(self) -> LeanProp:
-        head = self.take()
-        self.expect("(")
-        name = self.take()
-        self.expect(":")
-        type_tok = self.take()
-        if type_tok not in _TYPES:
-            raise LeanReadError(f"bad binder type {type_tok!r}")
-        self.expect(")")
-        self.expect(",")
-        body = self.chain()
-        cls = Forall if head == "∀" else Exists
-        return cls(name, type_tok, body)
+    def expr(self):
+        """The longest expression from here.  The operators that wait for
+        their right operand are kept on a stack, not in Python frames, so
+        only a parenthesis adds a frame; a quantifier waits with its binder
+        as its left operand."""
+        waiting: list = []
+        while True:
+            tok = self.take()
+            notation = _PREFIX.get(tok)
+            if tok in _PREDS and (self.peek() == "(" or _ATOM_RE.fullmatch(self.peek() or "")):
+                notation = _APPLICATION
+            if notation is not None:
+                binder = None
+                if notation.node in (Forall, Exists):
+                    binder = self.binder()
+                    if type(binder) is not TypeBinder:
+                        raise LeanReadError(f"bad binder type in {binder.label!r}")
+                    self.expect(",")
+                waiting.append((tok, notation, binder))
+                continue
+            if tok == "(":
+                operand = self.expr()
+                self.expect(")")
+            else:
+                operand = _atom(tok)
+            prec = MAX_PREC
+            while True:
+                op = self.peek()
+                infix = _INFIX.get(op)
+                # an operator that binds looser than the waiting one allows
+                # ends the waiting one's right operand
+                if waiting and (infix is None or infix.precedence < waiting[-1][1].right):
+                    operand, prec = _reduce(*waiting.pop(), operand)
+                    continue
+                if infix is None:
+                    return operand
+                if prec < infix.left:
+                    raise LeanReadError(f"{op} does not associate")
+                self.take()
+                waiting.append((op, infix, operand))
+                break
 
-    def chain(self, floor: int = 0) -> LeanProp:
-        """A proposition followed by bare connectives whose precedence is at
-        least ``floor``."""
-        left = self.prop()
-        while (conn := self.peek()) in _PRECEDENCE and _PRECEDENCE[conn] >= floor:
-            self.take()
-            right_floor = _PRECEDENCE[conn] + (conn == "↔")
-            left = _CONNECTIVES[conn](left, self.chain(right_floor))
-            if conn == "↔" and self.peek() == "↔":
-                raise LeanReadError("↔ does not associate")
-        return left
 
-    def compound(self) -> LeanProp:
-        self.expect("(")
-        if self.peek() == "¬":
-            self.take()
-            body = self.prop()
-            self.expect(")")
-            return NotP(body)
-        left = self.prop()
-        conn = self.take()
-        if conn == ")":
-            return left
-        if conn not in _CONNECTIVES:
-            raise LeanReadError(f"expected a connective, found {conn!r}")
-        right = self.prop()
-        self.expect(")")
-        return _CONNECTIVES[conn](left, right)
-
-    def relation(self) -> LeanProp:
-        left = self.term()
-        op = self.take()
-        if op not in _RELS:
-            raise LeanReadError(f"expected a relation, found {op!r}")
-        return Rel(op, left, self.term())
-
-    def term(self) -> LeanTerm:
-        tok = self.take()
-        if _INT_RE.fullmatch(tok):
-            try:
-                return LitT(int(tok))
-            except ValueError:  # more digits than Python converts to an int
-                raise LeanReadError("integer literal too long") from None
-        if tok == "(":
-            left = self.term()
-            op = self.take()
-            if op not in _ARITH:
-                raise LeanReadError(f"expected an operator, found {op!r}")
-            right = self.term()
-            self.expect(")")
-            return ArithT(op, left, right)
-        if _IDENT_RE.fullmatch(tok):
-            return VarT(tok)
+def _atom(tok: str):
+    atom = _ATOM_RE.fullmatch(tok)
+    if atom is None:
+        if tok == "-":
+            raise LeanReadError("prefix '-' on a non-literal is outside forlean's fragment")
         raise LeanReadError(f"expected a term, found {tok!r}")
+    if atom[1] is None:
+        return VarT(tok)
+    try:
+        return LitT(int(tok))
+    except ValueError:  # more digits than Python converts to an int
+        raise LeanReadError("integer literal too long") from None
+
+
+def _reduce(symbol: str, notation: Notation, left, right):
+    """The node an operator builds from its operands, after checking their
+    sorts, and that node's precedence."""
+    node = notation.node
+    prop = node not in (Rel, ArithT, PredApp)
+    operands = (right,) if notation.left is None else (left, right)
+    if any((type(operand) not in _TERMS) != prop for operand in operands):
+        raise LeanReadError(f"the operands of {symbol!r} must be {'propositions' if prop else 'terms'}")
+    if node in (Forall, Exists):
+        return node(left.name, left.type, right), notation.precedence
+    return (node(*operands) if prop else node(symbol, *operands)), notation.precedence
 
 
 def read_command(text: str) -> LeanCommand:
-    """Parse one printed command back into its tree."""
+    """Read one command in Lean's notation into its tree."""
     try:
         return _Reader(_lex(text)).command()
     except RecursionError:

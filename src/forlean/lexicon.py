@@ -26,6 +26,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
+from .lean import NOTATION, ArithT, Rel
+
 __all__ = [
     "Category",
     "Lexicon",
@@ -240,10 +242,16 @@ class Lexicon:
         ]
 
 
+# the node that a relation or operator image builds in Lean
+_NOTATION_NODES = {Category.RAW_ADJECTIVE1: Rel, Category.RAW_NOUN2: ArithT}
+
+
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
     """The bundled table, which every stage builds its tables from: each
-    entry but a variable needs a Lean image, and each operator a precedence."""
+    entry but a variable needs a Lean image, and each operator a precedence.
+    A relation or operator image must be a relation or an operator of
+    ``lean.NOTATION``, so that Lean can read what is printed with it."""
     data = resources.files("forlean").joinpath("data/lexicon.tsv").read_text("utf-8")
     lexicon = Lexicon.parse(data)
     for e in lexicon.entries():
@@ -251,6 +259,9 @@ def default_lexicon() -> Lexicon:
             raise LexiconError(f"entry {e.key} has no Lean image")
         if e.precedence is None and e.category is Category.RAW_NOUN2:
             raise LexiconError(f"operator {e.key} has no precedence")
+        node = _NOTATION_NODES.get(e.category)
+        if node is not None and (e.lean not in NOTATION or NOTATION[e.lean].node is not node):
+            raise LexiconError(f"entry {e.key}: Lean has no {e.category.value} notation {e.lean!r}")
     return lexicon
 
 

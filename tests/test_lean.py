@@ -1,4 +1,5 @@
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +28,73 @@ from forlean.lean import (
     print_term,
 )
 from forlean.lean_reader import LeanReadError, read_command
+from forlean.pipeline import run_pipeline
+from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 X = VarT("x")
+
+# Lean 4's precedences, written out again for the printer below so that its
+# property does not check lean.NOTATION against itself: the precedence of the
+# whole and the least precedences of the left and right operands
+LEAN_MAX = 1024
+LEAN_BINARY = {
+    IffP: (20, 21, 21),
+    Imp: (25, 26, 25),
+    OrP: (30, 31, 30),
+    AndP: (35, 36, 35),
+    Rel: (50, 51, 51),
+    "+": (65, 65, 66),
+    "-": (65, 65, 66),
+    "*": (70, 70, 71),
+    "/": (70, 70, 71),
+    "^": (75, 76, 75),
+}
+LEAN_SYMBOL = {IffP: "↔", Imp: "→", OrP: "∨", AndP: "∧"}
+
+
+def print_minimal(node, prec: int = 0, follow: int | None = None) -> str:
+    """``node`` with only the parentheses Lean needs, in a slot that takes
+    precedence ``prec`` or more and is followed by an operator of precedence
+    ``follow`` (None when nothing follows).  Lean reads a negative literal as
+    ``prefix:75 "-"`` applied to a literal, and ¬ (``p:40``), ∀ and ∃ (body
+    at 0) reach right over any operator of at least their body's precedence."""
+    reach = None
+    match node:
+        case VarT(name):
+            own, text = LEAN_MAX, name
+        case LitT(value) if value < 0:
+            own, reach, text = 75, 75, str(value)
+        case LitT(value):
+            own, text = LEAN_MAX, str(value)
+        case PredApp(pred, arg):
+            own, text = LEAN_MAX, f"{pred} {print_minimal(arg, LEAN_MAX, None)}"
+        case NotP(body):
+            own, reach = LEAN_MAX, 40
+            text = f"¬ {print_minimal(body, 40, follow)}"
+        case Forall(name, type_, body) | Exists(name, type_, body):
+            own, reach = LEAN_MAX - 1, 0
+            head = "∀" if type(node) is Forall else "∃"
+            text = f"{head} ({name} : {type_}), {print_minimal(body, 0, follow)}"
+        case Rel(op, left, right) | ArithT(op, left, right):
+            own, left_prec, right_prec = LEAN_BINARY[Rel if type(node) is Rel else op]
+            left_text = print_minimal(left, left_prec, own)
+            text = f"{left_text} {op} {print_minimal(right, right_prec, follow)}"
+        case AndP(left, right) | OrP(left, right) | Imp(left, right) | IffP(left, right):
+            own, left_prec, right_prec = LEAN_BINARY[type(node)]
+            left_text = print_minimal(left, left_prec, own)
+            text = f"{left_text} {LEAN_SYMBOL[type(node)]} {print_minimal(right, right_prec, follow)}"
+    absorbs = reach is not None and follow is not None and follow >= reach
+    if own < prec or absorbs:
+        return f"({print_minimal(node)})"
+    return text
+
+
+def print_command_minimal(command: LeanCommand) -> str:
+    binders = [
+        f"({b.name} : {b.type})" if isinstance(b, TypeBinder) else f"({b.label} : {print_minimal(b.prop)})"
+        for b in command.binders
+    ]
+    return " ".join(["example", *binders, ":", print_minimal(command.goal), ":= sorry"])
 
 
 def test_star_import():
@@ -279,6 +345,48 @@ class TestReader:
         )
         with pytest.raises(LeanReadError):  # ↔ does not associate
             read_command("example : ∀ (y : ℤ), odd y ↔ even y ↔ pos y := sorry")
+
+    @pytest.mark.parametrize(
+        "goal, read",
+        [
+            ("x + 1 < 3", Rel("<", ArithT("+", X, LitT(1)), LitT(3))),
+            ("(x + 1) * 2 < 3", Rel("<", ArithT("*", ArithT("+", X, LitT(1)), LitT(2)), LitT(3))),
+            ("x > 0 ∧ x < 3", AndP(Rel(">", X, LitT(0)), Rel("<", X, LitT(3)))),
+            ("¬ x = 0", NotP(Rel("=", X, LitT(0)))),
+            ("¬ odd x ∧ even x", AndP(NotP(PredApp("odd", X)), PredApp("even", X))),
+            # infix:50 neither associates nor chains
+            ("x < y < z", "< does not associate"),
+            ("-x < 3", "prefix '-' on a non-literal is outside forlean's fragment"),
+            ("∀ (2 : ℤ), 2 < x", "bad binder name '2'"),
+        ],
+    )
+    def test_reads_lean_notation(self, goal, read):
+        text = f"example (x : ℤ) : {goal} := sorry"
+        if isinstance(read, str):
+            with pytest.raises(LeanReadError) as raised:
+                read_command(text)
+            assert str(raised.value) == read
+        else:
+            assert read_command(text).goal == read
+
+    def test_reads_commands_printed_with_only_the_parentheses_lean_needs(self, corpus_cases):
+        generator = QuantifiedOperandGenerator(seed=4242)
+        sources = [
+            *(case.input for case in corpus_cases),
+            *Path(__file__).parent.joinpath("data", "translate.input").read_text("utf-8").splitlines(),
+            *generate_sentences(300),
+            *(generator.text() for _ in range(200)),
+        ]
+        commands = {
+            command
+            for source in sources
+            for trace in run_pipeline(source)
+            if trace.printed
+            for command in trace.commands
+        }
+        assert len(commands) > 300
+        for command in commands:
+            assert read_command(print_command_minimal(command)) == command
 
     @pytest.mark.parametrize(
         "text, unreadable",

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -230,6 +231,26 @@ class TestRunPipeline:
                 for command in trace.commands if trace.ok else ():
                     assert read_command(print_command(command)) == command, source
 
+    def test_word_edits_never_raise_and_print_readable_commands(self):
+        # each printed string of a text with a word deleted, duplicated or
+        # swapped reads back to one of its trace's commands
+        rng = random.Random(2000)
+        sources = generate_sentences(400, seed=3)
+        for _ in range(2000):
+            words = rng.choice(sources).split()
+            i, j = rng.randrange(len(words)), rng.randrange(len(words))
+            edit = rng.choice(["delete", "duplicate", "swap"])
+            if edit == "delete":
+                del words[i]
+            elif edit == "duplicate":
+                words.insert(i, words[i])
+            else:
+                words[i], words[j] = words[j], words[i]
+            source = " ".join(words)
+            for trace in run_pipeline(source):
+                for printed in trace.printed:
+                    assert read_command(printed) in trace.commands, source
+
     def test_shallow_input_is_never_too_deep(self, corpus_cases):
         generator = QuantifiedOperandGenerator(seed=5151)
         generated = [generator.text() for _ in range(200)]
@@ -447,12 +468,19 @@ class TestCli:
             ("rawAdjective0\tODD\todd", "entry ODD has no Lean image"),
             ("rawNoun0\tINTEGER\tinteger|integers", "entry INTEGER has no Lean image"),
             ("rawAdjective1\tLESS_THAN\tless than\t", "entry LESS_THAN has no Lean image"),
+            ("rawNoun2\tPROD\t·\t·\t2", "entry PROD: Lean has no rawNoun2 notation '·'"),
+            (
+                "rawAdjective1\tLESS_THAN\tless than\t∧",
+                "entry LESS_THAN: Lean has no rawAdjective1 notation '∧'",
+            ),
         ],
         ids=[
             "operator-without-precedence",
             "adjective-without-image",
             "noun-without-image",
             "relation-with-empty-image",
+            "operator-image-without-notation",
+            "relation-image-of-a-connective",
         ],
     )
     def test_incomplete_lexicon_is_rejected(self, tmp_path, line, error):
@@ -495,6 +523,17 @@ class TestCli:
         assert "FAIL long" in out
         assert "unreadable expectation: integer literal too long" in out
 
+    def test_corpus_expectation_may_use_lean_minimal_bracketing(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "== minimal\n-- input\n"
+            "Ex. Assume x is an integer. Assume x is positive. Then x + 1 is greater than 1.\n"
+            "-- expect\nexample (x : ℤ) (h1 : pos x) : x + 1 > 1 := sorry\n",
+            encoding="utf-8",
+        )
+        assert main(["corpus", str(corpus)]) == 0
+        assert capsys.readouterr().out == "PASS minimal\npassed 1/1\n"
+
     def test_corpus_command_failure(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(
@@ -524,6 +563,21 @@ class TestCli:
         corpus.write_text(
             "== deep\n-- input\nEx. Then 4 is greater than 3.\n-- expect\n"
             f"example : {nested} > 3 := sorry\n",
+            encoding="utf-8",
+        )
+        assert main(["corpus", str(corpus)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL deep" in out
+        assert "unreadable expectation: input nested too deeply" in out
+
+    def test_corpus_expectation_too_deep_to_print_fails_the_case(self, tmp_path, capsys):
+        # the reader keeps nested quantifiers on a stack, but printing the
+        # tree it reads recurses once per quantifier
+        corpus = tmp_path / "corpus.txt"
+        nested = "∀ (x : ℤ), " * 2000
+        corpus.write_text(
+            "== deep\n-- input\nEx. Then 4 is greater than 3.\n-- expect\n"
+            f"example : {nested}4 > 3 := sorry\n",
             encoding="utf-8",
         )
         assert main(["corpus", str(corpus)]) == 1
