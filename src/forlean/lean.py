@@ -10,8 +10,9 @@ arithmetic term and every binary or negated proposition is parenthesized;
 atoms and predicate applications never are, and quantifiers only as the left
 operand of a connective, because a quantifier reaches as far right as it can.
 
-Printing is pure, so ``print_command`` can take one memo for all parses of a
-text: each proposition and binders tuple the parses share is printed once.
+Printing is pure, so ``print_command`` caches it in a memo that
+``run_pipeline`` shares among the parses of a text: each proposition and
+binders tuple the parses share is printed once.
 
 ``normalize_names`` collects names in one ``tree.iter_nodes`` pass and renames
 them in one ``tree.transform``; ``alpha_equivalent`` is one paired walk over
@@ -237,10 +238,10 @@ def print_term(t: LeanTerm) -> str:
 def print_prop(p: LeanProp, memo: dict | None = None) -> str:
     """``memo`` caches the result per node identity and holds each node it
     keys."""
-    if memo is not None:
-        hit = memo.get(id(p))
-        if hit is not None:
-            return hit[1]
+    memo = {} if memo is None else memo
+    hit = memo.get(id(p))
+    if hit is not None:
+        return hit[1]
     match p:
         case Rel(op, left, right):
             text = f"{print_term(left)} {op} {print_term(right)}"
@@ -258,22 +259,21 @@ def print_prop(p: LeanProp, memo: dict | None = None) -> str:
             text = f"{_SYMBOLS[type(p)]} ({name} : {type_}), {print_prop(body, memo)}"
         case _:
             raise TypeError(f"not a proposition: {p!r}")
-    if memo is not None:
-        memo[id(p)] = (p, text)
+    memo[id(p)] = (p, text)
     return text
 
 
 def print_command(c: LeanCommand, memo: dict | None = None) -> str:
     """``memo`` is a cache handle: pass the same dict for every command of
     one text, and a proposition the commands share is printed once, and a
-    binders tuple they share is checked and printed once.  The result is the
-    same with or without it."""
-    props = None if memo is None else memo.setdefault(print_prop, {})
+    binders tuple they share is checked and printed once."""
+    memo = {} if memo is None else memo
+    props = memo.setdefault(print_prop, {})
     prefix = once(memo, _print_binders, c.binders, props)
     return f"{prefix} : {print_prop(c.goal, props)} := sorry"
 
 
-def _print_binders(binders: tuple[Binder, ...], props: dict | None) -> str:
+def _print_binders(binders: tuple[Binder, ...], props: dict) -> str:
     names = [b.name if isinstance(b, TypeBinder) else b.label for b in binders]
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:

@@ -45,7 +45,8 @@ Diagnostic = tuple[tuple[int, int], str]
 
 @dataclass(frozen=True)
 class ParseResult:
-    """All distinct parses, or diagnostics at the point of furthest progress."""
+    """Every parse, in the order the parser builds them, or diagnostics at the
+    point of furthest progress."""
 
     trees: tuple
     diagnostics: tuple[Diagnostic, ...] = ()
@@ -299,12 +300,11 @@ _install()
 def _run(tokens: Sequence[Token], production: str) -> ParseResult:
     # no position reaches sys.maxsize, so this parse records nothing
     parser = _Parser(tokens, sys.maxsize)
-    # the distinct complete parses in order of first occurrence, found by hash
-    trees = dict.fromkeys(
-        tree for tree, end in getattr(parser, production)(0) if end == len(parser.toks)
-    )
+    # the complete parses in the order the parser builds them: each is one
+    # derivation, and the grammar derives no tree twice
+    trees = tuple(tree for tree, end in getattr(parser, production)(0) if end == len(parser.toks))
     if trees:
-        return ParseResult(tuple(trees))
+        return ParseResult(trees)
     # no complete parse: parse again, recording from the start, to explain it
     parser = _Parser(parser.toks, 0)
     getattr(parser, production)(0)

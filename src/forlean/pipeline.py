@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .forthel import ForthelText
 from .lean import DuplicateBinderName, LeanCommand, print_command
-from .lexicon import Token, TokenError, detokenize, preprocess, tokenize
+from .lexicon import Token, TokenError, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import simplify
 from .translate import UntranslatableNode, translate_text
@@ -24,7 +24,6 @@ class PipelineTrace:
     """Stage snapshots for one text; parses, normals and commands are
     index-aligned, printed is deduplicated preserving order."""
 
-    source: str
     parses: tuple[ForthelText, ...] = ()
     normals: tuple[ForthelText, ...] = ()
     commands: tuple[LeanCommand, ...] = ()
@@ -47,20 +46,18 @@ def split_texts(tokens: list[Token]) -> list[list[Token]]:
 
 
 def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
-    source = detokenize(tokens)
     parses: tuple[ForthelText, ...] = ()
     normals: tuple[ForthelText, ...] = ()
     commands: tuple[LeanCommand, ...] = ()
     try:
         result = parse_text(tokens)
         if not result.ok:
-            return PipelineTrace(source=source, diagnostics=result.diagnostics)
+            return PipelineTrace(diagnostics=result.diagnostics)
         parses = result.trees[:1] if first_parse_only else result.trees
         # the parses share subtrees, and one memo for the text lets each stage
-        # work once per shared subtree; a single parse shares nothing.  Each
-        # stage is called once per parse with positional arguments only, as
-        # the bench's stage spans expect
-        memo = {} if len(parses) > 1 else None
+        # work once per shared subtree.  Each stage is called once per parse
+        # with positional arguments only, as the bench's stage spans expect
+        memo: dict = {}
         normals = tuple(simplify(tree, memo) for tree in parses)
         commands = tuple(translate_text(normal, memo) for normal in normals)
         printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
@@ -71,10 +68,10 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
     except DuplicateBinderName as err:
         message = f"duplicate binder name: {err}"
     else:
-        return PipelineTrace(source, parses, normals, commands, printed)
+        return PipelineTrace(parses, normals, commands, printed)
     # these failures belong to the whole text: span all of its tokens
     span = (tokens[0].span[0], tokens[-1].span[1])
-    return PipelineTrace(source, parses, normals, commands, diagnostics=((span, message),))
+    return PipelineTrace(parses, normals, commands, diagnostics=((span, message),))
 
 
 def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[PipelineTrace]:
@@ -83,5 +80,5 @@ def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[Pipelin
     try:
         tokens = tokenize(pre)
     except TokenError as err:
-        return [PipelineTrace(source=pre, diagnostics=((err.span, str(err)),))]
+        return [PipelineTrace(diagnostics=((err.span, str(err)),))]
     return [_run_one(segment, first_parse_only) for segment in split_texts(tokens)]

@@ -9,11 +9,11 @@ raising a clause that still has to unify), so a node is rewritten to a local
 fixpoint: the node a rewrite builds is walked again, and that walk stops at
 subtrees already recorded as normal.  Assumption splitting runs last.
 
-A caller that passes one memo for all parses of a text does the work for
-each subtree the parses share only once: the names in use are collected from
-the first parse (every parse holds the same generated names, each read from
-a ``(x N)`` token group), a node's result is cached per node identity and
-next fresh id, and a shared assumptions tuple is split once.
+``simplify`` caches its work in a memo that ``run_pipeline`` shares among
+the parses of a text, so each subtree they share is done once: the names in
+use are collected from the first parse (every parse holds the same generated
+names, each read from a ``(x N)`` token group), a node's result is cached per
+node identity and next fresh id, and a shared assumptions tuple is split once.
 """
 
 from __future__ import annotations
@@ -274,13 +274,13 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     fixpoint; each result is recorded as normal, so a re-walk stops there.
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and a subtree or an assumptions tuple the parses share is
-    normalized once.  The result is the same with or without it.
+    normalized once.
     """
-    memos = {} if memo is None else memo
-    if NameSupply not in memos:
-        memos[NameSupply] = NameSupply.for_text(text).used_names
-    supply = NameSupply(memos[NameSupply])
-    normal = memos.setdefault(simplify, {})
+    memo = {} if memo is None else memo
+    if NameSupply not in memo:
+        memo[NameSupply] = NameSupply.for_text(text).used_names
+    supply = NameSupply(memo[NameSupply])
+    normal = memo.setdefault(simplify, {})
 
     def normalize(n):
         if type(n) is Unnamed:

@@ -4,9 +4,10 @@ Each word becomes the Lean image its lexicon entry gives, as text: nouns
 become types, arithmetic nouns operators, plain adjectives unary predicates
 and comparative adjectives relations.
 
-Translation is pure, so ``translate_text`` can take one memo for all parses of
-a text: each statement and assumptions tuple the parses share is translated
-once, and the parses then share its Lean image too.
+Translation is pure, so ``translate_text`` caches it in a memo that
+``run_pipeline`` shares among the parses of a text: each statement and
+assumptions tuple the parses share is translated once, and the parses then
+share its Lean image too.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ _CONNECTIVES = {ftl.And: AndP, ftl.Or: OrP, ftl.IfThen: Imp, ftl.Iff: IffP}
 def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
     """``memo`` caches the result per node identity and holds each node it
     keys."""
-    if memo is not None:
-        hit = memo.get(id(s))
-        if hit is not None:
-            return hit[1]
+    memo = {} if memo is None else memo
+    hit = memo.get(id(s))
+    if hit is not None:
+        return hit[1]
     match s:
         case ftl.And(l, r) | ftl.Or(l, r) | ftl.IfThen(l, r) | ftl.Iff(l, r):
             prop = _CONNECTIVES[type(s)](translate_statement(l, memo), translate_statement(r, memo))
@@ -158,8 +159,7 @@ def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
                 prop = NotP(prop)
         case _:
             raise TypeError(f"not a statement: {s!r}")
-    if memo is not None:
-        memo[id(s)] = (s, prop)
+    memo[id(s)] = (s, prop)
     return prop
 
 
@@ -185,13 +185,14 @@ def translate_text(nf: ftl.ForthelText, memo: dict | None = None) -> LeanCommand
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and a statement the parses share is translated once, and an
     assumptions tuple they share becomes binders once, which their commands
-    then share.  The result is equal with or without it."""
-    statements = None if memo is None else memo.setdefault(translate_statement, {})
+    then share."""
+    memo = {} if memo is None else memo
+    statements = memo.setdefault(translate_statement, {})
     binders = once(memo, _binders, nf.example.assumptions, statements)
     return LeanCommand(binders, translate_statement(nf.example.conclusion, statements))
 
 
-def _binders(assumptions: tuple[ftl.Statement, ...], statements: dict | None) -> tuple:
+def _binders(assumptions: tuple[ftl.Statement, ...], statements: dict) -> tuple:
     labels = itertools.count(1)
     binders = []
     for assumption in assumptions:

@@ -13,10 +13,6 @@ function of a whole node per node identity.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .simplify import NameSupply
 
 __all__ = ["iter_nodes", "once", "transform"]
 
@@ -41,7 +37,7 @@ class _NodeTypes(dict):
 _IS_NODE = _NodeTypes()
 
 
-def transform(node, fn, memo: dict | None = None, supply: "NameSupply | None" = None):
+def transform(node, fn, memo: dict | None = None, supply=None):
     """Rebuild ``node`` bottom-up: children first, in field order, then ``fn``
     on the node rebuilt from them.  Tuples are rebuilt item by item and not
     passed to ``fn``.  Returns ``node`` itself when no child changed and
@@ -98,11 +94,9 @@ def iter_nodes(node):
                 stack.append(child)
 
 
-def once(memo: dict | None, fn, node, *args):
+def once(memo: dict, fn, node, *args):
     """``fn(node, *args)``, cached per ``node`` identity in ``memo[fn]``,
-    which holds each node it keys; with ``memo`` None, a plain call."""
-    if memo is None:
-        return fn(node, *args)
+    which holds each node it keys."""
     table = memo.setdefault(fn, {})
     hit = table.get(id(node))
     if hit is None:

@@ -1,5 +1,6 @@
 import inspect
 import linecache
+import random
 import re
 import sys
 import time
@@ -275,10 +276,32 @@ class TestParseSetProperties:
             assert parse_text(tokens).trees == parse_text(tokens).trees
 
     def test_no_structurally_equal_duplicates(self, corpus_cases):
-        for case in corpus_cases:
-            trees = parse_source(case.input).trees
-            for i, a in enumerate(trees):
-                assert a not in trees[i + 1 :]
+        # the parser returns every derivation it builds and removes no equal
+        # trees, so no two derivations of the grammar may give one tree: here
+        # on the corpus, the golden inputs, generated texts, and a copy of each
+        # with 1-3 keywords inserted or deleted at seeded places
+        keywords = "not and or iff is a such that every some no equal to then".split()
+        generator = QuantifiedOperandGenerator(seed=4242)
+        inputs = Path(__file__).parent / "data" / "translate.input"
+        sources = [case.input for case in corpus_cases] + inputs.read_text().splitlines()
+        sources += generate_sentences(300) + [generator.text() for _ in range(200)]
+        rng = random.Random(1)
+        edited = []
+        for source in sources:
+            words = source.split()
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(words) + 1)
+                if i < len(words) and rng.random() < 0.5:
+                    del words[i]
+                else:
+                    words.insert(i, rng.choice(keywords))
+            edited.append(" ".join(words))
+        ambiguous = 0
+        for source in sources + edited:
+            trees = parse_source(source).trees
+            ambiguous += len(trees) > 1
+            assert len(set(trees)) == len(trees), source
+        assert ambiguous >= 200
 
     def test_linearization_reparses_to_same_tree(self, corpus_cases):
         # parse(linearize(t)) contains t for every parse t of the corpus and
@@ -291,8 +314,8 @@ class TestParseSetProperties:
                 assert tree in again.trees, source
 
     def test_many_ambiguous_phrases_parse_quickly(self):
-        # 11 "not equal to" phrases, each with two readings: 2,048 distinct
-        # parses, deduplicated by hash rather than by scanning the trees kept
+        # 11 "not equal to" phrases, each with two readings: 2,048 parses, one
+        # per derivation
         phrases = " and ".join(f"x is not equal to {i}" for i in range(11))
         source = f"Ex. Assume x is an integer. Then {phrases}."
         tokens = tokenize(preprocess(source))

@@ -361,7 +361,8 @@ class TestTransform:
 
     def test_shared_memo_gives_the_same_normal_forms(self, corpus_cases):
         # and run_pipeline, which shares one memo across the stages and
-        # parses of a text, gives what the memo-free stages give per parse
+        # parses of a text, gives what each stage gives one parse called
+        # without a memo, with a fresh one of its own
         ambiguous = [s for s in generate_sentences(300) if 1 <= s.count("not equal to") <= 4]
         assert ambiguous
         generator = QuantifiedOperandGenerator(seed=6262)
