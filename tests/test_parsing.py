@@ -15,6 +15,7 @@ from forlean.forthel import (
     BinApp,
     Does,
     GRAMMAR,
+    Iff,
     IntLit,
     IsAdj,
     IsAdj1,
@@ -152,6 +153,33 @@ class TestStatements:
         def adj(v):
             return Does(Var(v), IsAdj(Polarity.POS, "EVEN"))
         assert got == And(And(adj("x"), adj("y")), adj("z"))
+
+    def test_every_connective_level_with_two_ambiguous_phrases(self):
+        # each "not equal to" has two readings, so four parses; every parse
+        # has the same connective structure, and the first phrase's lexical
+        # reading comes first
+        def adj(v, adjective):
+            return Does(Var(v), IsAdj(Polarity.POS, adjective))
+
+        def not_equal(v, n, lexical):
+            if lexical:
+                return Does(Var(v), IsAdj1(Polarity.POS, "NOT_EQUAL_TO", IntLit(n)))
+            return Does(Var(v), IsAdj1(Polarity.NEG, "EQUAL_TO", IntLit(n)))
+
+        def tree(first, second):
+            clauses = And(And(not_equal("x", 0, first), adj("y", "ODD")), not_equal("z", 1, second))
+            return Iff(Or(clauses, adj("x", "EVEN")), adj("y", "ODD"))
+
+        source = (
+            "x is not equal to 0 and y is odd , z is not equal to 1 "
+            "or x is even iff y is odd"
+        )
+        assert parse_statement(tokenize(preprocess(source))).trees == (
+            tree(True, True),
+            tree(True, False),
+            tree(False, True),
+            tree(False, False),
+        )
 
 
 class TestTexts:
