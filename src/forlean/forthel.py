@@ -233,8 +233,8 @@ ARTICLE = "[a|an]"
 # or else a constant.  An element is keywords or a (field, source) pair.
 # Keywords are words separated by spaces, "a|b" for either word and "[a|b]"
 # if optional; each prints its first form, and "[a|an]" the article the next
-# word takes.  A source is a category: one of these, ``connective``, ``term``
-# or ``definite_term`` (code in parsing.py) or a lexicon category, giving the
+# word takes.  A source is a category: one of these or of ``OPERATOR_LEVELS``,
+# ``definite_term`` (code in parsing.py) or a lexicon category, giving the
 # entry's key, and "[c]" if optional (None when absent); or ``int``, an
 # integer literal; ``Index``; or an Enum whose values are words.
 GRAMMAR = {
@@ -290,47 +290,71 @@ GRAMMAR = {
     ],
 }
 
-# statement connectives below "if ... then", loosest first, each right
-# associative: (separator, node) per level
-CONNECTIVES = (("iff", Iff), ("or", Or), (",", And), ("and", And))
+_LEXICON = default_lexicon()
+_OPERATORS = _LEXICON.entries(Category.RAW_NOUN2)
+
+# The operator categories, which the parser and ``linearize_forthel`` both
+# read, as GF's ``Formal.gf`` declares ``infixl`` and ``infixr``: category:
+# (atoms, "infixl" or "infixr", levels loosest first).  A level maps each
+# separator to the head of the node it builds: the node's class and the values
+# of its fields before the last two, which are the operands.
+OPERATOR_LEVELS = {
+    # the statement connectives below "if ... then"
+    "connective": ("atom_statement", "infixr",
+                   ({"iff": (Iff,)}, {"or": (Or,)}, {",": (And,)}, {"and": (And,)})),
+    # the lexicon's operators grouped by its precedence column, where a higher
+    # precedence binds tighter
+    "term": ("atom_term", "infixl", tuple(
+        {symbol: (BinApp, e.key) for e in _OPERATORS if e.precedence == level for (symbol,) in e.surface}
+        for level in sorted({e.precedence for e in _OPERATORS})
+    )),
+}
 
 
 # --- linearization ------------------------------------------------------------
 
-_LEXICON = default_lexicon()
 # the first surface form of each entry, {key: surface} per category
 _SURFACE = {c.value: {e.key: " ".join(e.surface[0]) for e in _LEXICON.entries(c)} for c in Category}
-# the lexicon's precedence of each arithmetic operator; a higher level binds
-# tighter, and every level is left-associative
-_TERM_PREC = {e.key: e.precedence for e in _LEXICON.entries(Category.RAW_NOUN2)}
 _RULES = [rule for rules in GRAMMAR.values() for rule in rules]
+# {class: {fields before the operands: (slack, brackets, places)}}.  The slack
+# is 0 on the side the category associates to and 1 on the other; brackets
+# are the atoms' rule that holds a whole phrase, such as "(" term ")", if any;
+# places are the (level, separator) pairs building the node, tightest first.
+_PLACES: dict[type, dict] = {}
+for _category, (_atoms, _associativity, _levels) in OPERATOR_LEVELS.items():
+    _slack = (0, 1) if _associativity == "infixl" else (1, 0)
+    _brackets = next((rule for _, rule in GRAMMAR[_atoms] if (None, _category) in rule), None)
+    for _level in reversed(range(len(_levels))):
+        for _separator, (_cls, *_fixed) in _levels[_level].items():
+            _operator = _PLACES.setdefault(_cls, {}).setdefault(tuple(_fixed), (_slack, _brackets, []))
+            _operator[2].append((_level, _separator))
 
 
 def linearize_forthel(node) -> str:
     """Deterministic surface string for any node of the source syntax, by
     the first rule that builds it or holds it; a notion takes its article."""
-    return _join([ARTICLE, _lin(node)]) if type(node) is Notion else _lin(node)
+    return _join([ARTICLE, _lin(node)[0]]) if type(node) is Notion else _lin(node)[0]
 
 
-def _lin(value) -> str:
-    cls = type(value)
-    if cls is BinApp:
-        # parentheses where the operands' precedence needs them
-        prec, left, right = _TERM_PREC[value.op], _lin(value.left), _lin(value.right)
-        if type(value.left) is BinApp and _TERM_PREC[value.left.op] < prec:
-            left = f"({left})"
-        if type(value.right) is BinApp and _TERM_PREC[value.right.op] <= prec:
-            right = f"({right})"
-        return f"{left} {_SURFACE['rawNoun2'][value.op]} {right}"
-    separators = [separator for separator, node in CONNECTIVES if node is cls]
-    if separators:
-        # a left operand of the same connective can only have come from a
-        # looser level; the loosest separator makes it reparse so
-        separator = separators[0 if type(value.left) is cls else -1]
-        return _join([_lin(value.left), separator, _lin(value.right)])
+def _lin(value) -> tuple[str, float]:
+    # the text and its level, as GF's ``TermPrec``: infinite unless an operator
+    if (operators := _PLACES.get(type(value))) is not None:
+        # an operand prints bare if its level is at least the operator's plus
+        # its slack, else in brackets if it can.  The operator takes the
+        # tightest of its places where the left operand prints bare, which
+        # leaves the right one the most room, or else its tightest.
+        *fixed, left, right = vars(value).values()
+        slack, brackets, places = operators[tuple(fixed)]
+        (left, left_level), (right, right_level) = _lin(left), _lin(right)
+        level, separator = next((p for p in places if left_level >= p[0] + slack[0]), places[0])
+        if brackets and left_level < level + slack[0]:
+            left = _join([left if type(e) is tuple else e for e in brackets])
+        if brackets and right_level < level + slack[1]:
+            right = _join([right if type(e) is tuple else e for e in brackets])
+        return _join([left, separator, right]), level
     for head, elements in _RULES:
         if (fields := _fields(head, value)) is not None:
-            return _join([_piece(element, fields) for element in elements])
+            return _join([_piece(element, fields) for element in elements]), float("inf")
     raise TypeError(f"no rule prints {value!r}")
 
 
@@ -359,7 +383,7 @@ def _piece(element, fields: dict):
     if child is None or type(source) is not str:
         return "" if child is None else child.value if isinstance(child, Enum) else str(child)
     source = source.strip("[]")
-    return _SURFACE[source][child] if source in _SURFACE else _lin(child)
+    return _SURFACE[source][child] if source in _SURFACE else _lin(child)[0]
 
 
 def _join(pieces: list) -> str:
@@ -381,8 +405,11 @@ def to_debug_tree(node):
     if type(node) is tuple:
         return [to_debug_tree(item) for item in node]
     if _IS_NODE[type(node)]:
-        fields = {name: to_debug_tree(child) for name, child in vars(node).items()}
-        return {"node": type(node).__name__, **fields}
+        # a loop: before Python 3.12 a comprehension costs a second frame
+        tree = {"node": type(node).__name__}
+        for name, child in vars(node).items():
+            tree[name] = to_debug_tree(child)
+        return tree
     if isinstance(node, Enum):
         return node.value
     return node

@@ -5,8 +5,8 @@ The grammar is ``forthel.GRAMMAR``.  At import, ``_install`` generates one
 ``_Parser`` method per category from it, the nested loops a hand-written
 recursive descent would have, and compiles them, as ``dataclasses`` builds
 ``__init__`` and pegen builds CPython's parser from its grammar (PEP 617).
-Three categories are code: ``connective``, the levels of
-``forthel.CONNECTIVES``; ``term``, the arithmetic operator levels; and
+Each category of ``forthel.OPERATOR_LEVELS`` gets its method from one
+routine, ``_operator_category``, and the one category written by hand is
 ``definite_term``, a filter on ``term``.
 
 The parser is top-down and memoized per (production, position), after
@@ -16,12 +16,9 @@ its diagnostics; only a token stream with no complete parse is parsed a
 second time, recording what each failed alternative expected at the furthest
 position reached, as CPython's PEG parser does for its error messages.
 
-Arithmetic precedence is the lexicon's: its operators grouped by their
-precedence column, which in the bundled table gives, tightest first, ``^``,
-then ``* /``, then ``-``, then ``+``.  Each level is left-associative and
-parentheses override.  Genuinely ambiguous inputs yield multiple trees; the
-documented case is "not equal to", which parses both as the lexical unit and
-as polarity "not" plus "equal to".
+Genuinely ambiguous inputs yield multiple trees; the documented case is
+"not equal to", which parses both as the lexical unit and as polarity "not"
+plus "equal to".
 """
 
 from __future__ import annotations
@@ -31,11 +28,12 @@ import linecache
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import forthel
-from .forthel import CONNECTIVES, GRAMMAR, BinApp, Index, Quantified
+from .forthel import GRAMMAR, OPERATOR_LEVELS, Index, Quantified
 from .lexicon import Category, Token, default_lexicon
 
 __all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
@@ -70,24 +68,13 @@ class ParseFailure(ValueError):
 
 
 _LEXICON = default_lexicon()
-_OPERATORS = _LEXICON.entries(Category.RAW_NOUN2)
-# arithmetic levels, loosest first: the lexicon's operators grouped by
-# precedence, {symbol: rawNoun2 key} per level
-_TERM_LEVELS = tuple(
-    {symbol: e.key for e in _OPERATORS if e.precedence == level for (symbol,) in e.surface}
-    for level in sorted({e.precedence for e in _OPERATORS})
-)
 
 
 class _Parser:
     """Memoized recursive descent; every category returns all
-    (node, next_position) alternatives.  Those of ``GRAMMAR`` are generated.
-
-    ``connective`` keeps its alternatives per (level, position) as immutable
-    tuples; ``term`` keeps, per position, one such tuple for each operator
-    width it has built, and lexicon matches are kept per position.  The
-    grammar is not left recursive, so a memo entry is complete before it is
-    read.
+    (node, next_position) alternatives.  Those of ``GRAMMAR`` are generated,
+    and lexicon matches are kept per position.  The grammar is not left
+    recursive, so a memo entry is complete before it is read.
 
     A failed alternative records what it wanted (``_want``) only when its
     position is at or beyond ``furthest``.  ``_run`` parses first with
@@ -107,8 +94,8 @@ class _Parser:
         self._texts = [t.text for t in self.toks] + [None]
         self._ints = [t.value for t in self.toks] + [None]
         self._matches: dict[int, list[tuple]] = {}
-        self._connectives: dict[tuple[int, int], tuple] = {}
-        self._terms: dict[int, list[tuple]] = {}
+        # the alternatives per width, per (operator category, position)
+        self._widths: dict[tuple[str, int], list[tuple]] = {}
 
     # --- primitives ---------------------------------------------------------
     # each failure site checks ``pos >= self.furthest`` before it builds what
@@ -137,63 +124,46 @@ class _Parser:
             self._want(pos, category.value)
         return matches
 
-    # --- hand-written categories -----------------------------------------
-
-    def connective(self, pos: int, level: int = 0) -> tuple:
-        memo = self._connectives.get((pos, level))
-        if memo is not None:
-            return memo
-        if level == len(CONNECTIVES):
-            out = self.atom_statement(pos)
-        else:
-            separator, build = CONNECTIVES[level]
-            out = []
-            for left, p1 in self.connective(pos, level + 1):
-                out.append((left, p1))
-                if self._texts[p1] == separator:
-                    for right, p2 in self.connective(p1 + 1, level):
-                        out.append((build(left, right), p2))
-                elif p1 >= self.furthest:
-                    self._want(p1, repr(separator))
-        memo = self._connectives[pos, level] = tuple(out)
-        return memo
-
-    def term(self, pos: int, width: int = len(_TERM_LEVELS)) -> tuple:
-        """The terms at ``pos`` built with the ``width`` tightest operator
-        levels: width 0 gives the atoms, the default every term.
-
-        A position keeps one result per width, and one call extends that list
-        from the widest it holds up to ``width``, each width adding one looser
-        level.  A right operand asks for one width less, so each level is
-        left-associative.  Building every width in one frame, not one call per
-        level, makes a parenthesis cost two frames (``term``, ``atom_term``)
-        and so lets deeper nesting parse.
-        """
-        levels = self._terms.get(pos)
-        if levels is None:
-            levels = self._terms[pos] = [tuple(self.atom_term(pos))]
-        while len(levels) <= width:
-            tighter = len(levels) - 1
-            operators = _TERM_LEVELS[-len(levels)]
-            results = list(levels[tighter])
-            frontier = results
-            while frontier:
-                grown = []
-                for left, p in frontier:
-                    found = self._texts[p]
-                    if p >= self.furthest:
-                        self._want_others(p, operators, found)
-                    key = operators.get(found)
-                    if key is not None:
-                        for right, p1 in self.term(p + 1, tighter):
-                            grown.append((BinApp(key, left, right), p1))
-                results.extend(grown)
-                frontier = grown
-            levels.append(tuple(results))
-        return levels[width]
-
     def definite_term(self, pos: int) -> list[tuple]:
         return [(t, p) for t, p in self.term(pos) if not isinstance(t, Quantified)]
+
+
+def _operator_category(category: str, atoms: str, associativity: str, levels: tuple):
+    """The ``_Parser`` method of an operator category: the phrases at ``pos``
+    built with its ``width`` tightest levels; width 0 gives the atoms.
+
+    One call builds in one frame every width up to ``width`` that ``pos``
+    lacks, so a parenthesis costs two frames and a nested statement three.
+    An ``infixl`` level reads a right operand one width tighter and tries each
+    phrase it builds again as a left operand; an ``infixr`` level reads one as
+    wide and follows each left operand at once by the phrases extending it."""
+    # {separator: node builder} per width, from 1, the tightest level, up
+    by_width = [None, *({s: partial(*head) for s, head in level.items()} for level in reversed(levels))]
+    infixr = associativity == "infixr"
+
+    def parse_levels(self, pos: int, width: int = len(levels)) -> tuple:
+        widths = self._widths.get((category, pos))
+        if widths is None:
+            widths = self._widths[category, pos] = [tuple(getattr(self, atoms)(pos))]
+        while len(widths) <= width:
+            operators, lefts = by_width[len(widths)], widths[-1]
+            right_width = len(widths) if infixr else len(widths) - 1
+            # on an infixl level the loop visits every phrase it appends
+            results = [] if infixr else list(lefts)
+            for left, p in lefts if infixr else results:
+                if infixr:
+                    results.append((left, p))
+                found = self._texts[p]
+                if p >= self.furthest:
+                    self._want_others(p, operators, found)
+                build = operators.get(found)
+                if build is not None:
+                    for right, p1 in parse_levels(self, p + 1, right_width):
+                        results.append((build(left, right), p1))
+            widths.append(tuple(results))
+        return widths[width]
+
+    return parse_levels
 
 
 # --- the categories of GRAMMAR ------------------------------------------------
@@ -292,6 +262,8 @@ def _install() -> None:
     for category in GRAMMAR:
         namespace[category].__qualname__ = f"_Parser.{category}"
         setattr(_Parser, category, namespace[category])
+    for category, levels in OPERATOR_LEVELS.items():
+        setattr(_Parser, category, _operator_category(category, *levels))
 
 
 _install()

@@ -333,13 +333,27 @@ class TestParseSetProperties:
 
     def test_linearization_reparses_to_same_tree(self, corpus_cases):
         # parse(linearize(t)) contains t for every parse t of the corpus and
-        # of generated texts
+        # of generated texts, and for every normal form of the corpus and the
+        # golden inputs: the trees that --show-simplified prints
         generator = QuantifiedOperandGenerator(seed=4242)
-        sources = [case.input for case in corpus_cases] + generate_sentences(300)
-        for source in sources + [generator.text() for _ in range(200)]:
-            for tree in parse_source(source).expect_trees():
-                again = parse_source(linearize_forthel(tree))
-                assert tree in again.trees, source
+        inputs = Path(__file__).parent / "data" / "translate.input"
+        cases = [case.input for case in corpus_cases]
+        sources = cases + generate_sentences(300)
+        trees = [
+            tree
+            for source in sources + [generator.text() for _ in range(200)]
+            for tree in parse_source(source).expect_trees()
+        ]
+        normals = [
+            normal
+            for source in cases + inputs.read_text().splitlines()
+            for trace in run_pipeline(source)
+            for normal in trace.normals
+        ]
+        assert len(normals) == 144
+        for tree in trees + normals:
+            again = parse_source(linearize_forthel(tree))
+            assert tree in again.trees, linearize_forthel(tree)
 
     def test_many_ambiguous_phrases_parse_quickly(self):
         # 11 "not equal to" phrases, each with two readings: 2,048 parses, one

@@ -158,6 +158,9 @@ class TestRunPipeline:
             # walk; these pin that this costs no depth on unrewritten nodes
             ("it's not that " * 130 + "x is odd", "(¬ " * 130 + "odd x" + ")" * 130),
             ("for every integer y, " * 130 + "x is odd", "∀ (y : ℤ), " * 130 + "odd x"),
+            # one frame per connective stack, not one per connective level
+            ("it's not that " * 300 + "x is odd", "(¬ " * 300 + "odd x" + ")" * 300),
+            ("for every integer y, " * 300 + "x is odd", "∀ (y : ℤ), " * 300 + "odd x"),
         ],
         ids=[
             "150-negations",
@@ -166,6 +169,8 @@ class TestRunPipeline:
             "300-parentheses",
             "130-negations",
             "130-for-every",
+            "300-negations",
+            "300-for-every",
         ],
     )
     def test_deep_input_is_a_diagnostic_not_an_exception(self, conclusion, goal):
@@ -389,6 +394,22 @@ class TestCli:
         assert "ex . assume x is a rational number x." in out
         assert "-- lean ast 0" in out
         assert '"node": "LeanCommand"' in out
+
+    def test_dump_flags_reach_as_deep_as_the_translation(self, tmp_path):
+        # a text that translates dumps too: a 500-operand sum, whose trees
+        # are 500 levels deep, run as the CLI runs, on a fresh stack
+        source = tmp_path / "input.txt"
+        sum_ = " + ".join(["x"] * 500)
+        source.write_text(f"Ex. Assume x is an integer. Then {sum_} is odd.", encoding="utf-8")
+        package_root = str(Path(forlean.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "forlean.cli", "translate", "--show-ast", "--show-lean-ast", str(source)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": package_root, "PYTHONIOENCODING": "utf-8"},
+            encoding="utf-8",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].startswith("example (x : ℤ) : odd (")
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         source = tmp_path / "input.txt"
