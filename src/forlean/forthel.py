@@ -354,7 +354,12 @@ def _lin(value) -> tuple[str, float]:
         return _join([left, separator, right]), level
     for head, elements in _RULES:
         if (fields := _fields(head, value)) is not None:
-            return _join([_piece(element, fields) for element in elements]), float("inf")
+            # a loop, not a comprehension: one Python frame per tree level
+            pieces = []
+            for element in elements:
+                piece = _piece(element, fields)
+                pieces.append(piece if type(piece) is str else _lin(piece)[0])
+            return _join(pieces), float("inf")
     raise TypeError(f"no rule prints {value!r}")
 
 
@@ -374,6 +379,7 @@ def _fields(head, value) -> dict | None:
 
 
 def _piece(element, fields: dict):
+    # the text of ``element``, or the child node that ``_lin`` prints for it
     if type(element) is str:  # keywords, printed in their first forms
         return element if element == ARTICLE else " ".join(
             word.strip("[]").split("|")[0] for word in element.split()
@@ -383,7 +389,7 @@ def _piece(element, fields: dict):
     if child is None or type(source) is not str:
         return "" if child is None else child.value if isinstance(child, Enum) else str(child)
     source = source.strip("[]")
-    return _SURFACE[source][child] if source in _SURFACE else _lin(child)[0]
+    return _SURFACE[source][child] if source in _SURFACE else child
 
 
 def _join(pieces: list) -> str:

@@ -15,8 +15,8 @@ Printing is pure, so ``print_command`` caches it in a memo that
 binders tuple the parses share is printed once.
 
 ``normalize_names`` collects names in one ``tree.iter_nodes`` pass and renames
-them in one ``tree.transform``; ``alpha_equivalent`` is one paired walk over
-node fields.
+them in one ``tree.transform``; ``alpha_equivalent`` compares two commands'
+locally nameless forms, each built by one walk with a binder environment.
 """
 
 from __future__ import annotations
@@ -315,43 +315,33 @@ def normalize_names(c: LeanCommand) -> LeanCommand:
 
 def alpha_equivalent(a: LeanCommand, b: LeanCommand) -> bool:
     """Structural equality modulo consistent renaming of binder-introduced
-    names; hypothesis labels are ignored.
-
-    The renaming is one-to-one: ``env`` maps each name bound in ``a`` to its
-    partner in ``b`` and ``rev`` maps back, and a variable matches only when
-    both maps agree, so a binder may neither merge two names nor capture a
-    free one."""
-    if len(a.binders) != len(b.binders):
-        return False
-    env: dict[str, str] = {}
-    rev: dict[str, str] = {}
-    for ba, bb in zip(a.binders, b.binders):
-        match (ba, bb):
-            case (TypeBinder(na, ta), TypeBinder(nb, tb)):
-                if ta != tb:
-                    return False
-                env[na] = nb
-                rev[nb] = na
-            case (HypBinder(_, pa), HypBinder(_, pb)):
-                if not _alpha(pa, pb, env, rev):
-                    return False
-            case _:
-                return False
-    return _alpha(a.goal, b.goal, env, rev)
+    names; hypothesis labels are ignored."""
+    return _nameless(a) == _nameless(b)
 
 
-def _alpha(s, t, env: dict[str, str], rev: dict[str, str]) -> bool:
-    """Whether terms or propositions ``s`` and ``t`` match under ``env`` and
-    ``rev``; any node but a variable or a quantifier matches field by field."""
-    cls = type(s)
-    if cls is not type(t):
-        return False
+def _nameless(node, env: dict[str, int] | None = None, depth: int = 0) -> tuple:
+    """The locally nameless form of ``node`` (de Bruijn 1972; Charguéraud
+    2012) as nested tuples, class first: a bound name becomes its binder's de
+    Bruijn level, the binder's depth counted from the command's first; binder
+    names and hypothesis labels go and free names stay.  ``env`` maps the
+    names in scope to their levels.  Tuples, not nodes: ``==`` on them
+    recurses once per tree level, as this walk does."""
+    cls = type(node)
     if cls is VarT:
-        return env.get(s.name, s.name) == t.name and rev.get(t.name, t.name) == s.name
+        return (VarT, env.get(node.name, node.name))
     if cls is Forall or cls is Exists:
-        inner_env, inner_rev = {**env, s.name: t.name}, {**rev, t.name: s.name}
-        return s.type == t.type and _alpha(s.body, t.body, inner_env, inner_rev)
-    for x, y in zip(vars(s).values(), vars(t).values()):
-        if not (_alpha(x, y, env, rev) if _IS_NODE[type(x)] else x == y):
-            return False
-    return True
+        return (cls, node.type, _nameless(node.body, {**env, node.name: depth}, depth + 1))
+    if cls is LeanCommand:
+        env, binders = {}, []
+        for binder in node.binders:
+            if type(binder) is TypeBinder:
+                binders.append((TypeBinder, binder.type))
+                env, depth = {**env, binder.name: depth}, depth + 1
+            else:
+                binders.append((HypBinder, _nameless(binder.prop, env, depth)))
+        return (LeanCommand, tuple(binders), _nameless(node.goal, env, depth))
+    # a loop, not a comprehension: one Python frame per tree level
+    form = [cls]
+    for field in vars(node).values():
+        form.append(_nameless(field, env, depth) if _IS_NODE[type(field)] else field)
+    return tuple(form)

@@ -248,20 +248,8 @@ def _split_one(stmt: Statement) -> list[Statement]:
             and isinstance(n.right_attribute, SuchThat)
         ):
             bare = Does(Var(v), IsNotion(Polarity.POS, Notion(n.head, n.name)))
-            rest = [
-                piece
-                for conjunct in _conjuncts(n.right_attribute.statement)
-                for piece in _split_one(conjunct)
-            ]
-            return [bare, *rest]
+            return [bare, *_split_one(n.right_attribute.statement)]
     return [stmt]
-
-
-def _conjuncts(s: Statement) -> list[Statement]:
-    match s:
-        case And(left, right):
-            return _conjuncts(left) + _conjuncts(right)
-    return [s]
 
 
 # --- the composed pass ----------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each word becomes the Lean image its lexicon entry gives, as text: nouns
 become types, arithmetic nouns operators, plain adjectives unary predicates
-and comparative adjectives relations.
+and comparative adjectives relations.  ``translate_statement`` maps each
+quantified notion by rule in its own case analysis: every C, P -> ∀ (C → P);
+some C, P -> ∃ (C ∧ P); no C, P -> ∀ (C → ¬P), C the such-that condition.
 
 Translation is pure, so ``translate_text`` caches it in a memo that
 ``run_pipeline`` shares among the parses of a text: each statement and
@@ -98,37 +100,10 @@ def translate_predicate(subject: LeanTerm, p: ftl.Predicate) -> LeanProp:
 
 
 def _condition(notion: ftl.Notion, memo) -> LeanProp | None:
-    match notion.right_attribute:
-        case None:
-            pass
-        case ftl.SuchThat(statement):
-            return translate_statement(statement, memo)
-        case _:
-            raise UntranslatableNode("unflattened notion attribute")
-    if notion.left_attribute is not None:
+    attribute = notion.right_attribute
+    if notion.left_attribute is not None or type(attribute) not in (type(None), ftl.SuchThat):
         raise UntranslatableNode("unflattened notion attribute")
-    return None
-
-
-def _quantified(qn: ftl.QuantifiedNotion, body: LeanProp, memo) -> LeanProp:
-    """Ex-situ quantifier semantics: every C, P -> ∀ (C → P); some C, P ->
-    ∃ (C ∧ P); no C, P -> ∀ (C → ¬P)."""
-    notion = qn.notion
-    name = _binder_name(notion)
-    type_ = _TYPES[notion.head]
-    condition = _condition(notion, memo)
-    match qn.quantifier:
-        case Quantifier.EVERY:
-            inner = Imp(condition, body) if condition is not None else body
-            return Forall(name, type_, inner)
-        case Quantifier.SOME:
-            inner = AndP(condition, body) if condition is not None else body
-            return Exists(name, type_, inner)
-        case Quantifier.NO:
-            negated = NotP(body)
-            inner = Imp(condition, negated) if condition is not None else negated
-            return Forall(name, type_, inner)
-    raise TypeError(f"not a quantifier: {qn.quantifier!r}")
+    return None if attribute is None else translate_statement(attribute.statement, memo)
 
 
 _CONNECTIVES = {ftl.And: AndP, ftl.Or: OrP, ftl.IfThen: Imp, ftl.Iff: IffP}
@@ -146,8 +121,15 @@ def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
             prop = _CONNECTIVES[type(s)](translate_statement(l, memo), translate_statement(r, memo))
         case ftl.Not(body):
             prop = NotP(translate_statement(body, memo))
-        case ftl.ForQuantified(qn, body):
-            prop = _quantified(qn, translate_statement(body, memo), memo)
+        case ftl.ForQuantified(ftl.QuantifiedNotion(quantifier, notion), body):
+            prop = translate_statement(body, memo)
+            name, type_ = _binder_name(notion), _TYPES[notion.head]
+            if quantifier is Quantifier.NO:
+                prop = NotP(prop)
+            condition = _condition(notion, memo)
+            if condition is not None:
+                prop = (AndP if quantifier is Quantifier.SOME else Imp)(condition, prop)
+            prop = (Exists if quantifier is Quantifier.SOME else Forall)(name, type_, prop)
         case ftl.Does(subject, predicate):
             prop = translate_predicate(translate_term(subject), predicate)
         case ftl.ThereExists(notion) | ftl.ThereExistsNo(notion):

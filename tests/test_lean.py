@@ -310,6 +310,12 @@ class TestAlphaEquivalence:
         b = read_command("example : ∀ (a : ℤ), ∀ (b : ℤ), b < 1 := sorry")
         assert alpha_equivalent(a, b)
         assert alpha_equivalent(b, a)
+        # a binder after a shadowing one is one level deeper than the names
+        # in scope, so it cannot take the level of the name it shadowed
+        a = read_command("example : ∀ (x : ℤ), ∀ (y : ℤ), ∀ (x : ℤ), ∀ (z : ℤ), x < z := sorry")
+        b = read_command("example : ∀ (x : ℤ), ∀ (y : ℤ), ∀ (x : ℤ), ∀ (z : ℤ), z < z := sorry")
+        assert not alpha_equivalent(a, b)
+        assert not alpha_equivalent(b, a)
 
 
 class TestReader:

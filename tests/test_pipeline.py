@@ -395,21 +395,30 @@ class TestCli:
         assert "-- lean ast 0" in out
         assert '"node": "LeanCommand"' in out
 
-    def test_dump_flags_reach_as_deep_as_the_translation(self, tmp_path):
-        # a text that translates dumps too: a 500-operand sum, whose trees
-        # are 500 levels deep, run as the CLI runs, on a fresh stack
+    @pytest.mark.parametrize(
+        "conclusion, flags, goal",
+        [
+            # a 500-operand sum, whose trees are 500 levels deep
+            (" + ".join(["x"] * 500) + " is odd", ["--show-ast", "--show-lean-ast"], "odd ("),
+            # 960 nested conditionals, each one tree level
+            ("if x is odd then " * 960 + "x is odd", ["--show-simplified"], "(odd x → "),
+        ],
+        ids=["sum-500", "if-then-960"],
+    )
+    def test_dump_flags_reach_as_deep_as_the_translation(self, tmp_path, conclusion, flags, goal):
+        # a text that translates dumps too, run as the CLI runs, on a fresh
+        # stack
         source = tmp_path / "input.txt"
-        sum_ = " + ".join(["x"] * 500)
-        source.write_text(f"Ex. Assume x is an integer. Then {sum_} is odd.", encoding="utf-8")
+        source.write_text(f"Ex. Assume x is an integer. Then {conclusion}.", encoding="utf-8")
         package_root = str(Path(forlean.__file__).parent.parent)
         done = subprocess.run(
-            [sys.executable, "-m", "forlean.cli", "translate", "--show-ast", "--show-lean-ast", str(source)],
+            [sys.executable, "-m", "forlean.cli", "translate", *flags, str(source)],
             capture_output=True,
             env={**os.environ, "PYTHONPATH": package_root, "PYTHONIOENCODING": "utf-8"},
             encoding="utf-8",
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1].startswith("example (x : ℤ) : odd (")
+        assert done.stdout.splitlines()[-1].startswith(f"example (x : ℤ) : {goal}")
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         source = tmp_path / "input.txt"

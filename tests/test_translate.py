@@ -138,6 +138,19 @@ class TestTranslateStatement:
         with pytest.raises(UntranslatableNode):
             translate_statement(simplify(tree).example.conclusion)
 
+    @pytest.mark.parametrize(
+        "conclusion",
+        [
+            "for every odd integer y such that y is positive, y is even",
+            "there exists an odd integer y such that y is positive",
+        ],
+    )
+    def test_unflattened_adjective_rejected_beside_a_condition(self, conclusion):
+        # an adjective the simplifier did not flatten is reported, not dropped
+        (tree,) = parse_source(f"Ex. Then {conclusion}.").expect_trees()
+        with pytest.raises(UntranslatableNode, match="unflattened"):
+            translate_statement(tree.example.conclusion)
+
 
 class TestTranslateText:
     def test_assumptions_become_binders_in_order(self):
