@@ -13,8 +13,8 @@ same entry, so number agreement is deliberately not checked: "x are an odd
 integers" is accepted.
 
 The table decides scanning and matching once, at import: ``tokenize`` runs
-one pattern built from ``SYMBOLS`` and counts byte spans as it goes, and a
-``Lexicon`` keeps its index in the order ``match`` returns.
+one pattern built from ``SYMBOLS`` and takes each byte span from its match,
+and a ``Lexicon`` keeps its index in the order ``match`` returns.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .lean import NOTATION, ArithT, Rel
@@ -101,32 +102,33 @@ def tokenize(text: str) -> list[Token]:
     is ``.``, an integer is ``-?[0-9]+``, a symbol is one of ``SYMBOLS`` and
     a word is a letter followed by letters or ``'`` ("it's"), so a token's
     kind follows from its text.  A ``-`` immediately followed by digits is a
-    negative integer literal; a spaced ``-`` is the binary operator.  Spans
-    come from a running count of the UTF-8 length of each gap and token.
+    negative integer literal; a spaced ``-`` is the binary operator.  A span
+    is the match's own span in ASCII text, where a character is a byte;
+    otherwise it goes through a table of each character's UTF-8 offset.
     """
-    tokens: list[Token] = []
-    offset = end = 0
-    for m in _TOKEN.finditer(text):
-        kind, lexeme = _KINDS[m.lastindex], m.group()
-        # the gap since the last token is whitespace
-        offset += len(text[end : m.start()].encode())
-        end = m.end()
-        if kind is TokenKind.WORD and not lexeme.replace("'", "").isalpha():
-            # [^\W\d_] also takes numerics such as ² and ½, which are not letters
-            bad = next(i for i, ch in enumerate(lexeme) if not ch.isalpha() and ch != "'")
-            offset += len(lexeme[:bad].encode())
-            kind, lexeme = None, lexeme[bad]
+    ascii_ = text.isascii()
+    if not ascii_:
         # a lone surrogate is not valid UTF-8 but must still get a span
-        size = len(lexeme.encode("utf-8", "surrogatepass"))
-        span = (offset, offset + size)
-        offset += size
+        to_byte = [0, *accumulate(len(ch.encode("utf-8", "surrogatepass")) for ch in text)]
+    tokens: list[Token] = []
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    append, new, word, integer = tokens.append, tuple.__new__, TokenKind.WORD, TokenKind.INT_LIT
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, span = _KINDS[m.lastindex], m.group(), m.span()
+        # [^\W\d_] also takes numerics such as ² and ½, which are not letters;
+        # in ASCII text it takes letters only
+        if kind is word and not ascii_ and not lexeme.replace("'", "").isalpha():
+            start = span[0] + next(i for i, ch in enumerate(lexeme) if not ch.isalpha() and ch != "'")
+            kind, lexeme, span = None, text[start], (start, start + 1)
+        if not ascii_:
+            span = (to_byte[span[0]], to_byte[span[1]])
         if kind is None:
             raise UnknownCharacter(lexeme, span)
         try:
-            value = int(lexeme) if kind is TokenKind.INT_LIT else None
+            value = int(lexeme) if kind is integer else None
         except ValueError:  # more digits than Python converts to an int
             raise TokenError("integer literal too long", span) from None
-        tokens.append(Token(kind, lexeme, value, span))
+        append(new(Token, (kind, lexeme, value, span)))
     return tokens
 
 
@@ -235,11 +237,10 @@ class Lexicon:
             raise IndexError(f"position {position} out of range")
         if position == len(tokens):
             return []
-        return [
-            (entry, len(form))
-            for entry, form in self._by_first.get(tokens[position].text, ())
-            if tuple(t.text for t in tokens[position : position + len(form)]) == form
-        ]
+        pairs = self._by_first.get(tokens[position].text, ())
+        # each form is compared with a prefix of the texts under the longest
+        texts = tuple(t.text for t in tokens[position : position + len(pairs[0][1])]) if pairs else ()
+        return [(entry, len(form)) for entry, form in pairs if texts[: len(form)] == form]
 
 
 # the node that a relation or operator image builds in Lean

@@ -93,7 +93,8 @@ class _Parser:
         # token's kind, so matching a word, symbol or period compares texts
         self._texts = [t.text for t in self.toks] + [None]
         self._ints = [t.value for t in self.toks] + [None]
-        self._matches: dict[int, list[tuple]] = {}
+        # lexicon matches per position, as (key, end) pairs by category
+        self._matches: dict[int, dict[Category, list[tuple]]] = {}
         # the alternatives per width, per (operator category, position)
         self._widths: dict[tuple[str, int], list[tuple]] = {}
 
@@ -115,11 +116,13 @@ class _Parser:
             if text != found:
                 self._want(pos, repr(text))
 
-    def lex_matches(self, pos: int, category: Category) -> list[tuple]:
+    def lex_matches(self, pos: int, category: Category) -> Sequence[tuple]:
         found = self._matches.get(pos)
         if found is None:
-            found = self._matches[pos] = _LEXICON.match(self.toks, pos)
-        matches = [(e.key, pos + length) for e, length in found if e.category is category]
+            found = self._matches[pos] = {}
+            for e, length in _LEXICON.match(self.toks, pos):
+                found.setdefault(e.category, []).append((e.key, pos + length))
+        matches = found.get(category, ())
         if not matches and pos >= self.furthest:
             self._want(pos, category.value)
         return matches

@@ -37,10 +37,10 @@ class PipelineTrace:
 
 def split_texts(tokens: list[Token]) -> list[list[Token]]:
     """Split a token stream on the text delimiter "ex." at sentence starts."""
-    # texts[i] is the text before token i: a sentence starts after a period
-    # or at the first token
-    texts = [".", *(t.text for t in tokens)]
-    starts = [i for i in range(len(tokens)) if texts[i : i + 3] == [".", "ex", "."]]
+    # token i's text is texts[i + 1], between texts[i] and texts[i + 2]: a
+    # sentence starts after a period or at the first token
+    texts = [".", *[t.text for t in tokens], None]
+    starts = [i for i, text in enumerate(texts, -1) if text == "ex" and texts[i] == texts[i + 2] == "."]
     bounds = sorted({0, *starts, len(tokens)})
     return [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
 

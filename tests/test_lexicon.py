@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -138,6 +139,36 @@ class TestTokenize:
                 assert data[token.span[0] : token.span[1]].decode("utf-8") == token.text, text
                 non_ascii += not token.text.isascii()
         assert non_ascii > 1000
+
+    def test_ascii_and_non_ascii_spans_agree(self):
+        # ASCII text takes its spans from the match, any other text through a
+        # table of UTF-8 offsets: both must give the same tokens and spans,
+        # and the same error at the same span.  A two-byte "é " before the
+        # text moves each span by three bytes
+        rng = random.Random(18)
+        alphabet = [*string.ascii_letters, *string.digits, "'", ".", *SYMBOLS, " ", "\t", "\n", "%"]
+
+        def shifted(token):
+            return (*token[:3], (token.span[0] - 3, token.span[1] - 3))
+
+        raised = 0
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            try:
+                expected = [tuple(token) for token in tokenize(text)]
+            except TokenError as err:
+                raised += 1
+                with pytest.raises(TokenError) as suffixed:
+                    tokenize(text + " é")
+                assert type(suffixed.value) is type(err), text
+                assert (str(suffixed.value), suffixed.value.span) == (str(err), err.span), text
+                with pytest.raises(type(err)) as prefixed:
+                    tokenize("é " + text)
+                assert prefixed.value.span == (err.span[0] + 3, err.span[1] + 3), text
+                continue
+            assert [tuple(token) for token in tokenize(text + " é")[:-1]] == expected, text
+            assert [shifted(token) for token in tokenize("é " + text)[1:]] == expected, text
+        assert 0 < raised < 2000
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_integer_literal_too_long(self, sign):

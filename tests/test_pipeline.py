@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,8 @@ from forlean.corpus import (
 )
 from forlean.lean import print_command
 from forlean.lean_reader import read_command
-from forlean.pipeline import run_pipeline
+from forlean.lexicon import preprocess, tokenize
+from forlean.pipeline import run_pipeline, split_texts
 from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 INTRO = (
@@ -64,6 +66,40 @@ def _package_copy(tmp_path, edit):
     lines = edit(table.read_text(encoding="utf-8").splitlines())
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONIOENCODING": "utf-8"}
+
+
+def segments(source):
+    """The texts ``split_texts`` finds in ``source``, as (text, span) pairs."""
+    tokens = tokenize(preprocess(source))
+    return [[(t.text, t.span) for t in segment] for segment in split_texts(tokens)]
+
+
+class TestSplitTexts:
+    def test_empty_stream(self):
+        assert split_texts([]) == []
+
+    def test_tokens_before_the_first_text_are_a_segment(self):
+        assert segments("x is odd. Ex. Then x is odd.") == [
+            [("x", (0, 1)), ("is", (2, 4)), ("odd", (5, 8)), (".", (8, 9))],
+            [("ex", (10, 12)), (".", (12, 13)), ("then", (14, 18)), ("x", (19, 20)),
+             ("is", (21, 23)), ("odd", (24, 27)), (".", (27, 28))],
+        ]
+
+    def test_ex_inside_a_sentence_does_not_split(self):
+        assert segments("Ex. Then ex. Ex x.") == [
+            [("ex", (0, 2)), (".", (2, 3)), ("then", (4, 8)), ("ex", (9, 11)), (".", (11, 12)),
+             ("ex", (13, 15)), ("x", (16, 17)), (".", (17, 18))],
+        ]
+
+    def test_back_to_back_texts(self):
+        assert segments("Ex. Ex.") == [[("ex", (0, 2)), (".", (2, 3))], [("ex", (4, 6)), (".", (6, 7))]]
+
+    def test_trailing_text_start(self):
+        assert segments("Ex. Then x is odd. Ex.") == [
+            [("ex", (0, 2)), (".", (2, 3)), ("then", (4, 8)), ("x", (9, 10)), ("is", (11, 13)),
+             ("odd", (14, 17)), (".", (17, 18))],
+            [("ex", (19, 21)), (".", (21, 22))],
+        ]
 
 
 class TestRunPipeline:
@@ -440,6 +476,26 @@ class TestCli:
     def test_corpus_command(self, capsys):
         assert main(["corpus", str(default_corpus_path())]) == 0
         assert "passed 42/42" in capsys.readouterr().out
+
+    def test_outputs_are_byte_identical_to_their_pinned_hashes(self, tmp_path, capsys):
+        # a change that moves one byte of the corpus check, its JSON report or
+        # the dump of every stage of tests/data/translate.input shows here
+        def sha256(data: str) -> str:
+            return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+        report = tmp_path / "report.json"
+        assert main(["corpus", str(default_corpus_path()), "--json", str(report)]) == 0
+        assert sha256(capsys.readouterr().out) == (
+            "718a8dca4dd8b3438411eba9d560d6ab6030c6b2858f792ebcdc2f0bf19ad99f"
+        )
+        assert sha256(report.read_text(encoding="utf-8")) == (
+            "6d516812f9749fc9b6876fd21c0d46daad0cc7dfeb10b6731ed8e9bc7ba597df"
+        )
+        flags = ["--show-ast", "--show-simplified", "--show-lean-ast"]
+        assert main(["translate", *flags, str(DATA / "translate.input")]) == 0
+        assert sha256(capsys.readouterr().out) == (
+            "4fe5fd9ae6043721fde753a3bcb2bc145bc054f68873b50381de84cf289cd9f0"
+        )
 
     @pytest.mark.parametrize(
         "edit, source, simplified_line, expected",
