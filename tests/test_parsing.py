@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import linecache
 import random
@@ -427,3 +428,51 @@ class TestGeneratedParser:
         finally:
             sys.settrace(previous)
         assert rules - built == set()
+
+
+def edited_streams(corpus_cases, seed: int = 977) -> list[list]:
+    """Token streams of the corpus, the golden inputs and generated texts,
+    and of a seeded slice of each, each with two copies where 1-3 tokens
+    drawn from all of them are inserted, deleted or replaced at seeded places:
+    mostly failing streams, which start and end inside every category."""
+    inputs = Path(__file__).parent / "data" / "translate.input"
+    sources = [case.input for case in corpus_cases] + inputs.read_text().splitlines()
+    texts = [tokenize(preprocess(source)) for source in sources + generate_sentences(300)]
+    pool = sorted({token for tokens in texts for token in tokens}, key=repr)
+    rng = random.Random(seed)
+    streams, edited = list(texts), []
+    for tokens in texts:
+        start = rng.randrange(len(tokens))
+        piece = tokens[start : rng.randrange(start + 1, len(tokens) + 1)]
+        streams.append(piece)
+        for base in (tokens, tokens, piece, piece):
+            copy = list(base)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(copy) + 1)
+                action = rng.random()
+                if i < len(copy) and action < 0.3:
+                    del copy[i]
+                elif i < len(copy) and action < 0.5:
+                    copy[i] = rng.choice(pool)
+                else:
+                    copy.insert(i, rng.choice(pool))
+            edited.append(copy)
+    return streams + edited
+
+
+def test_parse_results_and_diagnostics_are_pinned(corpus_cases):
+    # every tree in order and every diagnostic of the three entry points over
+    # 2,382 streams, most of them failing: a failing stream is parsed a second
+    # time to record what each alternative wanted, and only that pass shows
+    # which alternatives the parser tried where no complete parse exists
+    digest = hashlib.sha256()
+    failing = 0
+    streams = edited_streams(corpus_cases)
+    for tokens in streams:
+        for parse in (parse_text, parse_statement, parse_term):
+            result = parse(tokens)
+            failing += not result.trees
+            digest.update(repr((result.trees, result.diagnostics)).encode())
+    assert len(streams) == 2382
+    assert failing == 6688
+    assert digest.hexdigest() == "8f722b28322621262ddcb6d9a2a89dd3ef445466a4f5134ab657a7cd56fda71d"
