@@ -9,12 +9,11 @@ metavariable names print as ``(x n)``, ex-situ quantified statements print as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .lexicon import Category, default_lexicon
-from .tree import _IS_NODE
+from .tree import _IS_NODE, node
 
 
 class Quantifier(Enum):
@@ -31,17 +30,17 @@ class Polarity(Enum):
 # --- name slots -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Named:
     letter: str
 
 
-@dataclass(frozen=True)
+@node
 class Meta:
     ident: int
 
 
-@dataclass(frozen=True)
+@node
 class Unnamed:
     pass
 
@@ -52,31 +51,31 @@ NameSlot = Union[Named, Meta, Unnamed]
 # --- terms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class MetaVar:
     """Reference to a generated name, the term-level counterpart of Meta."""
 
     ident: int
 
 
-@dataclass(frozen=True)
+@node
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class BinApp:
     op: str  # rawNoun2 key
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@node
 class Quantified:
     """In-situ quantified term; removed by the simplifier."""
 
@@ -89,26 +88,26 @@ Term = Union[Var, MetaVar, IntLit, BinApp, Quantified]
 # --- notions and predicates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class IsAdj:
     polarity: Polarity
     adjective: str  # rawAdjective0 key
 
 
-@dataclass(frozen=True)
+@node
 class IsAdj1:
     polarity: Polarity
     adjective: str  # rawAdjective1 key
     term: Term
 
 
-@dataclass(frozen=True)
+@node
 class IsNotion:
     polarity: Polarity
     notion: "Notion"
 
 
-@dataclass(frozen=True)
+@node
 class IsTerm:
     polarity: Polarity
     term: Term
@@ -117,12 +116,12 @@ class IsTerm:
 Predicate = Union[IsAdj, IsAdj1, IsNotion, IsTerm]
 
 
-@dataclass(frozen=True)
+@node
 class IsPred:
     predicate: Predicate
 
 
-@dataclass(frozen=True)
+@node
 class SuchThat:
     statement: "Statement"
 
@@ -130,7 +129,7 @@ class SuchThat:
 RightAttribute = Union[IsPred, SuchThat]
 
 
-@dataclass(frozen=True)
+@node
 class Notion:
     head: str  # rawNoun0 key
     name: NameSlot
@@ -138,7 +137,7 @@ class Notion:
     right_attribute: RightAttribute | None = None
 
 
-@dataclass(frozen=True)
+@node
 class QuantifiedNotion:
     quantifier: Quantifier
     notion: Notion
@@ -147,53 +146,53 @@ class QuantifiedNotion:
 # --- statements ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class And:
     left: "Statement"
     right: "Statement"
 
 
-@dataclass(frozen=True)
+@node
 class Or:
     left: "Statement"
     right: "Statement"
 
 
-@dataclass(frozen=True)
+@node
 class IfThen:
     antecedent: "Statement"
     consequent: "Statement"
 
 
-@dataclass(frozen=True)
+@node
 class Iff:
     left: "Statement"
     right: "Statement"
 
 
-@dataclass(frozen=True)
+@node
 class Not:
     body: "Statement"
 
 
-@dataclass(frozen=True)
+@node
 class ForQuantified:
     qnotion: QuantifiedNotion
     body: "Statement"
 
 
-@dataclass(frozen=True)
+@node
 class Does:
     subject: Term
     predicate: Predicate
 
 
-@dataclass(frozen=True)
+@node
 class ThereExists:
     notion: Notion
 
 
-@dataclass(frozen=True)
+@node
 class ThereExistsNo:
     notion: Notion
 
@@ -203,13 +202,13 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class Example:
     assumptions: tuple[Statement, ...]
     conclusion: Statement
 
 
-@dataclass(frozen=True)
+@node
 class ForthelText:
     example: Example
 

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .tree import _IS_NODE, iter_nodes, once, transform
+from .tree import _IS_NODE, iter_nodes, node, once, transform
 
 __all__ = [
     "AndP",
@@ -62,17 +61,17 @@ __all__ = [
 # --- terms ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class VarT:
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class LitT:
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class ArithT:
     op: str  # a rawNoun2 image of the lexicon, such as +
     left: "LeanTerm"
@@ -85,56 +84,56 @@ LeanTerm = Union[VarT, LitT, ArithT]
 # --- propositions -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Rel:
     op: str  # a rawAdjective1 image of the lexicon, such as <, or = for "is <term>"
     left: LeanTerm
     right: LeanTerm
 
 
-@dataclass(frozen=True)
+@node
 class PredApp:
     pred: str  # a rawAdjective0 image of the lexicon, such as odd
     arg: LeanTerm
 
 
-@dataclass(frozen=True)
+@node
 class NotP:
     body: "LeanProp"
 
 
-@dataclass(frozen=True)
+@node
 class AndP:
     left: "LeanProp"
     right: "LeanProp"
 
 
-@dataclass(frozen=True)
+@node
 class OrP:
     left: "LeanProp"
     right: "LeanProp"
 
 
-@dataclass(frozen=True)
+@node
 class Imp:
     left: "LeanProp"
     right: "LeanProp"
 
 
-@dataclass(frozen=True)
+@node
 class IffP:
     left: "LeanProp"
     right: "LeanProp"
 
 
-@dataclass(frozen=True)
+@node
 class Forall:
     name: str
     type: str  # a rawNoun0 image of the lexicon, such as ℤ
     body: "LeanProp"
 
 
-@dataclass(frozen=True)
+@node
 class Exists:
     name: str
     type: str  # a rawNoun0 image of the lexicon, such as ℤ
@@ -147,13 +146,13 @@ LeanProp = Union[Rel, PredApp, NotP, AndP, OrP, Imp, IffP, Forall, Exists]
 # --- commands -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class TypeBinder:
     name: str
     type: str  # a rawNoun0 image of the lexicon, such as ℤ
 
 
-@dataclass(frozen=True)
+@node
 class HypBinder:
     label: str
     prop: LeanProp
@@ -162,7 +161,7 @@ class HypBinder:
 Binder = Union[TypeBinder, HypBinder]
 
 
-@dataclass(frozen=True)
+@node
 class LeanCommand:
     binders: tuple[Binder, ...]
     goal: LeanProp

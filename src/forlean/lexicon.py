@@ -25,6 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .lean import NOTATION, ArithT, Rel
@@ -144,6 +145,10 @@ class Category(Enum):
     RAW_ADJECTIVE1 = "rawAdjective1"
     VARIABLE = "variable"
 
+    # members are singletons compared by identity, so hashing by identity
+    # agrees with ``==`` and skips ``Enum.__hash__``, a Python-level call
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class LexiconEntry:
@@ -231,15 +236,24 @@ class Lexicon:
         entry matches twice, as a category rejects duplicate forms.  A form
         matches where the token texts equal it: a text fixes its token's
         kind.  Ambiguity between overlapping forms ("greater than" inside
-        "greater than or equal to") is left to the parser.
+        "greater than or equal to") is left to the parser, which looks a
+        position up only where its token can start a form of a category it
+        tries.  When the longest form there is one word, every form matches
+        and no token texts are read.
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
         if position == len(tokens):
             return []
-        pairs = self._by_first.get(tokens[position].text, ())
-        # each form is compared with a prefix of the texts under the longest
-        texts = tuple(t.text for t in tokens[position : position + len(pairs[0][1])]) if pairs else ()
+        pairs = self._by_first.get(tokens[position].text)
+        if pairs is None:
+            return []
+        longest = len(pairs[0][1])
+        if longest == 1:  # every form is the one word already compared
+            return [(entry, 1) for entry, _ in pairs]
+        # each form is compared with a prefix of the texts under the longest;
+        # a token's text is its item 1
+        texts = tuple(map(itemgetter(1), tokens[position : position + longest]))
         return [(entry, len(form)) for entry, form in pairs if texts[: len(form)] == form]
 
 

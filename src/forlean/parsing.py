@@ -10,8 +10,13 @@ routine, ``_operator_category``, and the one category written by hand is
 ``definite_term``, a filter on ``term``.
 
 The parser is top-down and memoized per (production, position), after
-Johnson 1995, "Memoization in top-down parsing".  It still returns every
-parse, in the order plain backtracking would.  A parse records nothing for
+Johnson 1995, "Memoization in top-down parsing".  It looks one token ahead,
+as GF's incremental parser predicts from the next token (Angelov 2009): at
+import, ``_first_sets`` computes the token texts that can start each
+category (its FIRST set), and a category, or a lexicon lookup, is tried only
+where the next token can start it.  The operator levels stop where no
+operator follows.  It still returns every parse, in the order plain
+backtracking would.  A parse records nothing for
 its diagnostics; only a token stream with no complete parse is parsed a
 second time, recording what each failed alternative expected at the furthest
 position reached, as CPython's PEG parser does for its error messages.
@@ -83,6 +88,14 @@ class _Parser:
     the diagnostic.  On that run a memo hit skips the ``_want`` calls of the
     visit that filled the entry; replaying them would change neither
     ``furthest`` nor ``expected``.
+
+    A call of a category X at ``p`` is guarded: it runs only if ``texts[p]``
+    is in X's FIRST set or ``p >= furthest``.  The guard is exact.  If no
+    rule of X can consume ``texts[p]``, every alternative fails at ``p``, so
+    the call could only record a want at ``p``.  The first pass records
+    nothing, and in the recording pass every call at ``p >= furthest`` still
+    runs.  Likewise the operator levels stop early only while every phrase
+    ends below ``furthest``.
     """
 
     def __init__(self, tokens: Sequence[Token], furthest: int):
@@ -142,6 +155,7 @@ def _operator_category(category: str, atoms: str, associativity: str, levels: tu
     wide and follows each left operand at once by the phrases extending it."""
     # {separator: node builder} per width, from 1, the tightest level, up
     by_width = [None, *({s: partial(*head) for s, head in level.items()} for level in reversed(levels))]
+    separators = frozenset(s for level in levels for s in level)
     infixr = associativity == "infixr"
 
     def parse_levels(self, pos: int, width: int = len(levels)) -> tuple:
@@ -150,6 +164,15 @@ def _operator_category(category: str, atoms: str, associativity: str, levels: tu
             widths = self._widths[category, pos] = [tuple(getattr(self, atoms)(pos))]
         while len(widths) <= width:
             operators, lefts = by_width[len(widths)], widths[-1]
+            # a level extends only phrases that a separator follows: with none
+            # after any, every looser width holds the same phrases, unless one
+            # ends where this pass records what a level wanted
+            for _, p in lefts:
+                if self._texts[p] in separators or p >= self.furthest:
+                    break
+            else:
+                widths += [lefts] * (len(by_width) - len(widths))
+                break
             right_width = len(widths) if infixr else len(widths) - 1
             # on an infixl level the loop visits every phrase it appends
             results = [] if infixr else list(lefts)
@@ -171,6 +194,59 @@ def _operator_category(category: str, atoms: str, associativity: str, levels: tu
 
 # --- the categories of GRAMMAR ------------------------------------------------
 
+
+def _words(elements: list) -> list:
+    # a keyword of several words is matched word by word
+    return [w for e in elements for w in (e.split() if type(e) is str else [e])]
+
+
+def _first_sets() -> dict[str, frozenset]:
+    """The token texts that can start each category of ``GRAMMAR`` and each
+    lexicon category (its FIRST set), by the usual fixpoint.  An operator
+    category and ``definite_term`` start as their atoms do, and a lexicon
+    category as the first words of its indexed forms.  A category that can
+    be empty or start with an integer literal gets no set: it can match
+    whatever the next token is."""
+    # None stands for the empty phrase and int for an integer literal
+    first: dict[str, set] = {category: set() for category in GRAMMAR}
+    for category, (atoms, *_) in OPERATOR_LEVELS.items():
+        first[category] = first[atoms]
+    first["definite_term"] = first["term"]
+    for c in Category:
+        first[c.value] = {
+            text for text, pairs in _LEXICON._by_first.items() if any(e.category is c for e, _ in pairs)
+        }
+
+    def starts(e) -> set:
+        if type(e) is str:  # one word: "w", "a|b" or "[a|b]"
+            found, optional = set(e.strip("[]").split("|")), e[0] == "["
+        elif e[1] is int or e[1] is Index:
+            return {int}
+        elif type(e[1]) is not str:  # an Enum whose values are words
+            return {m.value for m in e[1]}
+        else:
+            found, optional = set(first[e[1].strip("[]")]), e[1][0] == "["
+        return found | {None} if optional else found
+
+    changed = True
+    while changed:
+        changed = False
+        for category, rules in GRAMMAR.items():
+            for _, elements in rules:
+                found = {None}
+                for e in _words(elements):
+                    found.discard(None)
+                    found |= starts(e)
+                    if None not in found:
+                        break
+                if not found <= first[category]:
+                    first[category] |= found
+                    changed = True
+    return {name: frozenset(texts) for name, texts in first.items() if not texts & {None, int}}
+
+
+_FIRST = _first_sets()
+
 # the generated methods are compiled under this name and their source is kept
 # in linecache under it, so that tracebacks, pdb and inspect show their lines
 _SOURCE_FILE = f"<{__name__}: generated from forthel.GRAMMAR>"
@@ -183,8 +259,10 @@ def _install() -> None:
     labelled ``# category[i]``.  Consecutive rules that start with equal
     elements share their code, so a shared prefix is matched once and the
     parses still come in the order of backtracking through the rules."""
-    # the node classes, constants and lexicon categories are forthel's names
-    namespace = {**vars(forthel), "__name__": __name__}
+    # the node classes, constants and lexicon categories are forthel's names;
+    # _FIRST_<category> is the set that guards a call of the category
+    namespace = {**vars(forthel), **{f"_FIRST_{name}": texts for name, texts in _FIRST.items()}}
+    namespace["__name__"] = __name__
     lexical = {category.value: category for category in Category}
     lines: list[str] = []
 
@@ -210,10 +288,13 @@ def _install() -> None:
         # the first lines inside that block, and the lines after it
         source = e[1] if type(e) is tuple else None
         if type(source) is str:
-            # a category or a lexicon category, optional in brackets
+            # a category or a lexicon category, optional in brackets, called
+            # only where the next token can start it or a want is recorded
             name = source.strip("[]")
-            call = f"lex_matches({pos}, {ref(lexical[name])})" if name in lexical else f"{name}({pos})"
-            pairs = f"[(None, {pos}), *self.{call}]" if source[0] == "[" else f"self.{call}"
+            call = f"self.lex_matches({pos}, {ref(lexical[name])})" if name in lexical else f"self.{name}({pos})"
+            if name in _FIRST:
+                call = f"({call} if texts[{pos}] in _FIRST_{name} or {pos} >= self.furthest else ())"
+            pairs = f"[(None, {pos}), *{call}]" if source[0] == "[" else call
             return [f"for {v}, {p} in {pairs}:"], [], []
         step = [f"{p} = {pos} + 1"]
         if type(e) is str and "|" not in e and "[" not in e:
@@ -252,11 +333,7 @@ def _install() -> None:
 
     for category, rules in GRAMMAR.items():
         lines += [f"def {category}(self, pos):", "    texts = self._texts", "    out = []"]
-        labelled = []
-        for i, (head, elements) in enumerate(rules):
-            # a keyword of several words is matched word by word
-            words = [w for e in elements for w in (e.split() if type(e) is str else [e])]
-            labelled.append((f"{category}[{i}]", head, words))
+        labelled = [(f"{category}[{i}]", head, _words(elements)) for i, (head, elements) in enumerate(rules)]
         emit(labelled, 1, "pos", {}, 1)
         lines += ["    return out", ""]
     source = "\n".join(lines)

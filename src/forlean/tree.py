@@ -8,13 +8,38 @@ only the node types it treats specially and leaves the walk to what is here:
 ``_IS_NODE`` tells a node from a leaf for code that walks fields itself
 (``vars(node)`` gives a node's fields in field order), and ``once`` caches a
 function of a whole node per node identity.
+
+``node`` declares a node class: a frozen dataclass whose ``__init__`` writes
+the fields straight into the instance ``__dict__``, in field order, instead
+of through ``object.__setattr__`` per field as a frozen dataclass's does.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-__all__ = ["iter_nodes", "once", "transform"]
+__all__ = ["iter_nodes", "node", "once", "transform"]
+
+
+def node(cls: type) -> type:
+    """``dataclass(frozen=True)`` with a cheaper ``__init__`` of the same
+    signature: assigning a field still raises ``FrozenInstanceError``, and
+    ``==``, ``hash``, ``repr``, ``replace``, ``fields`` and
+    ``__match_args__`` are the dataclass's own."""
+    cls = dataclasses.dataclass(frozen=True, init=False)(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    # a default is a global of the generated function, as in dataclasses
+    defaults = {f"_{f.name}": f.default for f in fields if f.default is not dataclasses.MISSING}
+    params = ", ".join(["self", *(f"{n}=_{n}" if f"_{n}" in defaults else n for n in names)])
+    lines = [f"def __init__({params}):", "    __d = self.__dict__"]
+    lines += [f"    __d[{n!r}] = {n}" for n in names]
+    exec("\n".join(lines), defaults)
+    init = defaults["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
+    cls.__init__ = init
+    return cls
 
 
 class _NodeTypes(dict):

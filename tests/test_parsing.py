@@ -32,7 +32,7 @@ from forlean.forthel import (
     Var,
     linearize_forthel,
 )
-from forlean.lexicon import preprocess, tokenize
+from forlean.lexicon import Category, preprocess, tokenize
 from forlean.parsing import ParseFailure, parse_statement, parse_term, parse_text
 from forlean.pipeline import run_pipeline
 from test_properties import QuantifiedOperandGenerator, generate_sentences
@@ -394,6 +394,9 @@ class TestGeneratedParser:
         source = inspect.getsource(parsing._Parser.does_predicate)
         assert source.startswith("def does_predicate(self, pos):\n")
         assert "out.append((IsAdj1(v2, v3, v4), p4))  # does_predicate[1]\n" in source
+        # a call is guarded by the texts that can start its category
+        guard = "texts[p2] in _FIRST_rawAdjective1 or p2 >= self.furthest else ()"
+        assert f"for v3, p3 in (self.lex_matches(p2, Category.RAW_ADJECTIVE1) if {guard}):" in source
         assert inspect.getsourcefile(parsing._Parser.does_predicate) == parsing._SOURCE_FILE
 
     def test_every_rule_builds_a_node(self, corpus_cases):
@@ -476,3 +479,38 @@ def test_parse_results_and_diagnostics_are_pinned(corpus_cases):
     assert len(streams) == 2382
     assert failing == 6688
     assert digest.hexdigest() == "8f722b28322621262ddcb6d9a2a89dd3ef445466a4f5134ab657a7cd56fda71d"
+
+
+class TestFirstSets:
+    def test_sets_of_some_categories(self):
+        first = parsing._FIRST
+        assert first["quantified_notion"] == {"every", "some", "no"}
+        assert first["does_predicate"] == {"is", "are"}
+        assert first["text"] == {"ex"}
+        assert first["notion"] == first["rawAdjective0"] | first["rawNoun0"]
+        assert first["right_attribute"] == (
+            {"not", "that", "such"} | first["rawAdjective0"] | first["rawAdjective1"]
+        )
+        assert first["rawAdjective1"] == {"equal", "greater", "less", "not"}
+        # a category that can be empty (assumption_list, polarity, name_slot)
+        # or start with an integer literal gets no guard
+        guarded = {"text", "does_predicate", "notion", "right_attribute", "quantified_notion"}
+        assert set(first) == guarded | {c.value for c in Category}
+
+    def test_a_category_parses_nothing_where_its_set_lacks_the_next_token(self, corpus_cases):
+        # at every position of the edited streams, each end included, whose
+        # text is outside a category's set, its generated method and
+        # lex_matches return nothing: the guard only skips calls that fail
+        lexical = {c.value: c for c in Category}
+        skipped = 0
+        for tokens in edited_streams(corpus_cases):
+            parser = parsing._Parser(tokens, sys.maxsize)
+            for pos, text in enumerate(parser._texts):
+                for name, texts in parsing._FIRST.items():
+                    if text not in texts:
+                        if name in lexical:
+                            assert not parser.lex_matches(pos, lexical[name]), (name, pos, tokens)
+                        else:
+                            assert not getattr(parser, name)(pos), (name, pos, tokens)
+                        skipped += 1
+        assert skipped > 400_000
