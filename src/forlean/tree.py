@@ -17,6 +17,7 @@ of through ``object.__setattr__`` per field as a frozen dataclass's does.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 __all__ = ["iter_nodes", "node", "once", "transform"]
 
@@ -25,21 +26,21 @@ def node(cls: type) -> type:
     """``dataclass(frozen=True)`` with a cheaper ``__init__`` of the same
     signature: assigning a field still raises ``FrozenInstanceError``, and
     ``==``, ``hash``, ``repr``, ``replace``, ``fields`` and
-    ``__match_args__`` are the dataclass's own."""
-    cls = dataclasses.dataclass(frozen=True, init=False)(cls)
-    fields = dataclasses.fields(cls)
-    names = [f.name for f in fields]
-    # a default is a global of the generated function, as in dataclasses
-    defaults = {f"_{f.name}": f.default for f in fields if f.default is not dataclasses.MISSING}
-    params = ", ".join(["self", *(f"{n}=_{n}" if f"_{n}" in defaults else n for n in names)])
+    ``__match_args__`` are the dataclass's own.  The fields are the class's
+    own annotations, each with a plain default or none."""
+    # the __init__ comes first, so that dataclass names an undocumented class
+    # by its signature; a default is a global of it, as in dataclasses
+    fields = inspect.get_annotations(cls)
+    defaults = {f"_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
+    params = ", ".join(["self", *(f"{n}=_{n}" if f"_{n}" in defaults else n for n in fields)])
     lines = [f"def __init__({params}):", "    __d = self.__dict__"]
-    lines += [f"    __d[{n!r}] = {n}" for n in names]
+    lines += [f"    __d[{name!r}] = {name}" for name in fields]
     exec("\n".join(lines), defaults)
     init = defaults["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
+    init.__annotations__ = {**fields, "return": None}
     cls.__init__ = init
-    return cls
+    return dataclasses.dataclass(frozen=True, init=False)(cls)
 
 
 class _NodeTypes(dict):

@@ -69,6 +69,7 @@ def test_behaves_as_a_plain_frozen_dataclass():
     ]
     assert Pair.__match_args__ == PlainPair.__match_args__ == ("op", "left", "right")
     assert str(inspect.signature(Pair)) == str(inspect.signature(PlainPair))
+    assert Pair.__doc__ == PlainPair.__doc__ == "Pair(op: str, left: object, right: object = None)"
     match pairs[0]:
         case Pair("+", left, right=2):
             assert left == 1
