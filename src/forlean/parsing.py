@@ -212,10 +212,10 @@ def _first_sets() -> dict[str, frozenset]:
     for category, (atoms, *_) in OPERATOR_LEVELS.items():
         first[category] = first[atoms]
     first["definite_term"] = first["term"]
-    for c in Category:
-        first[c.value] = {
-            text for text, pairs in _LEXICON._by_first.items() if any(e.category is c for e, _ in pairs)
-        }
+    first.update({c.value: set() for c in Category})
+    for text, pairs in _LEXICON._by_first.items():
+        for entry, _ in pairs:
+            first[entry.category.value].add(text)
 
     def starts(e) -> set:
         if type(e) is str:  # one word: "w", "a|b" or "[a|b]"

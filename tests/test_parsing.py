@@ -498,7 +498,7 @@ class TestFirstSets:
         assert set(first) == guarded | {c.value for c in Category}
 
     def test_a_category_parses_nothing_where_its_set_lacks_the_next_token(self, corpus_cases):
-        # at every position of the edited streams, each end included, whose
+        # at every position of the edited streams, the end included, whose
         # text is outside a category's set, its generated method and
         # lex_matches return nothing: the guard only skips calls that fail
         lexical = {c.value: c for c in Category}
