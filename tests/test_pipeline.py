@@ -707,3 +707,51 @@ def test_every_printed_command_well_formed(corpus_cases):
                 assert printed.count(":=") == 1
                 assert printed.endswith("sorry")
                 assert "  " not in printed and not printed.endswith(" ")
+
+
+def word_edited_sources(corpus_cases, seed: int = 977) -> list[str]:
+    """The corpus, the golden inputs, generated texts and the multi-parse
+    texts, each with two seeded copies where 1-3 words drawn from all of them
+    are inserted, deleted or replaced: untranslatable and unparsable texts
+    beside the ones that translate."""
+    from test_simplify import MULTI_PARSE_TEXTS
+
+    generator = QuantifiedOperandGenerator(seed=4242)
+    sources = [case.input for case in corpus_cases] + (DATA / "translate.input").read_text().splitlines()
+    sources += generate_sentences(300) + [generator.text() for _ in range(200)] + MULTI_PARSE_TEXTS
+    pool = sorted({word for source in sources for word in source.split()})
+    rng = random.Random(seed)
+    edited = []
+    for source in sources:
+        for _ in range(2):
+            words = source.split()
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(words) + 1)
+                action = rng.random()
+                if i < len(words) and action < 0.3:
+                    del words[i]
+                elif i < len(words) and action < 0.5:
+                    words[i] = rng.choice(pool)
+                else:
+                    words.insert(i, rng.choice(pool))
+            edited.append(" ".join(words))
+    return sources + edited
+
+
+def test_stage_outputs_are_pinned(corpus_cases):
+    # the normal forms, commands, printed strings and diagnostics of every
+    # trace: a change to simplify, translate or print that moves one node or
+    # one message of one parse shows here
+    digest = hashlib.sha256()
+    counts = {"texts": 0, "printed": 0, "failed": 0}
+    sources = word_edited_sources(corpus_cases)
+    for source in sources:
+        for trace in run_pipeline(source):
+            counts["texts"] += 1
+            counts["printed"] += len(trace.printed)
+            counts["failed"] += bool(trace.diagnostics)
+            stages = (trace.normals, trace.commands, trace.printed, trace.diagnostics)
+            digest.update(repr(stages).encode())
+    assert len(sources) == 1815
+    assert counts == {"texts": 1830, "printed": 561, "failed": 1489}
+    assert digest.hexdigest() == "05408146a2e198fd829f7742bc8c161cb4a105a1ec6e1fd684e46a97441eac1b"

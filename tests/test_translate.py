@@ -1,18 +1,24 @@
+import dataclasses
+
 import pytest
 
 from conftest import canonical, parse_source
 from forlean import forthel as ftl
+from forlean import lean
 from forlean.lean import (
+    AndP,
     LitT,
+    PredApp,
     Rel,
     VarT,
     normalize_names,
     print_command,
     print_prop,
+    print_term,
 )
 from forlean.lean_reader import _lex
 from forlean.lexicon import Category, default_lexicon
-from forlean.simplify import simplify
+from forlean.simplify import _name_ref, simplify
 from forlean.translate import (
     UntranslatableNode,
     translate_predicate,
@@ -195,3 +201,82 @@ class TestTranslateText:
             got = sorted(canonical(p) for p in pipeline(case.input))
             expected = sorted(canonical(e) for e in case.expected)
             assert got == expected, case.id
+
+
+ODD_X = PredApp("odd", VarT("x"))
+UNNAMED = ftl.Notion("INTEGER", ftl.Unnamed())
+ODD = ftl.IsAdj(POS, "ODD")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: translate_term(ODD), TypeError, f"not a term: {ODD!r}"),
+        (lambda: translate_statement(ftl.Var("x")), TypeError, "not a statement: Var(name='x')"),
+        (lambda: translate_predicate(VarT("x"), ftl.Var("y")), TypeError, "not a predicate: Var(name='y')"),
+        (lambda: print_term(AndP(ODD_X, ODD_X)), TypeError, f"not a term: {AndP(ODD_X, ODD_X)!r}"),
+        (lambda: print_prop(VarT("x")), TypeError, "not a proposition: VarT(name='x')"),
+        # a quantified statement whose quantified notion is not one
+        (
+            lambda: translate_statement(ftl.ForQuantified(ftl.Var("x"), ftl.Does(ftl.Var("x"), ODD))),
+            TypeError,
+            f"not a statement: {ftl.ForQuantified(ftl.Var('x'), ftl.Does(ftl.Var('x'), ODD))!r}",
+        ),
+        (lambda: _name_ref(UNNAMED), ValueError, f"notion {UNNAMED!r} has no name"),
+        (
+            lambda: translate_statement(ftl.ThereExists(UNNAMED)),
+            UntranslatableNode,
+            "existential without a condition has no Lean image",
+        ),
+        (
+            lambda: translate_statement(
+                ftl.ThereExists(ftl.Notion("INTEGER", ftl.Unnamed(), None, ftl.SuchThat(ftl.Does(ftl.Var("x"), ODD))))
+            ),
+            UntranslatableNode,
+            f"unnamed notion {ftl.Notion('INTEGER', ftl.Unnamed(), None, ftl.SuchThat(ftl.Does(ftl.Var('x'), ODD)))!r}",
+        ),
+        (
+            lambda: translate_term(
+                ftl.Quantified(ftl.QuantifiedNotion(ftl.Quantifier.EVERY, ftl.Notion("INTEGER", ftl.Named("k"))))
+            ),
+            UntranslatableNode,
+            "in-situ quantified term (simplifier should have raised it)",
+        ),
+        (
+            lambda: translate_predicate(VarT("x"), ftl.IsNotion(POS, ftl.Notion("INTEGER", ftl.Named("x")))),
+            UntranslatableNode,
+            "notion predicate (simplifier should have split it)",
+        ),
+        (
+            lambda: translate_statement(ftl.ThereExists(ftl.Notion("INTEGER", ftl.Named("y"), "ODD"))),
+            UntranslatableNode,
+            "unflattened notion attribute",
+        ),
+        (
+            lambda: translate_statement(ftl.ThereExists(ftl.Notion("INTEGER", ftl.Named("y"), None, ftl.IsPred(ODD)))),
+            UntranslatableNode,
+            "unflattened notion attribute",
+        ),
+    ],
+)
+def test_a_node_of_another_kind_raises_its_own_error(call, error, message):
+    # the per-node functions dispatch on a node's exact class: what reaches
+    # none of their branches raises this error with this message
+    with pytest.raises(Exception) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_no_node_class_has_a_subclass():
+    # ``type(node) is C`` and a class pattern ``case C()`` decide alike only
+    # while no node class has a subclass, which the pattern would accept
+    classes = [
+        cls
+        for module in (ftl, lean)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    ]
+    assert len(classes) == 28 + 15
+    for cls in classes:
+        assert cls.__subclasses__() == [], cls
