@@ -12,7 +12,9 @@ operand of a connective, because a quantifier reaches as far right as it can.
 
 Printing is pure, so ``print_command`` caches it in a memo that
 ``run_pipeline`` shares among the parses of a text: each proposition and
-binders tuple the parses share is printed once.
+binders tuple the parses share is printed once.  The printer tests
+``type(node) is C``, most frequent class first: a ``match`` class pattern
+is an ``isinstance`` test, tried case after case.
 
 ``normalize_names`` collects names in one ``tree.iter_nodes`` pass and renames
 them in one ``tree.transform``; ``alpha_equivalent`` compares two commands'
@@ -221,16 +223,17 @@ NOTATION = {
 
 # the symbol of each connective and quantifier
 _SYMBOLS = {n.node: symbol for symbol, n in NOTATION.items() if n.node not in (Rel, ArithT)}
+_BINARY = (AndP, OrP, Imp, IffP)
 
 
 def print_term(t: LeanTerm) -> str:
-    match t:
-        case VarT(name):
-            return name
-        case LitT(value):
-            return str(value)
-        case ArithT(op, left, right):
-            return f"({print_term(left)} {op} {print_term(right)})"
+    cls = type(t)
+    if cls is VarT:
+        return t.name
+    if cls is ArithT:
+        return f"({print_term(t.left)} {t.op} {print_term(t.right)})"
+    if cls is LitT:
+        return str(t.value)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -241,23 +244,22 @@ def print_prop(p: LeanProp, memo: dict | None = None) -> str:
     hit = memo.get(id(p))
     if hit is not None:
         return hit[1]
-    match p:
-        case Rel(op, left, right):
-            text = f"{print_term(left)} {op} {print_term(right)}"
-        case PredApp(pred, arg):
-            text = f"{pred} {print_term(arg)}"
-        case NotP(body):
-            text = f"({_SYMBOLS[NotP]} {print_prop(body, memo)})"
-        case AndP() | OrP() | Imp() | IffP():
-            symbol = _SYMBOLS[type(p)]
-            left = print_prop(p.left, memo)
-            if type(p.left) in (Forall, Exists):
-                left = f"({left})"
-            text = f"({left} {symbol} {print_prop(p.right, memo)})"
-        case Forall(name, type_, body) | Exists(name, type_, body):
-            text = f"{_SYMBOLS[type(p)]} ({name} : {type_}), {print_prop(body, memo)}"
-        case _:
-            raise TypeError(f"not a proposition: {p!r}")
+    cls = type(p)
+    if cls is Rel:
+        text = f"{print_term(p.left)} {p.op} {print_term(p.right)}"
+    elif cls is PredApp:
+        text = f"{p.pred} {print_term(p.arg)}"
+    elif cls in _BINARY:
+        left = print_prop(p.left, memo)
+        if type(p.left) in (Forall, Exists):
+            left = f"({left})"
+        text = f"({left} {_SYMBOLS[cls]} {print_prop(p.right, memo)})"
+    elif cls is NotP:
+        text = f"({_SYMBOLS[NotP]} {print_prop(p.body, memo)})"
+    elif cls is Forall or cls is Exists:
+        text = f"{_SYMBOLS[cls]} ({p.name} : {p.type}), {print_prop(p.body, memo)}"
+    else:
+        raise TypeError(f"not a proposition: {p!r}")
     memo[id(p)] = (p, text)
     return text
 

@@ -9,15 +9,15 @@ Each category of ``forthel.OPERATOR_LEVELS`` gets its method from one
 routine, ``_operator_category``, and the one category written by hand is
 ``definite_term``, a filter on ``term``.
 
-The parser is top-down and memoized per (production, position), after
-Johnson 1995, "Memoization in top-down parsing".  It looks one token ahead,
-as GF's incremental parser predicts from the next token (Angelov 2009): at
-import, ``_first_sets`` computes the token texts that can start each
-category (its FIRST set), and a category, or a lexicon lookup, is tried only
-where the next token can start it.  The operator levels stop where no
-operator follows.  It still returns every parse, in the order plain
-backtracking would.  A parse records nothing for
-its diagnostics; only a token stream with no complete parse is parsed a
+The parser is top-down and memoizes its operator categories (see
+``_Parser``), after Johnson 1995, "Memoization in top-down parsing".  It
+looks one token ahead, as GF's incremental parser predicts from the next
+token (Angelov 2009): at import, ``_first_sets`` computes the token texts
+that can start each category (its FIRST set), and a category, or a lexicon
+lookup, is tried only where the next token can start it.  The operator
+levels stop where no operator follows.  It still returns every parse, in the
+order plain backtracking would.  A parse records nothing for its
+diagnostics; only a token stream with no complete parse is parsed a
 second time, recording what each failed alternative expected at the furthest
 position reached, as CPython's PEG parser does for its error messages.
 
@@ -76,10 +76,13 @@ _LEXICON = default_lexicon()
 
 
 class _Parser:
-    """Memoized recursive descent; every category returns all
-    (node, next_position) alternatives.  Those of ``GRAMMAR`` are generated,
-    and lexicon matches are kept per position.  The grammar is not left
-    recursive, so a memo entry is complete before it is read.
+    """Recursive descent; every category returns all (node, next_position)
+    alternatives.  Only the operator categories (``_widths``) and the lexicon
+    matches (``_matches``) are kept per position.  A generated category of
+    ``GRAMMAR`` runs twice at one position only after a phrase that parses in
+    two ways ending there, as an ambiguous assumption, and each run then
+    builds a different tree.  The grammar is not left recursive, so a memo
+    entry is complete before it is read.
 
     A failed alternative records what it wanted (``_want``) only when its
     position is at or beyond ``furthest``.  ``_run`` parses first with

@@ -1,13 +1,17 @@
 """Tree normalization between parsing and translation.
 
 One ``tree.transform`` per parse names each unnamed notion and rewrites each
-node with ``_normalize_one``: variable unification and quantifier raising at
-a ``Does`` clause, attribute flattening at a ``Notion``.  No clause both
-unifies and raises, and renaming a metavariable commutes with flattening.
-A rewrite can expose another (flattening can expose an in-situ quantifier,
-raising a clause that still has to unify), so a node is rewritten to a local
-fixpoint: the node a rewrite builds is walked again, and that walk stops at
-subtrees already recorded as normal.  Assumption splitting runs last.
+node: variable unification and quantifier raising at a ``Does`` clause,
+attribute flattening at a ``Notion``.  No clause both unifies and raises, and
+renaming a metavariable commutes with flattening.  A rewrite can expose
+another (flattening can expose an in-situ quantifier, raising a clause that
+still has to unify), so a node is rewritten to a local fixpoint: the node a
+rewrite builds is walked again.  That walk stops at a subtree recorded as
+normal at the current next fresh id; one recorded before an id was drawn is
+walked again and, holding no unnamed notion, comes back unchanged.
+Assumption splitting runs last.  Per-node functions test ``type(node) is
+C``, most frequent class first: a ``match`` class pattern is an
+``isinstance`` test, tried case after case.
 
 ``simplify`` caches its work in a memo that ``run_pipeline`` shares among
 the parses of a text, so each subtree they share is done once: the names in
@@ -95,11 +99,11 @@ def _names_in(node) -> set[str]:
 
 
 def _name_ref(notion: Notion) -> Term:
-    match notion.name:
-        case Named(letter):
-            return Var(letter)
-        case Meta(ident):
-            return MetaVar(ident)
+    name = notion.name
+    if type(name) is Named:
+        return Var(name.letter)
+    if type(name) is Meta:
+        return MetaVar(name.ident)
     raise ValueError(f"notion {notion!r} has no name")
 
 
@@ -122,20 +126,21 @@ def unify_variables(text: ForthelText) -> ForthelText:
 
 
 def _unify_one(n):
-    match n:
-        case Does(Var(v), IsNotion(polarity, notion)) if type(notion.name) is Meta:
-            renamed = _substitute_meta(notion, notion.name.ident, v)
-            return Does(n.subject, IsNotion(polarity, renamed))
+    if type(n) is Does and type(n.subject) is Var and type(n.predicate) is IsNotion:
+        notion = n.predicate.notion
+        if type(notion.name) is Meta:
+            renamed = _substitute_meta(notion, notion.name.ident, n.subject.name)
+            return Does(n.subject, IsNotion(n.predicate.polarity, renamed))
     return n
 
 
 def _substitute_meta(node, ident: int, letter: str):
     def substitute(n):
-        match n:
-            case Meta(i) if i == ident:
-                return Named(letter)
-            case MetaVar(i) if i == ident:
-                return Var(letter)
+        cls = type(n)
+        if cls is Meta and n.ident == ident:
+            return Named(letter)
+        if cls is MetaVar and n.ident == ident:
+            return Var(letter)
         return n
 
     return transform(node, substitute)
@@ -171,11 +176,11 @@ def _raise_does(does):
 
 
 def _find_quantified(t: Term) -> Quantified | None:
-    match t:
-        case Quantified():
-            return t
-        case BinApp(_, left, right):
-            return _find_quantified(left) or _find_quantified(right)
+    cls = type(t)
+    if cls is BinApp:
+        return _find_quantified(t.left) or _find_quantified(t.right)
+    if cls is Quantified:
+        return t
     return None
 
 
@@ -211,11 +216,11 @@ def _flatten_one(n):
     conjuncts: list[Statement] = []
     if n.left_attribute is not None:
         conjuncts.append(Does(subject, IsAdj(Polarity.POS, n.left_attribute)))
-    match n.right_attribute:
-        case IsPred(predicate):
-            conjuncts.append(Does(subject, predicate))
-        case SuchThat(statement):
-            conjuncts.append(statement)
+    attribute = n.right_attribute
+    if type(attribute) is IsPred:
+        conjuncts.append(Does(subject, attribute.predicate))
+    elif type(attribute) is SuchThat:
+        conjuncts.append(attribute.statement)
     return Notion(n.head, n.name, None, SuchThat(_conjoin(conjuncts)))
 
 
@@ -258,8 +263,9 @@ def _split_one(stmt: Statement) -> list[Statement]:
 def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     """Full normalization; the result satisfies the normal-form invariants.
 
-    One walk names each unnamed notion and rewrites each node to a local
-    fixpoint; each result is recorded as normal, so a re-walk stops there.
+    One walk names each unnamed notion and rewrites each clause and notion
+    to a local fixpoint; each is recorded as normal with the next fresh id,
+    so a re-walk at that id stops there.
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and a subtree or an assumptions tuple the parses share is
     normalized once.
@@ -271,9 +277,16 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     normal = memo.setdefault(simplify, {})
 
     def normalize(n):
-        if type(n) is Unnamed:
+        cls = type(n)
+        if cls is Does:
+            # a unified clause has nothing to raise
+            rewritten = _raise_does(_unify_one(n))
+        elif cls is Notion:
+            rewritten = _flatten_one(n)
+        elif cls is Unnamed:
             return Meta(supply.fresh())
-        rewritten = _normalize_one(n)
+        else:
+            return n
         if rewritten is not n:
             return transform(rewritten, normalize, normal, supply)
         normal[id(n), supply.next_id] = (n, n, supply.next_id)
@@ -282,16 +295,6 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     example = transform(text, normalize, normal, supply).example
     assumptions = once(memo, _split_all, example.assumptions)
     return ForthelText(Example(assumptions, example.conclusion))
-
-
-def _normalize_one(n):
-    cls = type(n)
-    if cls is Does:
-        unified = _unify_one(n)
-        return unified if unified is not n else _raise_does(n)
-    if cls is Notion:
-        return _flatten_one(n)
-    return n
 
 
 # --- normal-form checking ----------------------------------------------------------------

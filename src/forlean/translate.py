@@ -10,6 +10,9 @@ Translation is pure, so ``translate_text`` caches it in a memo that
 ``run_pipeline`` shares among the parses of a text: each statement and
 assumptions tuple the parses share is translated once, and the parses then
 share its Lean image too.
+
+Per-node functions test ``type(node) is C``, most frequent class first: a
+``match`` class pattern is an ``isinstance`` test, tried case after case.
 """
 
 from __future__ import annotations
@@ -61,42 +64,42 @@ _RELATIONS = _LEXICON.images(Category.RAW_ADJECTIVE1)
 
 
 def _binder_name(notion: ftl.Notion) -> str:
-    match notion.name:
-        case ftl.Named(letter):
-            return letter
-        case ftl.Meta(ident):
-            return f"x{ident}"
+    name = notion.name
+    if type(name) is ftl.Named:
+        return name.letter
+    if type(name) is ftl.Meta:
+        return f"x{name.ident}"
     raise UntranslatableNode(f"unnamed notion {notion!r}")
 
 
 def translate_term(t: ftl.Term) -> LeanTerm:
-    match t:
-        case ftl.Var(name):
-            return VarT(name)
-        case ftl.MetaVar(ident):
-            return VarT(f"x{ident}")
-        case ftl.IntLit(value):
-            return LitT(value)
-        case ftl.BinApp(op, left, right):
-            return ArithT(_OPERATORS[op], translate_term(left), translate_term(right))
-        case ftl.Quantified():
-            raise UntranslatableNode("in-situ quantified term (simplifier should have raised it)")
+    cls = type(t)
+    if cls is ftl.Var:
+        return VarT(t.name)
+    if cls is ftl.BinApp:
+        return ArithT(_OPERATORS[t.op], translate_term(t.left), translate_term(t.right))
+    if cls is ftl.IntLit:
+        return LitT(t.value)
+    if cls is ftl.MetaVar:
+        return VarT(f"x{t.ident}")
+    if cls is ftl.Quantified:
+        raise UntranslatableNode("in-situ quantified term (simplifier should have raised it)")
     raise TypeError(f"not a term: {t!r}")
 
 
 def translate_predicate(subject: LeanTerm, p: ftl.Predicate) -> LeanProp:
-    match p:
-        case ftl.IsAdj(polarity, adjective):
-            prop: LeanProp = PredApp(_PREDICATES[adjective], subject)
-        case ftl.IsAdj1(polarity, adjective, term):
-            prop = Rel(_RELATIONS[adjective], subject, translate_term(term))
-        case ftl.IsTerm(polarity, term):
-            prop = Rel("=", subject, translate_term(term))
-        case ftl.IsNotion():
-            raise UntranslatableNode("notion predicate (simplifier should have split it)")
-        case _:
-            raise TypeError(f"not a predicate: {p!r}")
-    return NotP(prop) if polarity is Polarity.NEG else prop
+    cls = type(p)
+    if cls is ftl.IsAdj1:
+        prop: LeanProp = Rel(_RELATIONS[p.adjective], subject, translate_term(p.term))
+    elif cls is ftl.IsAdj:
+        prop = PredApp(_PREDICATES[p.adjective], subject)
+    elif cls is ftl.IsTerm:
+        prop = Rel("=", subject, translate_term(p.term))
+    elif cls is ftl.IsNotion:
+        raise UntranslatableNode("notion predicate (simplifier should have split it)")
+    else:
+        raise TypeError(f"not a predicate: {p!r}")
+    return NotP(prop) if p.polarity is Polarity.NEG else prop
 
 
 def _condition(notion: ftl.Notion, memo) -> LeanProp | None:
@@ -116,31 +119,33 @@ def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
     hit = memo.get(id(s))
     if hit is not None:
         return hit[1]
-    match s:
-        case ftl.And(l, r) | ftl.Or(l, r) | ftl.IfThen(l, r) | ftl.Iff(l, r):
-            prop = _CONNECTIVES[type(s)](translate_statement(l, memo), translate_statement(r, memo))
-        case ftl.Not(body):
-            prop = NotP(translate_statement(body, memo))
-        case ftl.ForQuantified(ftl.QuantifiedNotion(quantifier, notion), body):
-            prop = translate_statement(body, memo)
-            name, type_ = _binder_name(notion), _TYPES[notion.head]
-            if quantifier is Quantifier.NO:
-                prop = NotP(prop)
-            condition = _condition(notion, memo)
-            if condition is not None:
-                prop = (AndP if quantifier is Quantifier.SOME else Imp)(condition, prop)
-            prop = (Exists if quantifier is Quantifier.SOME else Forall)(name, type_, prop)
-        case ftl.Does(subject, predicate):
-            prop = translate_predicate(translate_term(subject), predicate)
-        case ftl.ThereExists(notion) | ftl.ThereExistsNo(notion):
-            condition = _condition(notion, memo)
-            if condition is None:
-                raise UntranslatableNode("existential without a condition has no Lean image")
-            prop = Exists(_binder_name(notion), _TYPES[notion.head], condition)
-            if type(s) is ftl.ThereExistsNo:
-                prop = NotP(prop)
-        case _:
-            raise TypeError(f"not a statement: {s!r}")
+    cls = type(s)
+    if cls is ftl.Does:
+        prop = translate_predicate(translate_term(s.subject), s.predicate)
+    elif cls in _CONNECTIVES:
+        left, right = s.__dict__.values()
+        prop = _CONNECTIVES[cls](translate_statement(left, memo), translate_statement(right, memo))
+    elif cls is ftl.ForQuantified and type(s.qnotion) is ftl.QuantifiedNotion:
+        quantifier, notion = s.qnotion.quantifier, s.qnotion.notion
+        prop = translate_statement(s.body, memo)
+        name, type_ = _binder_name(notion), _TYPES[notion.head]
+        if quantifier is Quantifier.NO:
+            prop = NotP(prop)
+        condition = _condition(notion, memo)
+        if condition is not None:
+            prop = (AndP if quantifier is Quantifier.SOME else Imp)(condition, prop)
+        prop = (Exists if quantifier is Quantifier.SOME else Forall)(name, type_, prop)
+    elif cls is ftl.Not:
+        prop = NotP(translate_statement(s.body, memo))
+    elif cls is ftl.ThereExists or cls is ftl.ThereExistsNo:
+        condition = _condition(s.notion, memo)
+        if condition is None:
+            raise UntranslatableNode("existential without a condition has no Lean image")
+        prop = Exists(_binder_name(s.notion), _TYPES[s.notion.head], condition)
+        if cls is ftl.ThereExistsNo:
+            prop = NotP(prop)
+    else:
+        raise TypeError(f"not a statement: {s!r}")
     memo[id(s)] = (s, prop)
     return prop
 
