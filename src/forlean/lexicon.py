@@ -40,7 +40,6 @@ __all__ = [
     "TokenKind",
     "UnknownCharacter",
     "default_lexicon",
-    "detokenize",
     "preprocess",
     "tokenize",
 ]
@@ -131,11 +130,6 @@ def tokenize(text: str) -> list[Token]:
             raise TokenError("integer literal too long", span) from None
         append(new(Token, (kind, lexeme, value, span)))
     return tokens
-
-
-def detokenize(tokens: Iterable[Token]) -> str:
-    """Join token texts with single spaces (inverse of tokenize up to spans)."""
-    return " ".join(t.text for t in tokens)
 
 
 class Category(Enum):

@@ -13,7 +13,7 @@ from .forthel import ForthelText
 from .lean import DuplicateBinderName, LeanCommand, print_command
 from .lexicon import Token, TokenError, preprocess, tokenize
 from .parsing import Diagnostic, parse_text
-from .simplify import simplify
+from .simplify import reserved_ids, simplify
 from .translate import UntranslatableNode, translate_text
 
 __all__ = ["PipelineTrace", "run_pipeline", "split_texts"]
@@ -58,7 +58,8 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
         # work once per shared subtree.  Each stage is called once per parse
         # with positional arguments only, as the bench's stage spans expect
         memo: dict = {}
-        normals = tuple(simplify(tree, memo) for tree in parses)
+        reserved = reserved_ids(tokens)
+        normals = tuple(simplify(tree, reserved, memo) for tree in parses)
         commands = tuple(translate_text(normal, memo) for normal in normals)
         printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
     except RecursionError:

@@ -13,11 +13,14 @@ Assumption splitting runs last.  Per-node functions test ``type(node) is
 C``, most frequent class first: a ``match`` class pattern is an
 ``isinstance`` test, tried case after case.
 
-``simplify`` caches its work in a memo that ``run_pipeline`` shares among
-the parses of a text, so each subtree they share is done once: the names in
-use are collected from the first parse (every parse holds the same generated
-names, each read from a ``(x N)`` token group), a node's result is cached per
-node identity and next fresh id, and a shared assumptions tuple is split once.
+``simplify`` takes the ids a text reserves, the N of each ``(x N)`` token
+group (``reserved_ids``), and draws its fresh ids around them: a word holds
+letters only, so no user-written name is ``x<n>``.  It caches its work in a
+memo that ``run_pipeline`` shares among the parses of a text, so each
+subtree they share is done once: a node's result is cached per node
+identity and next fresh id, and a shared assumptions tuple is split once.
+Nothing about names goes into the memo: a node belongs to one text, whose
+tokens fix the reserved ids.
 """
 
 from __future__ import annotations
@@ -48,19 +51,10 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .tree import iter_nodes, once, transform
+from .lexicon import Token
+from .tree import once, transform
 
-__all__ = [
-    "NameSupply",
-    "assign_names",
-    "flatten_attributes",
-    "is_normal_form",
-    "normal_form_violations",
-    "raise_quantifiers",
-    "simplify",
-    "split_assumptions",
-    "unify_variables",
-]
+__all__ = ["NameSupply", "reserved_ids", "simplify"]
 
 
 # --- names ---------------------------------------------------------------------
@@ -68,34 +62,27 @@ __all__ = [
 
 @dataclass
 class NameSupply:
-    """Source of fresh metavariable ids, avoiding every name already in use."""
+    """Source of fresh metavariable ids, skipping the ids a text reserves."""
 
-    used_names: frozenset[str] = frozenset()
+    reserved: frozenset[int]
     next_id: int = 1
 
     def fresh(self) -> int:
-        while f"x{self.next_id}" in self.used_names:
+        while self.next_id in self.reserved:
             self.next_id += 1
         ident = self.next_id
         self.next_id += 1
         return ident
 
-    @classmethod
-    def for_text(cls, text: ForthelText) -> "NameSupply":
-        return cls(used_names=frozenset(_names_in(text)))
 
-
-def _names_in(node) -> set[str]:
-    names: set[str] = set()
-    for n in iter_nodes(node):
-        cls = type(n)
-        if cls is Var:
-            names.add(n.name)
-        elif cls is Named:
-            names.add(n.letter)
-        elif cls is Meta or cls is MetaVar:
-            names.add(f"x{n.ident}")
-    return names
+def reserved_ids(tokens: list[Token]) -> frozenset[int]:
+    """The N of every ``( x N )`` group in ``tokens``: the ids of the
+    generated names a text writes itself."""
+    return frozenset(
+        n.value
+        for o, x, n, c in zip(tokens, tokens[1:], tokens[2:], tokens[3:])
+        if x.text == "x" and o.text == "(" and c.text == ")" and n.value is not None
+    )
 
 
 def _name_ref(notion: Notion) -> Term:
@@ -107,25 +94,12 @@ def _name_ref(notion: Notion) -> Term:
     raise ValueError(f"notion {notion!r} has no name")
 
 
-# --- fresh names --------------------------------------------------------------
-
-
-def assign_names(text: ForthelText, supply: NameSupply) -> ForthelText:
-    """Replace every unnamed notion slot by a fresh metavariable name, in
-    field order."""
-    return transform(text, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n)
-
-
 # --- variable unification -------------------------------------------------------
 
 
-def unify_variables(text: ForthelText) -> ForthelText:
+def _unify_one(n):
     """In "v is a <notion named (x n)>", rename the metavariable to v,
     including every reference to it inside the notion's condition."""
-    return transform(text, _unify_one)
-
-
-def _unify_one(n):
     if type(n) is Does and type(n.subject) is Var and type(n.predicate) is IsNotion:
         notion = n.predicate.notion
         if type(notion.name) is Meta:
@@ -149,16 +123,10 @@ def _substitute_meta(node, ident: int, letter: str):
 # --- quantifier raising ----------------------------------------------------------
 
 
-def raise_quantifiers(stmt: Statement) -> Statement:
-    """Turn in-situ quantified terms into leading ex-situ quantifiers.
-
-    In each clause the subject is raised first, then quantified terms inside
-    the predicate, left to right; earlier raisings scope over later ones.
-    """
-    return transform(stmt, _raise_does)
-
-
 def _raise_does(does):
+    """Turn the in-situ quantified terms of a clause into leading ex-situ
+    quantifiers: the subject first, then those inside the predicate, left to
+    right; earlier raisings scope over later ones."""
     if type(does) is not Does:
         return does
     subject, predicate = does.subject, does.predicate
@@ -200,14 +168,9 @@ def _replace_first(t: Term, target: Quantified, ref: Term) -> Term:
 # --- attribute flattening ---------------------------------------------------------
 
 
-def flatten_attributes(node):
-    """In every notion of ``node``, rewrite the left adjective and an
-    adjectival right attribute as a single such-that condition; conjunct
-    order is left attribute first."""
-    return transform(node, _flatten_one)
-
-
 def _flatten_one(n):
+    """Rewrite a notion's left adjective and an adjectival right attribute as
+    a single such-that condition; conjunct order is left attribute first."""
     if type(n) is not Notion:
         return n
     if n.left_attribute is None and not isinstance(n.right_attribute, IsPred):
@@ -233,13 +196,9 @@ def _conjoin(conjuncts: list[Statement]) -> Statement:
 # --- assumption splitting -----------------------------------------------------------
 
 
-def split_assumptions(ex: Example) -> Example:
+def _split_all(assumptions: tuple[Statement, ...]) -> tuple[Statement, ...]:
     """Split conjunctive assumptions, and "v is a <notion such that S>" into
     the bare typing assumption followed by the conjuncts of S."""
-    return Example(_split_all(ex.assumptions), ex.conclusion)
-
-
-def _split_all(assumptions: tuple[Statement, ...]) -> tuple[Statement, ...]:
     return tuple(piece for assumption in assumptions for piece in _split_one(assumption))
 
 
@@ -260,20 +219,19 @@ def _split_one(stmt: Statement) -> list[Statement]:
 # --- the composed pass ----------------------------------------------------------------
 
 
-def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
+def simplify(text: ForthelText, reserved: frozenset[int], memo: dict | None = None) -> ForthelText:
     """Full normalization; the result satisfies the normal-form invariants.
 
-    One walk names each unnamed notion and rewrites each clause and notion
-    to a local fixpoint; each is recorded as normal with the next fresh id,
-    so a re-walk at that id stops there.
+    One walk names each unnamed notion with a fresh id not in ``reserved``
+    (``reserved_ids`` of the text's tokens) and rewrites each clause and
+    notion to a local fixpoint; each is recorded as normal with the next
+    fresh id, so a re-walk at that id stops there.
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and a subtree or an assumptions tuple the parses share is
     normalized once.
     """
     memo = {} if memo is None else memo
-    if NameSupply not in memo:
-        memo[NameSupply] = NameSupply.for_text(text).used_names
-    supply = NameSupply(memo[NameSupply])
+    supply = NameSupply(reserved)
     normal = memo.setdefault(simplify, {})
 
     def normalize(n):
@@ -295,32 +253,3 @@ def simplify(text: ForthelText, memo: dict | None = None) -> ForthelText:
     example = transform(text, normalize, normal, supply).example
     assumptions = once(memo, _split_all, example.assumptions)
     return ForthelText(Example(assumptions, example.conclusion))
-
-
-# --- normal-form checking ----------------------------------------------------------------
-
-
-def normal_form_violations(text: ForthelText) -> tuple[str, ...]:
-    """Why ``text`` is not in simplifier normal form; empty when it is."""
-    problems: list[str] = []
-    for node in iter_nodes(text):
-        match node:
-            case Unnamed():
-                problems.append("unnamed notion")
-            case Quantified():
-                problems.append("in-situ quantified term")
-            case Notion(_, _, left, right):
-                if left is not None:
-                    problems.append(f"left attribute {left}")
-                if isinstance(right, IsPred):
-                    problems.append("adjectival right attribute")
-    for assumption in text.example.assumptions:
-        if isinstance(assumption, And):
-            problems.append("conjunctive assumption")
-        elif _split_one(assumption) != [assumption]:
-            problems.append("unsplit typing assumption")
-    return tuple(problems)
-
-
-def is_normal_form(text: ForthelText) -> bool:
-    return not normal_form_violations(text)

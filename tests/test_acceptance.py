@@ -5,11 +5,11 @@ import io
 import time
 from contextlib import contextmanager
 
-from conftest import canonical, parse_source
+from conftest import canonical, parse_source, reserved
 from forlean.corpus import check_cases
 from forlean.lean import alpha_equivalent, normalize_names, print_command, print_term
 from forlean.lean_reader import read_command
-from forlean.lexicon import detokenize, preprocess, tokenize
+from forlean.lexicon import preprocess, tokenize
 from forlean.parsing import parse_term
 from forlean.pipeline import run_pipeline
 from forlean.simplify import simplify
@@ -125,8 +125,9 @@ def test_criterion_5_precedence(corpus_cases):
             assert print_term(translate_term(term)) == grouping, expression
         # grouping inside every corpus case agrees with its expected output
         for case in corpus_cases:
+            ids = reserved(case.input)
             got = sorted(
-                canonical(print_command(normalize_names(translate_text(simplify(tree)))))
+                canonical(print_command(normalize_names(translate_text(simplify(tree, ids)))))
                 for tree in parse_source(case.input).expect_trees()
             )
             expected = sorted(canonical(e) for e in case.expected)
@@ -138,7 +139,7 @@ def test_criterion_6_property_suites(corpus_cases):
         assert check_generated_sentences(250) >= 250
         for case in corpus_cases:
             tokens = tokenize(preprocess(case.input))
-            assert tokenize(detokenize(tokens)) == tokens
+            assert tokenize(" ".join(t.text for t in tokens)) == tokens
         for case in corpus_cases:
             for expected in case.expected:
                 command = read_command(expected)

@@ -159,13 +159,13 @@ def test_linearization_injective_up_to_ambiguity(corpus_cases):
     # distinct normal forms may share a surface string only when that string
     # is genuinely ambiguous (e.g. polarity "not" + "equal to" versus the
     # lexical "not equal to"); any collision must reparse to all its trees
-    from conftest import parse_source
+    from conftest import parse_source, reserved
     from forlean.simplify import simplify
 
     by_string: dict[str, list] = {}
     for case in corpus_cases:
         for tree in parse_source(case.input).expect_trees():
-            normal = simplify(tree)
+            normal = simplify(tree, reserved(case.input))
             group = by_string.setdefault(linearize_forthel(normal), [])
             if normal not in group:
                 group.append(normal)

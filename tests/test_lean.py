@@ -99,11 +99,13 @@ def print_command_minimal(command: LeanCommand) -> str:
 
 def test_star_import():
     # a star import fails on any name in __all__ that the module lacks
-    for module in pkgutil.iter_modules(forlean.__path__, "forlean."):
+    for module in ["forlean", *(m.name for m in pkgutil.iter_modules(forlean.__path__, "forlean."))]:
         namespace: dict = {}
-        exec(f"from {module.name} import *", namespace)
-        if module.name == "forlean.lean":
+        exec(f"from {module} import *", namespace)
+        if module == "forlean.lean":
             assert "print_command" in namespace
+        if module == "forlean":
+            assert {"run_pipeline", "simplify", "reserved_ids"} <= namespace.keys()
 
 
 class TestPrintTerm:

@@ -4,12 +4,13 @@ quantifier semantics."""
 
 import random
 
-from conftest import parse_source
+from conftest import parse_source, reserved
 from forlean.lean import AndP, ArithT, Exists, Forall, IffP, Imp, LitT, NotP, OrP, PredApp, Rel, VarT
-from forlean.lexicon import detokenize, preprocess, tokenize
+from forlean.lexicon import preprocess, tokenize
 from forlean.parsing import parse_text
-from forlean.simplify import is_normal_form, simplify
+from forlean.simplify import simplify
 from forlean.translate import translate_text
+from normal_form import is_normal_form
 
 # --- grammatical sentence generator -------------------------------------------
 
@@ -145,9 +146,9 @@ def check_generated_sentences(count: int = 250) -> int:
     for source in generate_sentences(count):
         trees = parse_source(source).expect_trees()
         for tree in trees:
-            normal = simplify(tree)
+            normal = simplify(tree, reserved(source))
             assert is_normal_form(normal), source
-            assert simplify(normal) == normal, source
+            assert simplify(normal, reserved(source)) == normal, source
             checked += 1
     return checked
 
@@ -159,7 +160,7 @@ def test_generated_sentences_parse_and_normalize():
 def test_generated_sentences_tokenize_roundtrip():
     for source in generate_sentences(100, seed=7):
         tokens = tokenize(preprocess(source))
-        assert tokenize(detokenize(tokens)) == tokens
+        assert tokenize(" ".join(t.text for t in tokens)) == tokens
 
 
 def test_random_token_streams_roundtrip():
@@ -179,7 +180,7 @@ def test_random_token_streams_roundtrip():
                 pieces.append(".")
         text = " ".join(pieces)
         tokens = tokenize(text)
-        assert tokenize(detokenize(tokens)) == tokens
+        assert tokenize(" ".join(t.text for t in tokens)) == tokens
         result = parse_text(tokens)
         if not result.ok:
             # a failed parse names what it expected, at bytes of this stream
@@ -313,8 +314,9 @@ QUANTIFIER_CASES = [
 
 
 def goal_formula(conclusion: str):
-    (tree,) = parse_source(f"Ex. Then {conclusion}.").expect_trees()
-    command = translate_text(simplify(tree))
+    source = f"Ex. Then {conclusion}."
+    (tree,) = parse_source(source).expect_trees()
+    command = translate_text(simplify(tree, reserved(source)))
     assert command.binders == ()
     return command.goal
 

@@ -1,10 +1,11 @@
 import importlib
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from conftest import parse_source
+from conftest import parse_source, reserved
 from forlean.forthel import (
     And,
     Does,
@@ -27,23 +28,25 @@ from forlean.forthel import (
     linearize_forthel,
 )
 from forlean.lean import print_command
-from forlean.pipeline import run_pipeline
+from forlean.lexicon import preprocess, tokenize
+from forlean.parsing import parse_text
+from forlean.pipeline import run_pipeline, split_texts
 from forlean.simplify import (
     NameSupply,
-    assign_names,
-    flatten_attributes,
-    is_normal_form,
-    normal_form_violations,
-    raise_quantifiers,
+    _flatten_one,
+    _raise_does,
+    _split_all,
+    _unify_one,
+    reserved_ids,
     simplify,
-    split_assumptions,
-    unify_variables,
 )
 from forlean.translate import UntranslatableNode, translate_text
-from forlean.tree import transform
+from forlean.tree import iter_nodes, transform
+from normal_form import is_normal_form, normal_form_violations
 from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 POS = Polarity.POS
+DATA = Path(__file__).parent / "data"
 # multi-parse texts with unnamed notions in the ambiguous part, with
 # user-written metavariables, which fresh names skip, and with conjunctive,
 # splitting or ambiguous assumptions
@@ -84,24 +87,29 @@ def first_parse(source: str):
     return parse_source(source).expect_trees()[0]
 
 
+def named_first_parse(source: str):
+    """The first parse of ``source``, each unnamed notion given a fresh id in
+    field order."""
+    supply = NameSupply(reserved(source))
+    return transform(first_parse(source), lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n)
+
+
 class TestAssignNames:
     def test_unnamed_get_distinct_fresh_ids(self):
-        tree = first_parse(
+        named = named_first_parse(
             "Ex. Assume x is an integer. Assume x is greater than 2. "
             "Then no odd integer less than 1 is greater than x."
         )
-        named = assign_names(tree, NameSupply.for_text(tree))
         ids = [m.ident for m in _collect(named, Meta)]
         assert len(ids) == 2
         assert len(set(ids)) == 2  # pairwise distinct
 
     def test_fixpoint_when_everything_named(self):
-        tree = first_parse("Ex. Assume x is an integer x. Then x is odd.")
-        assert assign_names(tree, NameSupply.for_text(tree)) == tree
+        source = "Ex. Assume x is an integer x. Then x is odd."
+        assert named_first_parse(source) == first_parse(source)
 
     def test_two_unnamed_in_one_sentence(self):
-        tree = first_parse("Ex. Then every integer is greater than some integer.")
-        named = assign_names(tree, NameSupply.for_text(tree))
+        named = named_first_parse("Ex. Then every integer is greater than some integer.")
         ids = [m.ident for m in _collect(named, Meta)]
         assert len(ids) == 2 and ids[0] != ids[1]
 
@@ -112,12 +120,12 @@ class TestAssignNames:
         def fresh_names(supply):
             return transform(stmt, lambda n: Meta(supply.fresh()) if type(n) is Unnamed else n, memo, supply)
 
-        first = fresh_names(NameSupply())
-        supply = NameSupply()
+        first = fresh_names(NameSupply(frozenset()))
+        supply = NameSupply(frozenset())
         assert fresh_names(supply) is first  # a hit
         assert supply.next_id == 2  # as the first visit left it
         assert first.predicate.notion.name == Meta(1)
-        later = NameSupply(next_id=5)  # the same subtree after four fresh names
+        later = NameSupply(frozenset(), next_id=5)  # the same subtree after four fresh names
         assert fresh_names(later).predicate.notion.name == Meta(5)
         assert later.next_id == 6
 
@@ -126,7 +134,7 @@ class TestUnifyVariables:
     def test_meta_unifies_with_subject_variable(self):
         stmt = Does(Var("x"), IsNotion(POS, Notion("RATIONAL_NUMBER", Meta(6))))
         text = ForthelText(Example((stmt,), Does(Var("x"), IsAdj(POS, "ODD"))))
-        unified = unify_variables(text)
+        unified = transform(text, _unify_one)
         assert unified.example.assumptions[0] == Does(
             Var("x"), IsNotion(POS, Notion("RATIONAL_NUMBER", Named("x")))
         )
@@ -134,12 +142,12 @@ class TestUnifyVariables:
     def test_non_variable_subject_keeps_meta(self):
         stmt = Does(IntLit(4), IsNotion(POS, Notion("INTEGER", Meta(7))))
         text = ForthelText(Example((stmt,), Does(Var("x"), IsAdj(POS, "ODD"))))
-        assert unify_variables(text) == text
+        assert transform(text, _unify_one) == text
 
     def test_already_named_unchanged(self):
         stmt = Does(Var("x"), IsNotion(POS, Notion("INTEGER", Named("x"))))
         text = ForthelText(Example((stmt,), Does(Var("x"), IsAdj(POS, "ODD"))))
-        assert unify_variables(text) == text
+        assert transform(text, _unify_one) == text
 
 
 class TestRaiseQuantifiers:
@@ -147,18 +155,17 @@ class TestRaiseQuantifiers:
         stmt = first_parse(
             "Ex. Then every integer x greater than 1 is greater than 2."
         ).example.conclusion
-        raised = raise_quantifiers(stmt)
+        raised = transform(stmt, _raise_does)
         assert isinstance(raised, ForQuantified)
         assert linearize_forthel(raised) == (
             "for every integer x greater than 1, x is greater than 2"
         )
 
     def test_subject_then_predicate_nesting(self):
-        tree = first_parse(
+        named = named_first_parse(
             "Ex. Then no even integer greater than x is less than every negative integer."
         )
-        named = assign_names(tree, NameSupply.for_text(tree))
-        raised = raise_quantifiers(named.example.conclusion)
+        raised = transform(named.example.conclusion, _raise_does)
         # subject quantifier outermost, predicate quantifier nested inside
         assert isinstance(raised, ForQuantified)
         assert raised.qnotion.quantifier.value == "no"
@@ -169,15 +176,14 @@ class TestRaiseQuantifiers:
 
     def test_no_quantified_terms_is_noop(self):
         stmt = first_parse("Ex. Then x is greater than 3.").example.conclusion
-        assert raise_quantifiers(stmt) == stmt
+        assert transform(stmt, _raise_does) == stmt
 
     def test_quantifier_inside_adjectival_attribute_is_raised(self):
-        tree = first_parse(
+        named = named_first_parse(
             "Ex. Then x is an integer less than some integer y such that "
             "y is greater than every real number."
         )
-        named = assign_names(tree, NameSupply.for_text(tree))
-        raised = raise_quantifiers(named.example.conclusion)
+        raised = transform(named.example.conclusion, _raise_does)
         assert linearize_forthel(raised) == (
             "x is an integer (x 1) less than some integer y such that "
             "for every real number (x 2), y is greater than (x 2)"
@@ -192,7 +198,7 @@ class TestFlattenAttributes:
             left_attribute="ODD",
             right_attribute=IsPred(IsAdj1(POS, "GREATER_THAN", IntLit(1))),
         )
-        assert flatten_attributes(notion) == Notion(
+        assert transform(notion, _flatten_one) == Notion(
             "INTEGER",
             Named("x"),
             None,
@@ -203,7 +209,7 @@ class TestFlattenAttributes:
                 )
             ),
         )
-        assert linearize_forthel(flatten_attributes(notion)) == (
+        assert linearize_forthel(transform(notion, _flatten_one)) == (
             "an integer x such that x is odd and x is greater than 1"
         )
 
@@ -214,7 +220,7 @@ class TestFlattenAttributes:
             left_attribute="NONNEGATIVE",
             right_attribute=SuchThat(Does(Var("a"), IsAdj(POS, "POSITIVE"))),
         )
-        flattened = flatten_attributes(notion)
+        flattened = transform(notion, _flatten_one)
         condition = flattened.right_attribute.statement
         assert condition == And(
             Does(Var("a"), IsAdj(POS, "NONNEGATIVE")),
@@ -223,24 +229,19 @@ class TestFlattenAttributes:
 
     def test_bare_notion_unchanged(self):
         notion = Notion("INTEGER", Named("x"))
-        assert flatten_attributes(notion) == notion
+        assert transform(notion, _flatten_one) == notion
 
     def test_meta_named_notion_uses_meta_reference(self):
         notion = Notion("INTEGER", Meta(35), left_attribute="ODD")
-        flattened = flatten_attributes(notion)
+        flattened = transform(notion, _flatten_one)
         assert flattened.right_attribute == SuchThat(Does(MetaVar(35), IsAdj(POS, "ODD")))
 
 
 class TestSplitAssumptions:
     def split_sources(self, source):
-        tree = first_parse(source)
-        supply = NameSupply.for_text(tree)
-        prepared = unify_variables(assign_names(tree, supply))
-        flattened = flatten_attributes(prepared)
-        return [
-            linearize_forthel(a)
-            for a in split_assumptions(flattened.example).assumptions
-        ]
+        prepared = transform(named_first_parse(source), _unify_one)
+        flattened = transform(prepared, _flatten_one)
+        return [linearize_forthel(a) for a in _split_all(flattened.example.assumptions)]
 
     def test_adjectives_split_into_separate_assumptions(self):
         assert self.split_sources("Ex. Assume x is an odd integer greater than 3. Then x is odd.") == [
@@ -264,7 +265,7 @@ class TestSplitAssumptions:
 
 class TestSimplify:
     def test_worked_example(self):
-        tree = first_parse(
+        source = (
             "Ex. Assume x is an integer. Assume x is greater than 2. "
             "Then no odd integer less than 1 is greater than x."
         )
@@ -273,13 +274,12 @@ class TestSimplify:
             "then for no integer (x 35) such that (x 35) is odd and (x 35) is less than 1, "
             "(x 35) is greater than x."
         )
-        assert canon_ids(linearize_forthel(simplify(tree))) == canon_ids(expected)
+        normal = simplify(first_parse(source), reserved(source))
+        assert canon_ids(linearize_forthel(normal)) == canon_ids(expected)
 
     def test_attribute_on_typing_assumption(self):
-        tree = first_parse(
-            "Ex. Assume x is a rational number equal to 2 * 2. Then x is greater than 3."
-        )
-        normal = simplify(tree)
+        source = "Ex. Assume x is a rational number equal to 2 * 2. Then x is greater than 3."
+        normal = simplify(first_parse(source), reserved(source))
         assert [linearize_forthel(a) for a in normal.example.assumptions] == [
             "x is a rational number x",
             "x is equal to 2 * 2",
@@ -288,13 +288,13 @@ class TestSimplify:
     def test_idempotent_on_corpus(self, corpus_cases):
         for case in corpus_cases:
             for tree in parse_source(case.input).expect_trees():
-                normal = simplify(tree)
-                assert simplify(normal) == normal, case.id
+                normal = simplify(tree, reserved(case.input))
+                assert simplify(normal, reserved(case.input)) == normal, case.id
 
     def test_normal_form_accepted(self, corpus_cases):
         for case in corpus_cases:
             for tree in parse_source(case.input).expect_trees():
-                assert is_normal_form(simplify(tree)), case.id
+                assert is_normal_form(simplify(tree, reserved(case.input))), case.id
 
     def test_raw_parses_rejected(self, corpus_cases):
         # every corpus input names a type via an unnamed notion, so no raw
@@ -314,31 +314,74 @@ class TestSimplify:
         assert "in-situ quantified term" in normal_form_violations(tree)
 
     def test_unsplit_typing_assumption_rejected(self):
-        (tree,) = parse_source(
-            "Ex. Assume x is an integer x such that x is odd. Then x is odd."
-        ).expect_trees()
+        source = "Ex. Assume x is an integer x such that x is odd. Then x is odd."
+        (tree,) = parse_source(source).expect_trees()
         assert "unsplit typing assumption" in normal_form_violations(tree)
-        assert is_normal_form(simplify(tree))
+        assert is_normal_form(simplify(tree, reserved(source)))
 
 
 class TestNameSupply:
     def test_skips_names_already_in_use(self):
-        supply = NameSupply(used_names=frozenset({"x1", "x3"}))
+        supply = NameSupply(frozenset({1, 3}))
         assert [supply.fresh() for _ in range(4)] == [2, 4, 5, 6]
 
-    def test_collects_user_and_generated_names(self):
-        (tree,) = parse_source(
-            "Ex. Assume y is an integer (x 2). Then y is odd."
-        ).expect_trees()
-        supply = NameSupply.for_text(tree)
-        assert {"y", "x2"} <= supply.used_names
+    def test_reserves_the_ids_written_in_the_tokens(self):
+        # a word holds letters only, so the user's y can never be x<n>
+        supply = NameSupply(reserved("Ex. Assume y is an integer (x 2). Then y is odd."))
+        assert supply.reserved == {2}
         assert supply.fresh() == 1
         assert supply.fresh() == 3
+
+    def test_reserved_ids_are_the_generated_names_of_every_parse(self, corpus_cases):
+        # the walk simplify no longer makes: every parse holds a Meta or
+        # MetaVar for each ( x N ) group of its tokens, and no other
+        def idents(tree):
+            return {n.ident for n in iter_nodes(tree) if type(n) in (Meta, MetaVar)}
+
+        generator = QuantifiedOperandGenerator(seed=2121)
+        probes = [
+            "Ex. Assume x is an integer (x 0). Then x is odd.",
+            "Ex. Then (x 01) is less than some integer.",
+            "Ex. Assume y is an integer (x 2). Then (x 3) is less than y and y is a real number (x 7).",
+        ]
+        sources = [
+            *(case.input for case in corpus_cases),
+            *(DATA / "translate.input").read_text("utf-8").splitlines(),
+            *generate_sentences(300),
+            *(generator.text() for _ in range(200)),
+            *probes,
+        ]
+        reserving = 0
+        for source in sources:
+            for tokens in split_texts(tokenize(preprocess(source))):
+                ids = reserved_ids(tokens)
+                reserving += bool(ids)
+                for tree in parse_text(tokens).trees:
+                    assert ids == idents(tree), source
+        assert reserving >= len(probes) and all(parse_source(probe).trees for probe in probes)
+        assert [reserved(probe) for probe in probes] == [{0}, {1}, {2, 3, 7}]
+        # -1 is no id: the group does not parse, and the text prints nothing
+        (trace,) = run_pipeline("Ex. Then ( x -1 ) is less than some integer.")
+        assert not trace.parses and not trace.printed and trace.diagnostics
+
+    def test_a_memo_shared_by_two_texts_keeps_each_texts_reserved_ids(self):
+        # the second text's (x 1) is not captured by the fresh name that
+        # the first text, which reserves nothing, gave its integer
+        def printed(source, memo):
+            trees, ids = parse_source(source).trees, reserved(source)
+            return [print_command(translate_text(simplify(t, ids, memo))) for t in trees]
+
+        first, second = "Ex. Then every integer is even.", "Ex. Then (x 1) is less than some integer."
+        memo: dict = {}
+        assert printed(first, memo) == printed(first, {})
+        assert printed(second, memo) == printed(second, {}) == [
+            "example : ∃ (x2 : ℤ), x1 < x2 := sorry"
+        ]
 
     def test_fresh_names_disjoint_from_user_variables(self, corpus_cases):
         for case in corpus_cases:
             for tree in parse_source(case.input).expect_trees():
-                normal = simplify(tree)
+                normal = simplify(tree, reserved(case.input))
                 user = {v.name for v in _collect(tree, Var)}
                 generated = {f"x{m.ident}" for m in _collect(normal, Meta)}
                 assert user.isdisjoint(generated)
@@ -346,10 +389,8 @@ class TestNameSupply:
     def test_quantifier_inside_attribute_still_normalizes(self):
         # flattening exposes the in-situ quantifier; the raise/flatten loop
         # must clean it up
-        tree = first_parse(
-            "Ex. Then x is an integer greater than every rational number."
-        )
-        normal = simplify(tree)
+        source = "Ex. Then x is an integer greater than every rational number."
+        normal = simplify(first_parse(source), reserved(source))
         assert is_normal_form(normal)
 
 
@@ -370,10 +411,11 @@ class TestTransform:
         sources = [case.input for case in corpus_cases] + ambiguous + MULTI_PARSE_TEXTS + quantified
         for source in sources:
             memo: dict = {}
+            ids = reserved(source)
             for tree in parse_source(source).expect_trees():
-                assert simplify(tree, memo) == simplify(tree), source
+                assert simplify(tree, ids, memo) == simplify(tree, ids), source
             (trace,) = run_pipeline(source)
-            normals = tuple(simplify(tree) for tree in trace.parses)
+            normals = tuple(simplify(tree, ids) for tree in trace.parses)
             assert trace.normals == normals, source
             try:
                 commands = tuple(translate_text(normal) for normal in normals)
