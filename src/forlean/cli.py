@@ -77,8 +77,6 @@ def _cmd_translate(args) -> int:
             status = 1
             for span, message in trace.diagnostics:
                 print(f"error: {message} (bytes {span[0]}..{span[1]})", file=sys.stderr)
-            if not trace.diagnostics:
-                print("error: no output produced", file=sys.stderr)
     return status
 
 

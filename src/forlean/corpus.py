@@ -69,7 +69,6 @@ class CorpusReport:
 class CorpusFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def default_corpus_path() -> Path:

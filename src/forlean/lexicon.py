@@ -38,7 +38,6 @@ __all__ = [
     "Token",
     "TokenError",
     "TokenKind",
-    "UnknownCharacter",
     "default_lexicon",
     "preprocess",
     "tokenize",
@@ -82,14 +81,6 @@ class TokenError(ValueError):
         self.span = span
 
 
-class UnknownCharacter(TokenError):
-    """A character outside letters, digits, symbols, whitespace and '.'."""
-
-    def __init__(self, char: str, span: tuple[int, int]):
-        super().__init__(f"unknown character {char!r}", span)
-        self.char = char
-
-
 def preprocess(raw: str) -> str:
     """Lowercase the input and collapse whitespace runs to single spaces."""
     return " ".join(raw.lower().split())
@@ -123,7 +114,7 @@ def tokenize(text: str) -> list[Token]:
         if not ascii_:
             span = (to_byte[span[0]], to_byte[span[1]])
         if kind is None:
-            raise UnknownCharacter(lexeme, span)
+            raise TokenError(f"unknown character {lexeme!r}", span)
         try:
             value = int(lexeme) if kind is integer else None
         except ValueError:  # more digits than Python converts to an int

@@ -28,48 +28,28 @@ plus "equal to".
 
 from __future__ import annotations
 
-import dataclasses
 import linecache
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import forthel
 from .forthel import GRAMMAR, OPERATOR_LEVELS, Index, Quantified
 from .lexicon import Category, Token, default_lexicon
 
-__all__ = ["ParseFailure", "ParseResult", "parse_statement", "parse_term", "parse_text"]
+__all__ = ["ParseResult", "parse_statement", "parse_term", "parse_text"]
 
 Diagnostic = tuple[tuple[int, int], str]
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     """Every parse, in the order the parser builds them, or diagnostics at the
     point of furthest progress."""
 
     trees: tuple
     diagnostics: tuple[Diagnostic, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.trees)
-
-    def expect_trees(self) -> tuple:
-        if not self.trees:
-            raise ParseFailure(self.diagnostics)
-        return self.trees
-
-
-class ParseFailure(ValueError):
-    def __init__(self, diagnostics: tuple[Diagnostic, ...]):
-        span, message = diagnostics[0] if diagnostics else ((0, 0), "no parse")
-        super().__init__(f"{message} (bytes {span[0]}..{span[1]})")
-        self.diagnostics = diagnostics
-        self.span = span
 
 
 _LEXICON = default_lexicon()
@@ -281,7 +261,7 @@ def _install() -> None:
         classes = head if type(head) is tuple else (head,) if isinstance(head, type) else ()
         if not classes:
             return ref(head)
-        built = ", ".join(fields[f.name] for f in dataclasses.fields(classes[-1]))
+        built = ", ".join(fields[name] for name in classes[-1].__match_args__)
         for cls in reversed(classes):
             built = f"{ref(cls)}({built})"
         return built

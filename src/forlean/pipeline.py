@@ -51,7 +51,7 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
     commands: tuple[LeanCommand, ...] = ()
     try:
         result = parse_text(tokens)
-        if not result.ok:
+        if not result.trees:
             return PipelineTrace(diagnostics=result.diagnostics)
         parses = result.trees[:1] if first_parse_only else result.trees
         # the parses share subtrees, and one memo for the text lets each stage

@@ -130,39 +130,32 @@ def _raise_does(does):
     if type(does) is not Does:
         return does
     subject, predicate = does.subject, does.predicate
-    found = _find_quantified(subject)
+    found = _raise_first(subject)
     if found is not None:
-        subject = _replace_first(subject, found, _name_ref(found.qnotion.notion))
+        subject = found[1]
     elif type(predicate) in (IsAdj1, IsTerm):
-        found = _find_quantified(predicate.term)
+        found = _raise_first(predicate.term)
         if found is not None:
-            ref = _name_ref(found.qnotion.notion)
-            predicate = replace(predicate, term=_replace_first(predicate.term, found, ref))
+            predicate = replace(predicate, term=found[1])
     if found is None:
         return does
-    return ForQuantified(found.qnotion, _raise_does(Does(subject, predicate)))
+    return ForQuantified(found[0].qnotion, _raise_does(Does(subject, predicate)))
 
 
-def _find_quantified(t: Term) -> Quantified | None:
+def _raise_first(t: Term) -> tuple[Quantified, Term] | None:
+    """The first quantified term in ``t``, left to right, and ``t`` with it
+    replaced by a reference to the name it binds; None if there is none."""
     cls = type(t)
-    if cls is BinApp:
-        return _find_quantified(t.left) or _find_quantified(t.right)
     if cls is Quantified:
-        return t
+        return t, _name_ref(t.qnotion.notion)
+    if cls is BinApp:
+        found = _raise_first(t.left)
+        if found is not None:
+            return found[0], BinApp(t.op, found[1], t.right)
+        found = _raise_first(t.right)
+        if found is not None:
+            return found[0], BinApp(t.op, t.left, found[1])
     return None
-
-
-def _replace_first(t: Term, target: Quantified, ref: Term) -> Term:
-    if t is target:
-        return ref
-    if type(t) is BinApp:
-        left = _replace_first(t.left, target, ref)
-        if left is not t.left:
-            return BinApp(t.op, left, t.right)
-        right = _replace_first(t.right, target, ref)
-        if right is not t.right:
-            return BinApp(t.op, t.left, right)
-    return t
 
 
 # --- attribute flattening ---------------------------------------------------------

@@ -1,25 +1,31 @@
 """The node toolkit shared by both tree families: the input language's
 syntax trees (``forthel``) and the Lean expression trees (``lean``).
 
-A tree is made of nodes and leaves.  Nodes are tuples and dataclass
-instances; everything else (str, int, enums, None) is a leaf.  A pass names
-only the node types it treats specially and leaves the walk to what is here:
-``transform`` rebuilds a tree bottom-up, ``iter_nodes`` visits it top-down,
-``_IS_NODE`` tells a node from a leaf for code that walks fields itself
-(``vars(node)`` gives a node's fields in field order), and ``once`` caches a
-function of a whole node per node identity.
+A tree is made of nodes and leaves.  A node is a tuple or an instance of a
+class declared with ``node``; everything else (str, int, enums, None) is a
+leaf.  A pass names only the node types it treats specially and leaves the
+walk to what is here: ``transform`` rebuilds a tree bottom-up, ``iter_nodes``
+visits it top-down, ``_IS_NODE`` tells a node from a leaf for code that walks
+fields itself (``vars(node)`` gives a node's fields in field order), and
+``once`` caches a function of a whole node per node identity.
 
 ``node`` declares a node class: a frozen dataclass whose ``__init__`` writes
 the fields straight into the instance ``__dict__``, in field order, instead
-of through ``object.__setattr__`` per field as a frozen dataclass's does.
+of through ``object.__setattr__`` per field as a frozen dataclass's does, so
+``cls(*vars(n).values())`` rebuilds a node ``n``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+from collections import defaultdict
 
 __all__ = ["iter_nodes", "node", "once", "transform"]
+
+
+# whether a type is a node: tuple and each class declared with ``node``
+_IS_NODE: defaultdict[type, bool] = defaultdict(bool, {tuple: True})
 
 
 def node(cls: type) -> type:
@@ -40,27 +46,8 @@ def node(cls: type) -> type:
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**fields, "return": None}
     cls.__init__ = init
+    _IS_NODE[cls] = True
     return dataclasses.dataclass(frozen=True, init=False)(cls)
-
-
-class _NodeTypes(dict):
-    """Whether a type is a tree node, decided once per type.  Nodes are
-    tuples and dataclass instances whose ``__dict__`` holds exactly their
-    fields, in field order, so that ``cls(*vars(node).values())`` rebuilds
-    them; str, int, enums and None are leaves."""
-
-    def __missing__(self, cls: type) -> bool:
-        is_node = cls is tuple or dataclasses.is_dataclass(cls)
-        if is_node and cls is not tuple:
-            if hasattr(cls, "__slots__") or any(
-                not f.init or f.kw_only for f in dataclasses.fields(cls)
-            ):
-                raise TypeError(f"cannot rebuild {cls.__name__} from its instance dict")
-        self[cls] = is_node
-        return is_node
-
-
-_IS_NODE = _NodeTypes()
 
 
 def transform(node, fn, memo: dict | None = None, supply=None):
@@ -104,8 +91,9 @@ def transform(node, fn, memo: dict | None = None, supply=None):
 
 
 def iter_nodes(node):
-    """Every dataclass node reachable from ``node`` through fields and
-    tuples, parents before children, children in field order; a node
+    """Every node reachable from ``node`` through fields and tuples but the
+    tuples themselves, that is every instance of a class declared with
+    ``node``: parents before children, children in field order; a node
     reachable twice is yielded twice."""
     stack = [node]
     while stack:

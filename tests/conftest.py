@@ -20,6 +20,12 @@ def parse_source(source: str):
     return parse_text(tokenize(preprocess(source)))
 
 
+def expect_trees(result) -> tuple:
+    """The trees of a parse result, which must have at least one."""
+    assert result.trees, result.diagnostics
+    return result.trees
+
+
 def reserved(source: str) -> frozenset[int]:
     """The ids a raw source string reserves, for ``simplify``."""
     return reserved_ids(tokenize(preprocess(source)))

@@ -5,7 +5,7 @@ import io
 import time
 from contextlib import contextmanager
 
-from conftest import canonical, parse_source, reserved
+from conftest import canonical, expect_trees, parse_source, reserved
 from forlean.corpus import check_cases
 from forlean.lean import alpha_equivalent, normalize_names, print_command, print_term
 from forlean.lean_reader import read_command
@@ -117,18 +117,18 @@ GROUPINGS = [
 
 def test_criterion_5_precedence(corpus_cases):
     with criterion("criterion 5: arithmetic precedence matches the corpus groupings"):
-        implicit = parse_term(tokenize(preprocess("2 + 2 * 2"))).expect_trees()
-        explicit = parse_term(tokenize(preprocess("2 + (2 * 2)"))).expect_trees()
+        implicit = expect_trees(parse_term(tokenize(preprocess("2 + 2 * 2"))))
+        explicit = expect_trees(parse_term(tokenize(preprocess("2 + (2 * 2)"))))
         assert implicit == explicit
         for expression, grouping in GROUPINGS:
-            (term,) = parse_term(tokenize(preprocess(expression))).expect_trees()
+            (term,) = expect_trees(parse_term(tokenize(preprocess(expression))))
             assert print_term(translate_term(term)) == grouping, expression
         # grouping inside every corpus case agrees with its expected output
         for case in corpus_cases:
             ids = reserved(case.input)
             got = sorted(
                 canonical(print_command(normalize_names(translate_text(simplify(tree, ids)))))
-                for tree in parse_source(case.input).expect_trees()
+                for tree in expect_trees(parse_source(case.input))
             )
             expected = sorted(canonical(e) for e in case.expected)
             assert got == expected, case.id

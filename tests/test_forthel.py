@@ -159,12 +159,12 @@ def test_linearization_injective_up_to_ambiguity(corpus_cases):
     # distinct normal forms may share a surface string only when that string
     # is genuinely ambiguous (e.g. polarity "not" + "equal to" versus the
     # lexical "not equal to"); any collision must reparse to all its trees
-    from conftest import parse_source, reserved
+    from conftest import expect_trees, parse_source, reserved
     from forlean.simplify import simplify
 
     by_string: dict[str, list] = {}
     for case in corpus_cases:
-        for tree in parse_source(case.input).expect_trees():
+        for tree in expect_trees(parse_source(case.input)):
             normal = simplify(tree, reserved(case.input))
             group = by_string.setdefault(linearize_forthel(normal), [])
             if normal not in group:
@@ -173,7 +173,7 @@ def test_linearization_injective_up_to_ambiguity(corpus_cases):
     for string, group in by_string.items():
         if len(group) > 1:
             collisions += 1
-            reparsed = parse_source(string).expect_trees()
+            reparsed = expect_trees(parse_source(string))
             for normal in group:
                 assert normal in reparsed, string
     assert collisions == 1  # exactly the documented "not equal to" case

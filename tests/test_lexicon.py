@@ -11,7 +11,6 @@ from forlean.lexicon import (
     Token,
     TokenError,
     TokenKind,
-    UnknownCharacter,
     default_lexicon,
     preprocess,
     tokenize,
@@ -89,9 +88,9 @@ class TestTokenize:
                     assert str(tok.value) == tok.text
 
     def test_unknown_character(self):
-        with pytest.raises(UnknownCharacter) as exc:
+        with pytest.raises(TokenError) as exc:
             tokenize("x % 2")
-        assert exc.value.char == "%"
+        assert str(exc.value) == "unknown character '%' at byte offset 2"
         assert exc.value.span == (2, 3)
 
     def test_spans_are_byte_offsets(self):
@@ -131,8 +130,9 @@ class TestTokenize:
             data = text.encode("utf-8")
             try:
                 tokens = tokenize(text)
-            except UnknownCharacter as err:  # an apostrophe that starts a token
-                assert data[err.span[0] : err.span[1]].decode("utf-8") == err.char == "'"
+            except TokenError as err:  # an apostrophe that starts a token
+                assert data[err.span[0] : err.span[1]].decode("utf-8") == "'"
+                assert str(err) == f"unknown character \"'\" at byte offset {err.span[0]}"
                 continue
             for token in tokens:
                 assert data[token.span[0] : token.span[1]].decode("utf-8") == token.text, text
@@ -200,7 +200,8 @@ class TestTokenize:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
             try:
                 tokens = tokenize(text)
-            except UnknownCharacter:
+            except TokenError as err:
+                assert str(err).startswith("unknown character "), text
                 continue
             for token in tokens:
                 assert kinds.setdefault(token.text, token.kind) is token.kind, (text, token)

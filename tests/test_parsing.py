@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import parse_source
+from conftest import expect_trees, parse_source
 from forlean import parsing
 from forlean.forthel import (
     And,
@@ -33,19 +33,19 @@ from forlean.forthel import (
     linearize_forthel,
 )
 from forlean.lexicon import Category, preprocess, tokenize
-from forlean.parsing import ParseFailure, parse_statement, parse_term, parse_text
+from forlean.parsing import parse_statement, parse_term, parse_text
 from forlean.pipeline import run_pipeline
 from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 
 def term_of(text: str):
-    trees = parse_term(tokenize(preprocess(text))).expect_trees()
+    trees = expect_trees(parse_term(tokenize(preprocess(text))))
     assert len(trees) == 1
     return trees[0]
 
 
 def statement_of(text: str):
-    trees = parse_statement(tokenize(preprocess(text))).expect_trees()
+    trees = expect_trees(parse_statement(tokenize(preprocess(text))))
     assert len(trees) == 1
     return trees[0]
 
@@ -189,7 +189,7 @@ class TestTexts:
             "Ex. Assume x is a real number. Assume x is less than 0. "
             "Then x ^ 2 + 1 is greater than 0."
         )
-        (tree,) = result.expect_trees()
+        (tree,) = expect_trees(result)
         assert len(tree.example.assumptions) == 2
 
     def test_lexical_ambiguity_yields_two_trees(self):
@@ -197,7 +197,7 @@ class TestTexts:
             "Ex. Assume x is a real number. Assume x is greater than 0 and x is less than 1. "
             "Then x ^ 2 - 2 * x + 2 is not equal to 0."
         )
-        first, second = result.expect_trees()
+        first, second = expect_trees(result)
         pred1 = first.example.conclusion.predicate
         pred2 = second.example.conclusion.predicate
         assert pred1 == IsAdj1(Polarity.POS, "NOT_EQUAL_TO", pred1.term)
@@ -217,10 +217,8 @@ class TestTexts:
 
     def test_truncated_sentence_fails(self):
         result = parse_source("Ex. Assume x is.")
-        assert not result.ok
+        assert result.trees == ()
         assert result.diagnostics
-        with pytest.raises(ParseFailure):
-            result.expect_trees()
 
     def test_failure_reports_furthest_position(self):
         result = parse_source("Ex. Assume x is a real number. Then x is banana.")
@@ -288,14 +286,14 @@ class TestTexts:
 
     def test_empty_input_fails(self):
         result = parse_text([])
-        assert not result.ok
+        assert result.trees == ()
 
 
 class TestParseSetProperties:
     def test_corpus_tree_counts(self, corpus_cases):
         # one tree everywhere except the documented ambiguous case
         for case in corpus_cases:
-            trees = parse_source(case.input).expect_trees()
+            trees = expect_trees(parse_source(case.input))
             expected = 2 if case.id == "exercise-3-1" else 1
             assert len(trees) == expected, case.id
 
@@ -343,7 +341,7 @@ class TestParseSetProperties:
         trees = [
             tree
             for source in sources + [generator.text() for _ in range(200)]
-            for tree in parse_source(source).expect_trees()
+            for tree in expect_trees(parse_source(source))
         ]
         normals = [
             normal
@@ -373,7 +371,7 @@ class TestParseSetProperties:
             "ex . assume x is an integer x. then for no integer (x 35) such that "
             "(x 35) is odd, (x 35) is greater than x."
         )
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         assert tree in parse_source(linearize_forthel(tree)).trees
 
 

@@ -236,8 +236,17 @@ class TestRunPipeline:
                 "x + every integer is greater than x * (1 + some integer)",
                 "example (x : ℤ) : ∀ (x2 : ℤ), ∃ (x3 : ℤ), (x + x2) > (x * (1 + x3)) := sorry",
             ),
+            (
+                "every integer + some integer is even",
+                "example (x : ℤ) : ∀ (x2 : ℤ), ∃ (x3 : ℤ), even (x2 + x3) := sorry",
+            ),
+            (
+                "(some integer - every integer) * no integer is less than every integer",
+                "example (x : ℤ) : ∃ (x2 : ℤ), ∀ (x3 : ℤ), ∀ (x4 : ℤ),"
+                " (¬ ∀ (x5 : ℤ), ((x2 - x3) * x4) < x5) := sorry",
+            ),
         ],
-        ids=["product-plus-some", "sum-plus-some", "both-sides"],
+        ids=["product-plus-some", "sum-plus-some", "both-sides", "two-in-one-sum", "three-in-one-subject"],
     )
     def test_quantified_arithmetic_operand_is_raised(self, conclusion, expected):
         (trace,) = run_pipeline(f"Ex. Assume x is an integer. Then {conclusion}.")
@@ -750,6 +759,10 @@ def test_stage_outputs_are_pinned(corpus_cases):
             counts["texts"] += 1
             counts["printed"] += len(trace.printed)
             counts["failed"] += bool(trace.diagnostics)
+            # a text that parses has a tree, so a normal form, a command and a
+            # printed line, and every other path returns a diagnostic: the CLI
+            # has no trace with neither to report
+            assert trace.printed or trace.diagnostics, source
             stages = (trace.normals, trace.commands, trace.printed, trace.diagnostics)
             digest.update(repr(stages).encode())
     assert len(sources) == 1815

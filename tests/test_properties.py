@@ -4,7 +4,7 @@ quantifier semantics."""
 
 import random
 
-from conftest import parse_source, reserved
+from conftest import expect_trees, parse_source, reserved
 from forlean.lean import AndP, ArithT, Exists, Forall, IffP, Imp, LitT, NotP, OrP, PredApp, Rel, VarT
 from forlean.lexicon import preprocess, tokenize
 from forlean.parsing import parse_text
@@ -144,7 +144,7 @@ def check_generated_sentences(count: int = 250) -> int:
     trees were checked."""
     checked = 0
     for source in generate_sentences(count):
-        trees = parse_source(source).expect_trees()
+        trees = expect_trees(parse_source(source))
         for tree in trees:
             normal = simplify(tree, reserved(source))
             assert is_normal_form(normal), source
@@ -182,7 +182,7 @@ def test_random_token_streams_roundtrip():
         tokens = tokenize(text)
         assert tokenize(" ".join(t.text for t in tokens)) == tokens
         result = parse_text(tokens)
-        if not result.ok:
+        if not result.trees:
             # a failed parse names what it expected, at bytes of this stream
             ((span, message),) = result.diagnostics
             assert message.startswith("expected ") and not message.startswith("expected ;")
@@ -315,7 +315,7 @@ QUANTIFIER_CASES = [
 
 def goal_formula(conclusion: str):
     source = f"Ex. Then {conclusion}."
-    (tree,) = parse_source(source).expect_trees()
+    (tree,) = expect_trees(parse_source(source))
     command = translate_text(simplify(tree, reserved(source)))
     assert command.binders == ()
     return command.goal

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import parse_source, reserved
+from conftest import expect_trees, parse_source, reserved
 from forlean.forthel import (
     And,
     Does,
@@ -84,7 +84,7 @@ def canon_ids(text: str) -> str:
 
 
 def first_parse(source: str):
-    return parse_source(source).expect_trees()[0]
+    return expect_trees(parse_source(source))[0]
 
 
 def named_first_parse(source: str):
@@ -287,13 +287,13 @@ class TestSimplify:
 
     def test_idempotent_on_corpus(self, corpus_cases):
         for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+            for tree in expect_trees(parse_source(case.input)):
                 normal = simplify(tree, reserved(case.input))
                 assert simplify(normal, reserved(case.input)) == normal, case.id
 
     def test_normal_form_accepted(self, corpus_cases):
         for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+            for tree in expect_trees(parse_source(case.input)):
                 assert is_normal_form(simplify(tree, reserved(case.input))), case.id
 
     def test_raw_parses_rejected(self, corpus_cases):
@@ -301,21 +301,19 @@ class TestSimplify:
         # parse is in normal form
         seen = set()
         for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+            for tree in expect_trees(parse_source(case.input)):
                 violations = normal_form_violations(tree)
                 assert violations, case.id
                 seen.update(violations)
         assert "left attribute ODD" in seen
 
     def test_in_situ_quantifier_rejected(self):
-        (tree,) = parse_source(
-            "Ex. Then x is greater than every integer less than 32."
-        ).expect_trees()
+        (tree,) = expect_trees(parse_source("Ex. Then x is greater than every integer less than 32."))
         assert "in-situ quantified term" in normal_form_violations(tree)
 
     def test_unsplit_typing_assumption_rejected(self):
         source = "Ex. Assume x is an integer x such that x is odd. Then x is odd."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         assert "unsplit typing assumption" in normal_form_violations(tree)
         assert is_normal_form(simplify(tree, reserved(source)))
 
@@ -380,7 +378,7 @@ class TestNameSupply:
 
     def test_fresh_names_disjoint_from_user_variables(self, corpus_cases):
         for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+            for tree in expect_trees(parse_source(case.input)):
                 normal = simplify(tree, reserved(case.input))
                 user = {v.name for v in _collect(tree, Var)}
                 generated = {f"x{m.ident}" for m in _collect(normal, Meta)}
@@ -397,7 +395,7 @@ class TestNameSupply:
 class TestTransform:
     def test_identity_returns_the_same_object(self, corpus_cases):
         for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+            for tree in expect_trees(parse_source(case.input)):
                 assert transform(tree, lambda n: n) is tree, case.id
 
     def test_shared_memo_gives_the_same_normal_forms(self, corpus_cases):
@@ -412,7 +410,7 @@ class TestTransform:
         for source in sources:
             memo: dict = {}
             ids = reserved(source)
-            for tree in parse_source(source).expect_trees():
+            for tree in expect_trees(parse_source(source)):
                 assert simplify(tree, ids, memo) == simplify(tree, ids), source
             (trace,) = run_pipeline(source)
             normals = tuple(simplify(tree, ids) for tree in trace.parses)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from conftest import canonical, parse_source, reserved
+from conftest import canonical, expect_trees, parse_source, reserved
 from forlean import forthel as ftl
 from forlean import lean
 from forlean.lean import (
@@ -32,7 +32,7 @@ NEG = ftl.Polarity.NEG
 
 
 def pipeline(source: str) -> list[str]:
-    trees = parse_source(source).expect_trees()
+    trees = expect_trees(parse_source(source))
     ids = reserved(source)
     return [print_command(normalize_names(translate_text(simplify(t, ids)))) for t in trees]
 
@@ -111,37 +111,37 @@ class TestTranslateStatement:
             "Ex. Assume x is a real number less than 0. "
             "Then no nonnegative integer a such that a is positive is not greater than x."
         )
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         goal = translate_statement(simplify(tree, reserved(source)).example.conclusion)
         assert print_prop(goal) == "∀ (a : ℤ), ((nneg a ∧ pos a) → (¬ (¬ a > x)))"
 
     def test_every_without_condition_has_bare_body(self):
         source = "Ex. Then for every integer b, a * b + a * c is even."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         goal = translate_statement(simplify(tree, reserved(source)).example.conclusion)
         assert print_prop(goal) == "∀ (b : ℤ), even ((a * b) + (a * c))"
 
     def test_some_with_condition_uses_conjunction(self):
         source = "Ex. Then for some integer y such that y is even, y is greater than x."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         goal = translate_statement(simplify(tree, reserved(source)).example.conclusion)
         assert print_prop(goal) == "∃ (y : ℤ), (even y ∧ y > x)"
 
     def test_there_exists(self):
         source = "Ex. Then there exists an integer y such that y is greater than x."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         goal = translate_statement(simplify(tree, reserved(source)).example.conclusion)
         assert print_prop(goal) == "∃ (y : ℤ), y > x"
 
     def test_there_exists_no(self):
         source = "Ex. Then there exists no integer y such that y is less than x."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         goal = translate_statement(simplify(tree, reserved(source)).example.conclusion)
         assert print_prop(goal) == "(¬ ∃ (y : ℤ), y < x)"
 
     def test_bare_existential_rejected(self):
         source = "Ex. Then there exists an integer."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         with pytest.raises(UntranslatableNode):
             translate_statement(simplify(tree, reserved(source)).example.conclusion)
 
@@ -154,7 +154,7 @@ class TestTranslateStatement:
     )
     def test_unflattened_adjective_rejected_beside_a_condition(self, conclusion):
         # an adjective the simplifier did not flatten is reported, not dropped
-        (tree,) = parse_source(f"Ex. Then {conclusion}.").expect_trees()
+        (tree,) = expect_trees(parse_source(f"Ex. Then {conclusion}."))
         with pytest.raises(UntranslatableNode, match="unflattened"):
             translate_statement(tree.example.conclusion)
 
@@ -189,13 +189,13 @@ class TestTranslateText:
 
     def test_non_variable_typing_assumption_rejected(self):
         source = "Ex. Assume 4 is an integer. Then 4 is greater than 3."
-        (tree,) = parse_source(source).expect_trees()
+        (tree,) = expect_trees(parse_source(source))
         with pytest.raises(UntranslatableNode):
             translate_text(simplify(tree, reserved(source)))
 
     def test_totality_on_corpus_normal_forms(self, corpus_cases):
         for case in corpus_cases:
-            for tree in parse_source(case.input).expect_trees():
+            for tree in expect_trees(parse_source(case.input)):
                 translate_text(simplify(tree, reserved(case.input)))  # must not raise
 
     def test_corpus_outputs_modulo_renaming(self, corpus_cases):

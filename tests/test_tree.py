@@ -3,8 +3,12 @@ import inspect
 
 import pytest
 
+from forlean import forthel, lean
 from forlean.forthel import Named, Notion, Unnamed
-from forlean.tree import _IS_NODE, node
+from forlean.lexicon import LexiconEntry, Token
+from forlean.parsing import ParseResult
+from forlean.pipeline import PipelineTrace
+from forlean.tree import _IS_NODE, iter_nodes, node, transform
 
 
 def twins():
@@ -75,3 +79,26 @@ def test_behaves_as_a_plain_frozen_dataclass():
             assert left == 1
         case _:
             pytest.fail("no pattern matched")
+
+
+def test_node_declares_every_node_class():
+    for module in (forthel, lean):
+        declared = [
+            cls
+            for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        ]
+        assert declared and all(_IS_NODE[cls] for cls in declared), module.__name__
+    # a dataclass or named tuple not declared with ``node`` is a leaf
+    for cls in (PipelineTrace, ParseResult, Token, LexiconEntry, PlainPair):
+        assert not _IS_NODE[cls], cls.__name__
+
+
+def test_a_plain_dataclass_is_a_leaf_of_the_walks():
+    inner = Pair("*", 1, 2)
+    plain = PlainPair("+", inner)
+    tree = (Pair("-", 1), plain)
+    rebuilt = transform(tree, lambda n: dataclasses.replace(n, right=0))
+    assert type(rebuilt) is tuple and rebuilt[0] == Pair("-", 1, 0)
+    assert rebuilt[1] is plain and plain.left is inner
+    assert list(iter_nodes(tree)) == [tree[0]]
