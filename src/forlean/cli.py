@@ -73,7 +73,7 @@ def _cmd_translate(args) -> int:
         _dump_trace(trace, args)
         for line in trace.printed:
             print(line)
-        if not trace.ok:
+        if trace.diagnostics:
             status = 1
             for span, message in trace.diagnostics:
                 print(f"error: {message} (bytes {span[0]}..{span[1]})", file=sys.stderr)

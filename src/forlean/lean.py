@@ -13,8 +13,8 @@ operand of a connective, because a quantifier reaches as far right as it can.
 Printing is pure, so ``print_command`` caches it in a memo that
 ``run_pipeline`` shares among the parses of a text: each proposition and
 binders tuple the parses share is printed once.  The printer tests
-``type(node) is C``, most frequent class first: a ``match`` class pattern
-is an ``isinstance`` test, tried case after case.
+``type(node) is C``, most frequent class first, not a ``match`` class
+pattern: an ``isinstance`` test, tried case after case.
 
 ``normalize_names`` collects names in one ``tree.iter_nodes`` pass and renames
 them in one ``tree.transform``; ``alpha_equivalent`` compares two commands'

@@ -7,7 +7,7 @@ independently and failures in one text do not abort the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forthel import ForthelText
 from .lean import DuplicateBinderName, LeanCommand, print_command
@@ -19,20 +19,16 @@ from .translate import UntranslatableNode, translate_text
 __all__ = ["PipelineTrace", "run_pipeline", "split_texts"]
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+class PipelineTrace(NamedTuple):
     """Stage snapshots for one text; parses, normals and commands are
-    index-aligned, printed is deduplicated preserving order."""
+    index-aligned, printed is deduplicated preserving order.  A text has
+    printed lines exactly when it has no diagnostic."""
 
     parses: tuple[ForthelText, ...] = ()
     normals: tuple[ForthelText, ...] = ()
     commands: tuple[LeanCommand, ...] = ()
     printed: tuple[str, ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.printed) and not self.diagnostics
 
 
 def split_texts(tokens: list[Token]) -> list[list[Token]]:

@@ -6,12 +6,12 @@ attribute flattening at a ``Notion``.  No clause both unifies and raises, and
 renaming a metavariable commutes with flattening.  A rewrite can expose
 another (flattening can expose an in-situ quantifier, raising a clause that
 still has to unify), so a node is rewritten to a local fixpoint: the node a
-rewrite builds is walked again.  That walk stops at a subtree recorded as
-normal at the current next fresh id; one recorded before an id was drawn is
-walked again and, holding no unnamed notion, comes back unchanged.
-Assumption splitting runs last.  Per-node functions test ``type(node) is
-C``, most frequent class first: a ``match`` class pattern is an
-``isinstance`` test, tried case after case.
+rewrite builds is walked again.  ``transform`` records each result, so that
+walk stops at a subtree recorded at the current next fresh id; one recorded
+before an id was drawn is walked again and, holding no unnamed notion, comes
+back unchanged.  Assumption splitting runs last.  Per-node functions test
+``type(node) is C``, most frequent class first, and no module uses a
+``match`` class pattern: that is an ``isinstance`` test, tried case after case.
 
 ``simplify`` takes the ids a text reserves, the N of each ``(x N)`` token
 group (``reserved_ids``), and draws its fresh ids around them: a word holds
@@ -54,7 +54,7 @@ from .forthel import (
 from .lexicon import Token
 from .tree import once, transform
 
-__all__ = ["NameSupply", "reserved_ids", "simplify"]
+__all__ = ["NameSupply", "reserved_ids", "simplify", "typed_notion"]
 
 
 # --- names ---------------------------------------------------------------------
@@ -196,17 +196,22 @@ def _split_all(assumptions: tuple[Statement, ...]) -> tuple[Statement, ...]:
 
 
 def _split_one(stmt: Statement) -> list[Statement]:
-    match stmt:
-        case And(left, right):
-            return _split_one(left) + _split_one(right)
-        case Does(Var(v), IsNotion(Polarity.POS, n)) if (
-            n.name == Named(v)
-            and n.left_attribute is None
-            and isinstance(n.right_attribute, SuchThat)
-        ):
-            bare = Does(Var(v), IsNotion(Polarity.POS, Notion(n.head, n.name)))
-            return [bare, *_split_one(n.right_attribute.statement)]
+    if type(stmt) is And:
+        return _split_one(stmt.left) + _split_one(stmt.right)
+    n = typed_notion(stmt)
+    if n is not None and n.left_attribute is None and type(n.right_attribute) is SuchThat:
+        bare = Does(stmt.subject, IsNotion(Polarity.POS, Notion(n.head, n.name)))
+        return [bare, *_split_one(n.right_attribute.statement)]
     return [stmt]
+
+
+def typed_notion(stmt: Statement) -> Notion | None:
+    """The notion of "v is a <notion named v>", else None."""
+    if type(stmt) is Does and type(stmt.subject) is Var and type(stmt.predicate) is IsNotion:
+        notion = stmt.predicate.notion
+        if stmt.predicate.polarity is Polarity.POS and notion.name == Named(stmt.subject.name):
+            return notion
+    return None
 
 
 # --- the composed pass ----------------------------------------------------------------
@@ -217,8 +222,8 @@ def simplify(text: ForthelText, reserved: frozenset[int], memo: dict | None = No
 
     One walk names each unnamed notion with a fresh id not in ``reserved``
     (``reserved_ids`` of the text's tokens) and rewrites each clause and
-    notion to a local fixpoint; each is recorded as normal with the next
-    fresh id, so a re-walk at that id stops there.
+    notion to a local fixpoint; ``transform`` records each result with the
+    next fresh id, so a re-walk at that id stops there.
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and a subtree or an assumptions tuple the parses share is
     normalized once.
@@ -240,7 +245,6 @@ def simplify(text: ForthelText, reserved: frozenset[int], memo: dict | None = No
             return n
         if rewritten is not n:
             return transform(rewritten, normalize, normal, supply)
-        normal[id(n), supply.next_id] = (n, n, supply.next_id)
         return n
 
     example = transform(text, normalize, normal, supply).example

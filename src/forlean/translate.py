@@ -11,8 +11,8 @@ Translation is pure, so ``translate_text`` caches it in a memo that
 assumptions tuple the parses share is translated once, and the parses then
 share its Lean image too.
 
-Per-node functions test ``type(node) is C``, most frequent class first: a
-``match`` class pattern is an ``isinstance`` test, tried case after case.
+Per-node functions test ``type(node) is C``, most frequent class first, not
+a ``match`` class pattern: an ``isinstance`` test, tried case after case.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .lean import (
     VarT,
 )
 from .lexicon import Category, default_lexicon
+from .simplify import typed_notion
 from .tree import once
 
 __all__ = [
@@ -150,20 +151,6 @@ def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
     return prop
 
 
-def _bare_typing(assumption: ftl.Statement) -> tuple[str, str] | None:
-    """Match "v is a <bare notion v>", returning (variable, noun key)."""
-    match assumption:
-        case ftl.Does(
-            ftl.Var(v),
-            ftl.IsNotion(
-                Polarity.POS,
-                ftl.Notion(head, ftl.Named(name), None, None),
-            ),
-        ) if name == v:
-            return v, head
-    return None
-
-
 def translate_text(nf: ftl.ForthelText, memo: dict | None = None) -> LeanCommand:
     """Map split assumptions to binders in order and the conclusion to the
     goal.  Hypothesis labels are provisional; normalize_names gives the
@@ -183,10 +170,9 @@ def _binders(assumptions: tuple[ftl.Statement, ...], statements: dict) -> tuple:
     labels = itertools.count(1)
     binders = []
     for assumption in assumptions:
-        typing = _bare_typing(assumption)
-        if typing is not None:
-            variable, head = typing
-            binders.append(TypeBinder(variable, _TYPES[head]))
+        notion = typed_notion(assumption)
+        if notion is not None and notion.left_attribute is None and notion.right_attribute is None:
+            binders.append(TypeBinder(notion.name.letter, _TYPES[notion.head]))
         else:
             hypothesis = translate_statement(assumption, statements)
             binders.append(HypBinder(f"h{next(labels)}", hypothesis))

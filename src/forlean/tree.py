@@ -51,17 +51,19 @@ def node(cls: type) -> type:
 
 
 def transform(node, fn, memo: dict | None = None, supply=None):
-    """Rebuild ``node`` bottom-up: children first, in field order, then ``fn``
-    on the node rebuilt from them.  Tuples are rebuilt item by item and not
-    passed to ``fn``.  Returns ``node`` itself when no child changed and
-    ``fn`` returned its argument.
+    """Rebuild ``node``, a tuple or a ``node`` instance, bottom-up: children
+    first, in field order, then ``fn`` on the node rebuilt from them.  Tuples
+    are rebuilt item by item and not passed to ``fn``.  Returns ``node``
+    itself when no child changed and ``fn`` returned its argument.
 
     ``memo`` caches the result per node identity; share one only between
-    calls with the same pure ``fn``.  It holds each node it keys, so an id
-    cannot be reused while the memo lives.  When ``fn`` draws fresh ids from
+    calls with the same pure ``fn``, which must return each of its own
+    results unchanged: a result is recorded as its own too, so a walk that
+    meets it again stops there.  The memo holds each node it keys, so an id
+    cannot be reused while it lives.  When ``fn`` draws fresh ids from
     ``supply``, a subtree's result also depends on ``supply.next_id``: the
-    memo then keys on the pair, and a hit restores the ``next_id`` that the
-    first visit left.
+    memo then keys on the pair, a result on the ``next_id`` the walk leaves,
+    and a hit restores the ``next_id`` that the first visit left.
     """
     if memo is not None:
         key = id(node) if supply is None else (id(node), supply.next_id)
@@ -86,15 +88,18 @@ def transform(node, fn, memo: dict | None = None, supply=None):
     else:
         result = fn(node if rebuilt is None else cls(*rebuilt))
     if memo is not None:
-        memo[key] = (node, result, None if supply is None else supply.next_id)
+        next_id = None if supply is None else supply.next_id
+        memo[key] = (node, result, next_id)
+        if result is not node:
+            memo[id(result) if supply is None else (id(result), next_id)] = (result, result, next_id)
     return result
 
 
 def iter_nodes(node):
-    """Every node reachable from ``node`` through fields and tuples but the
-    tuples themselves, that is every instance of a class declared with
-    ``node``: parents before children, children in field order; a node
-    reachable twice is yielded twice."""
+    """Every node reachable from ``node``, a tuple or a ``node`` instance,
+    through fields and tuples but the tuples themselves, that is every
+    instance of a class declared with ``node``: parents before children,
+    children in field order; a node reachable twice is yielded twice."""
     stack = [node]
     while stack:
         n = stack.pop()

@@ -105,7 +105,7 @@ class TestSplitTexts:
 class TestRunPipeline:
     def test_single_text(self):
         (trace,) = run_pipeline(INTRO)
-        assert trace.ok
+        assert not trace.diagnostics
         assert list(trace.printed) == [
             "example (x : ℚ) (h1 : x = (2 + (2 * 2))) : x > 3 := sorry"
         ]
@@ -122,15 +122,15 @@ class TestRunPipeline:
 
     def test_invalid_text_keeps_diagnostics(self):
         (trace,) = run_pipeline("Ex. Assume x is.")
-        assert not trace.ok
+        assert trace.diagnostics
         assert trace.printed == ()
         assert trace.diagnostics
 
     def test_multiple_texts_processed_independently(self):
         bad_then_good = "Ex. Assume x is. " + INTRO
         first, second = run_pipeline(bad_then_good)
-        assert not first.ok
-        assert second.ok
+        assert first.diagnostics
+        assert not second.diagnostics
 
     @pytest.mark.parametrize(
         "source, span",
@@ -139,7 +139,7 @@ class TestRunPipeline:
     )
     def test_unknown_character(self, source, span):
         (trace,) = run_pipeline(source)
-        assert not trace.ok
+        assert trace.diagnostics
         ((got_span, message),) = trace.diagnostics
         assert message.startswith("unknown character")
         assert got_span == span
@@ -150,7 +150,7 @@ class TestRunPipeline:
     def test_integer_literal_too_long(self):
         # more digits than Python converts to an int (4,300 by default)
         (trace,) = run_pipeline(LONG_LITERAL_SOURCE)
-        assert not trace.ok
+        assert trace.diagnostics
         assert trace.diagnostics == (((48, 5048), "integer literal too long at byte offset 48"),)
 
     def test_deterministic(self):
@@ -174,12 +174,12 @@ class TestRunPipeline:
     )
     def test_translate_and_print_failures_are_diagnostics(self, source, expected):
         first, second = run_pipeline(source + " " + INTRO)
-        assert not first.ok
+        assert first.diagnostics
         assert first.printed == ()
         ((span, message),) = first.diagnostics
         assert message.startswith(expected)
         assert span == (0, len(source))  # the whole first text
-        assert second.ok
+        assert not second.diagnostics
 
     @pytest.mark.parametrize(
         "conclusion, goal",
@@ -214,12 +214,12 @@ class TestRunPipeline:
         first, second = run_pipeline(source + " " + INTRO)
         if goal is not None:
             assert first.printed == (f"example (x : ℤ) : {goal} := sorry",)
-        if not first.ok:
+        if first.diagnostics:
             assert first.printed == ()
             ((span, message),) = first.diagnostics
             assert message == "input nested too deeply"
             assert span[0] == 0 and span[1] > len(conclusion)
-        assert second.ok
+        assert not second.diagnostics
 
     @pytest.mark.parametrize(
         "conclusion, expected",
@@ -278,7 +278,7 @@ class TestRunPipeline:
     def test_printed_commands_read_back_to_their_trees(self, corpus_cases):
         for source in [case.input for case in corpus_cases] + generate_sentences(300):
             for trace in run_pipeline(source):
-                for command in trace.commands if trace.ok else ():
+                for command in trace.commands if not trace.diagnostics else ():
                     assert read_command(print_command(command)) == command, source
 
     def test_word_edits_never_raise_and_print_readable_commands(self):
@@ -760,9 +760,9 @@ def test_stage_outputs_are_pinned(corpus_cases):
             counts["printed"] += len(trace.printed)
             counts["failed"] += bool(trace.diagnostics)
             # a text that parses has a tree, so a normal form, a command and a
-            # printed line, and every other path returns a diagnostic: the CLI
-            # has no trace with neither to report
-            assert trace.printed or trace.diagnostics, source
+            # printed line, and every other path returns a diagnostic and
+            # prints nothing: the CLI has no trace with neither or both
+            assert bool(trace.printed) != bool(trace.diagnostics), source
             stages = (trace.normals, trace.commands, trace.printed, trace.diagnostics)
             digest.update(repr(stages).encode())
     assert len(sources) == 1815

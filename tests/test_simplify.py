@@ -39,6 +39,7 @@ from forlean.simplify import (
     _unify_one,
     reserved_ids,
     simplify,
+    typed_notion,
 )
 from forlean.translate import UntranslatableNode, translate_text
 from forlean.tree import iter_nodes, transform
@@ -263,6 +264,17 @@ class TestSplitAssumptions:
         assert " or " in got[0]
 
 
+def test_typed_notion_is_that_of_a_variable_typed_by_its_own_name():
+    def assumption(phrase):
+        source = f"Ex. Assume {phrase}. Then x is odd."
+        (typing,) = simplify(first_parse(source), reserved(source)).example.assumptions
+        return typing
+
+    assert typed_notion(assumption("x is an integer")) == Notion("INTEGER", Named("x"))
+    assert typed_notion(assumption("x is not an integer")) is None
+    assert typed_notion(assumption("x is an integer y")) is None
+
+
 class TestSimplify:
     def test_worked_example(self):
         source = (
@@ -438,13 +450,13 @@ class TestTransform:
             monkeypatch.setattr(module, name, count)
 
         counted(importlib.import_module("forlean.simplify"), "_split_one")
-        counted(importlib.import_module("forlean.translate"), "_bare_typing")
+        counted(importlib.import_module("forlean.translate"), "typed_notion")
         clauses = " and ".join(f"x is not equal to {k}" for k in range(phrases))
         (trace,) = run_pipeline(
             f"Ex. Assume x is an integer. Assume y is an integer. Then {clauses}."
         )
         assert len(trace.printed) == 2**phrases
-        assert calls == {"_split_one": 2, "_bare_typing": 2}
+        assert calls == {"_split_one": 2, "typed_notion": 2}
 
     def test_parses_share_the_translation_of_a_common_assumption(self):
         (trace,) = run_pipeline(

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +19,16 @@ from forlean.lean import (
 )
 from forlean.lean_reader import _lex
 from forlean.lexicon import Category, default_lexicon
-from forlean.simplify import _name_ref, simplify
+from forlean.simplify import _name_ref, simplify, typed_notion
 from forlean.translate import (
     UntranslatableNode,
+    _binders,
     translate_predicate,
     translate_statement,
     translate_term,
     translate_text,
 )
+from test_properties import generate_sentences
 
 POS = ftl.Polarity.POS
 NEG = ftl.Polarity.NEG
@@ -282,3 +285,25 @@ def test_no_node_class_has_a_subclass():
     assert len(classes) == 28 + 15
     for cls in classes:
         assert cls.__subclasses__() == [], cls
+
+
+def test_a_type_binder_exactly_where_an_assumption_types_its_variable(corpus_cases):
+    # simplify splits and translate binds by one typing test: an assumption
+    # becomes a TypeBinder exactly where ``typed_notion`` finds a notion with
+    # no attribute, and is otherwise a hypothesis or untranslatable
+    inputs = Path(__file__).parent / "data" / "translate.input"
+    sources = [case.input for case in corpus_cases] + inputs.read_text("utf-8").splitlines()
+    kinds = set()
+    for source in sources + generate_sentences(300):
+        ids = reserved(source)
+        for tree in parse_source(source).trees:
+            for assumption in simplify(tree, ids).example.assumptions:
+                notion = typed_notion(assumption)
+                typing = notion is not None and (notion.left_attribute, notion.right_attribute) == (None, None)
+                try:
+                    (binder,) = _binders((assumption,), {})
+                except UntranslatableNode:
+                    binder = None
+                assert (type(binder) is lean.TypeBinder) == typing, source
+                kinds.add((typing, type(binder)))
+    assert kinds == {(True, lean.TypeBinder), (False, lean.HypBinder), (False, type(None))}

@@ -1,8 +1,12 @@
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import forlean
 from forlean import forthel, lean
 from forlean.forthel import Named, Notion, Unnamed
 from forlean.lexicon import LexiconEntry, Token
@@ -102,3 +106,46 @@ def test_a_plain_dataclass_is_a_leaf_of_the_walks():
     assert type(rebuilt) is tuple and rebuilt[0] == Pair("-", 1, 0)
     assert rebuilt[1] is plain and plain.left is inner
     assert list(iter_nodes(tree)) == [tree[0]]
+
+
+def test_a_memo_stops_a_walk_at_each_result():
+    # with a memo, each result is recorded as its own at the next id the walk
+    # left: walking a result again there calls ``fn`` on nothing
+    supply = SimpleNamespace(next_id=1)
+    calls = []
+
+    def number(n):
+        calls.append(n)
+        if n.right is None:
+            supply.next_id += 1
+            return Pair(n.op, n.left, supply.next_id - 1)
+        return n
+
+    memo: dict = {}
+    result = transform((Pair("+", Pair("*", 1)), Pair("-", 2, 3)), number, memo, supply)
+    assert result == (Pair("+", Pair("*", 1, 1), 2), Pair("-", 2, 3)) and supply.next_id == 3
+    calls.clear()
+    assert transform(result, number, memo, supply) is result
+    assert transform(result[0], number, memo, supply) is result[0]
+    supply.next_id = 2  # as the walk left it after numbering the inner pair
+    assert transform(result[0].left, number, memo, supply) is result[0].left
+    assert calls == [] and supply.next_id == 2
+    # at another next id a result is walked again, and comes back unchanged
+    supply.next_id = 7
+    assert transform(result[0], number, memo, supply) is result[0]
+    assert calls == [result[0].left, result[0]] and supply.next_id == 7
+    # without a supply the memo keys on node identity alone
+    memo.clear()
+    calls.clear()
+    doubled = transform(Pair("*", 1, 2), lambda n: calls.append(n) or Pair(n.op, n.left, n.right * 2), memo)
+    assert transform(doubled, None, memo) is doubled and len(calls) == 1
+
+
+def test_no_module_dispatches_with_a_match_class_pattern():
+    # a per-node function tests ``type(node) is C``; a ``match`` class
+    # pattern is an ``isinstance`` test, tried case after case
+    sources = sorted(Path(forlean.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    for source in sources:
+        patterns = [n for n in ast.walk(ast.parse(source.read_text("utf-8"))) if type(n) is ast.MatchClass]
+        assert patterns == [], source.name
