@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from .corpus import CorpusFormatError, corpus_check
 from .forthel import linearize_forthel, to_debug_tree
 from .pipeline import PipelineTrace, run_pipeline
 
@@ -81,7 +80,12 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    report = corpus_check(args.corpus_file, json_path=args.json_path)
+    from .corpus import CorpusFormatError, corpus_check  # not loaded by ``forlean translate``
+    try:
+        report = corpus_check(args.corpus_file, json_path=args.json_path)
+    except CorpusFormatError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0 if report.failed == 0 else 1
 
 
@@ -91,7 +95,7 @@ def main(argv=None) -> int:
         if args.command == "translate":
             return _cmd_translate(args)
         return _cmd_corpus(args)
-    except (OSError, UnicodeDecodeError, CorpusFormatError) as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

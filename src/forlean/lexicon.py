@@ -19,11 +19,11 @@ and a ``Lexicon`` keeps its index in the order ``match`` returns.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -252,8 +252,8 @@ def default_lexicon() -> Lexicon:
     entry but a variable needs a Lean image, and each operator a precedence.
     A relation or operator image must be a relation or an operator of
     ``lean.NOTATION``, so that Lean can read what is printed with it."""
-    data = resources.files("forlean").joinpath("data/lexicon.tsv").read_text("utf-8")
-    lexicon = Lexicon.parse(data)
+    with open(os.path.join(os.path.dirname(__file__), "data", "lexicon.tsv"), encoding="utf-8") as table:
+        lexicon = Lexicon.parse(table.read())
     for e in lexicon.entries():
         if not e.lean and e.category is not Category.VARIABLE:
             raise LexiconError(f"entry {e.key} has no Lean image")

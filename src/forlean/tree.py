@@ -9,10 +9,10 @@ visits it top-down, ``_IS_NODE`` tells a node from a leaf for code that walks
 fields itself (``vars(node)`` gives a node's fields in field order), and
 ``once`` caches a function of a whole node per node identity.
 
-``node`` declares a node class: a frozen dataclass whose ``__init__`` writes
-the fields straight into the instance ``__dict__``, in field order, instead
-of through ``object.__setattr__`` per field as a frozen dataclass's does, so
-``cls(*vars(n).values())`` rebuilds a node ``n``.
+``node`` declares a node class: a frozen dataclass whose methods come from a
+source generated for it, with an ``__init__`` that writes the fields straight
+into ``__dict__`` in field order, so ``cls(*vars(n).values())`` rebuilds a
+node ``n``; ``fields``, ``replace`` and ``is_dataclass`` stay the library's.
 """
 
 from __future__ import annotations
@@ -26,28 +26,54 @@ __all__ = ["iter_nodes", "node", "once", "transform"]
 
 # whether a type is a node: tuple and each class declared with ``node``
 _IS_NODE: defaultdict[type, bool] = defaultdict(bool, {tuple: True})
+# the code of each source ``node`` generates, compiled once; each class runs a
+# copy, since classes sharing one code object would share its inline caches
+_COMPILED: dict[str, object] = {}
+
+
+def _frozen_setattr(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def node(cls: type) -> type:
-    """``dataclass(frozen=True)`` with a cheaper ``__init__`` of the same
-    signature: assigning a field still raises ``FrozenInstanceError``, and
-    ``==``, ``hash``, ``repr``, ``replace``, ``fields`` and
-    ``__match_args__`` are the dataclass's own.  The fields are the class's
-    own annotations, each with a plain default or none."""
-    # the __init__ comes first, so that dataclass names an undocumented class
-    # by its signature; a default is a global of it, as in dataclasses
+    """``dataclass(frozen=True)``, cheaper: one generated source, run once,
+    defines ``__init__`` of the same signature and the dataclass's
+    ``__repr__``, ``__eq__`` and ``__hash__`` on the tuple of the fields.
+    Setting or deleting an attribute raises ``FrozenInstanceError``, and an
+    undocumented class is named by its signature.  The fields are the class's
+    own annotations, with plain defaults or none; ``dataclass`` records them."""
     fields = inspect.get_annotations(cls)
-    defaults = {f"_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
-    params = ", ".join(["self", *(f"{n}=_{n}" if f"_{n}" in defaults else n for n in fields)])
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    params = ", ".join(["self", *(f"{n}=_{n}" if n in defaults else n for n in fields)])
+    own, other = ("".join(f"{obj}.{n}," for n in fields) for obj in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
     lines = [f"def __init__({params}):", "    __d = self.__dict__"]
     lines += [f"    __d[{name!r}] = {name}" for name in fields]
-    exec("\n".join(lines), defaults)
-    init = defaults["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**fields, "return": None}
-    cls.__init__ = init
+    lines += ["def __repr__(self):", f'    return self.__class__.__qualname__ + f"({shown})"']
+    lines += ["def __eq__(self, other):", "    if other.__class__ is self.__class__:"]
+    lines += [f"        return ({own}) == ({other})", "    return NotImplemented"]
+    lines += ["def __hash__(self):", f"    return hash(({own}))"]
+    source = "\n".join(lines)
+    if source not in _COMPILED:
+        _COMPILED[source] = compile(source, "<node>", "exec")
+    namespace = {f"_{name}": value for name, value in defaults.items()}
+    exec(_COMPILED[source], namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        fn = namespace[name]
+        fn.__code__, fn.__qualname__ = fn.__code__.replace(), f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__init__.__annotations__ = {**fields, "return": None}
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    if not cls.__doc__:
+        params = [f"{n}: {inspect.formatannotation(a)}" for n, a in fields.items()]
+        params = [f"{p} = {defaults[n]!r}" if n in defaults else p for p, n in zip(params, fields)]
+        cls.__doc__ = f"{cls.__name__}({', '.join(params)})"
     _IS_NODE[cls] = True
-    return dataclasses.dataclass(frozen=True, init=False)(cls)
+    return dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
 
 
 def transform(node, fn, memo: dict | None = None, supply=None):

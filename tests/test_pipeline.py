@@ -595,6 +595,40 @@ class TestCli:
         assert done.returncode == 1
         assert done.stderr.splitlines()[-1] == f"forlean.lexicon.LexiconError: {error}"
 
+    def test_translate_does_not_load_the_corpus_harness(self, tmp_path):
+        source = tmp_path / "input.txt"
+        source.write_text("Ex. Assume n is an odd integer. Then n is odd.", encoding="utf-8")
+        script = (
+            "import sys; from forlean.cli import main; "
+            f"status = main(['translate', {str(source)!r}]); "
+            "print(status, 'forlean.corpus' in sys.modules)"
+        )
+        package_root = str(Path(forlean.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": package_root, "PYTHONIOENCODING": "utf-8"},
+            encoding="utf-8",
+            check=True,
+        )
+        assert done.stdout.splitlines() == ["example (n : ℤ) (h1 : odd n) : odd n := sorry", "0 False"]
+
+    def test_import_loads_no_package_resource_machinery(self):
+        # with -S, site loads nothing first, so what the import needs shows
+        script = (
+            "import sys, forlean; "
+            "print([m for m in ('importlib.resources', 'pathlib', 'zipfile', 'tempfile') if m in sys.modules])"
+        )
+        package_root = str(Path(forlean.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+            encoding="utf-8",
+            check=True,
+        )
+        assert done.stdout == "[]\n"
+
     def test_translate_integer_literal_too_long(self, tmp_path, capsys):
         source = tmp_path / "input.txt"
         source.write_text(LONG_LITERAL_SOURCE, encoding="utf-8")

@@ -1,3 +1,4 @@
+import __future__
 import ast
 import dataclasses
 import inspect
@@ -83,6 +84,55 @@ def test_behaves_as_a_plain_frozen_dataclass():
             assert left == 1
         case _:
             pytest.fail("no pattern matched")
+
+
+def module_twins(module):
+    """Each class of ``module`` declared with ``node``, paired with a plain
+    frozen dataclass declared from the same class body."""
+    pairs = []
+    for stmt in ast.parse(Path(module.__file__).read_text("utf-8")).body:
+        if type(stmt) is ast.ClassDef and [ast.unparse(d) for d in stmt.decorator_list] == ["node"]:
+            stmt.decorator_list = []
+            flags = __future__.annotations.compiler_flag
+            code = compile(ast.Module([stmt], []), module.__file__, "exec", flags=flags, dont_inherit=True)
+            namespace = dict(vars(module))
+            exec(code, namespace)
+            pairs.append((getattr(module, stmt.name), dataclasses.dataclass(frozen=True)(namespace[stmt.name])))
+    return pairs
+
+
+def test_every_node_class_behaves_as_its_frozen_dataclass_twin():
+    pairs = module_twins(forthel) + module_twins(lean)
+    assert len(pairs) == 42
+    for cls, twin in pairs:
+        name = cls.__name__
+        assert cls.__doc__ == twin.__doc__, name
+        assert str(inspect.signature(cls)) == str(inspect.signature(twin)), name
+        assert cls.__match_args__ == twin.__match_args__, name
+        fields = [(f.name, f.default) for f in dataclasses.fields(cls)]
+        assert fields == [(f.name, f.default) for f in dataclasses.fields(twin)], name
+        args = [f"{field}-{i}" for i, (field, _) in enumerate(fields)]
+        required = [a for a, (_, default) in zip(args, fields) if default is dataclasses.MISSING]
+        for values in (args, required):
+            ours, theirs = cls(*values), twin(*values)
+            assert repr(ours) == repr(theirs) and hash(ours) == hash(theirs), name
+            assert ours == cls(*values) and not ours != cls(*values), name
+            assert ours.__eq__(theirs) is theirs.__eq__(ours) is NotImplemented, name
+        ours, theirs = cls(*args), twin(*args)
+        for field, _ in fields:
+            assert ours != dataclasses.replace(ours, **{field: 0}), name
+            replaced = dataclasses.replace(ours, **{field: 0}), dataclasses.replace(theirs, **{field: 0})
+            assert repr(replaced[0]) == repr(replaced[1]), name
+        for field in [f for f, _ in fields] + ["other"]:
+            errors = []
+            for instance in (ours, theirs):
+                with pytest.raises(dataclasses.FrozenInstanceError) as set_error:
+                    setattr(instance, field, 0)
+                with pytest.raises(dataclasses.FrozenInstanceError) as del_error:
+                    delattr(instance, field)
+                errors.append((str(set_error.value), str(del_error.value)))
+            assert errors[0] == errors[1], name
+        assert vars(ours) == vars(theirs), name
 
 
 def test_node_declares_every_node_class():
