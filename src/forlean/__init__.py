@@ -8,7 +8,6 @@ print it.
 """
 
 from .lean import LeanCommand, alpha_equivalent, normalize_names, print_command
-from .lean_reader import read_command
 from .lexicon import preprocess, tokenize
 from .parsing import parse_text
 from .pipeline import PipelineTrace, run_pipeline
@@ -23,7 +22,6 @@ __all__ = [
     "parse_text",
     "preprocess",
     "print_command",
-    "read_command",
     "reserved_ids",
     "run_pipeline",
     "simplify",

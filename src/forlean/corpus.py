@@ -22,10 +22,7 @@ are equal.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 from .lean import LeanCommand, normalize_names, print_command
 from .lean_reader import LeanReadError, read_command
@@ -37,7 +34,6 @@ __all__ = [
     "CorpusReport",
     "check_cases",
     "corpus_check",
-    "default_corpus_path",
     "load_corpus",
     "parse_corpus",
 ]
@@ -69,10 +65,6 @@ class CorpusReport:
 class CorpusFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-
-
-def default_corpus_path() -> Path:
-    return Path(str(resources.files("forlean").joinpath("data/corpus.txt")))
 
 
 def parse_corpus(text: str) -> list[CorpusCase]:
@@ -135,24 +127,23 @@ def _canonical(command: LeanCommand) -> str:
     return print_command(normalize_names(command))
 
 
-def check_cases(cases: list[CorpusCase], out=None) -> CorpusReport:
+def check_cases(cases: list[CorpusCase]) -> CorpusReport:
     """Run every case through the pipeline, printing one PASS/FAIL line per
-    case (sorted by id) and a summary."""
-    out = out if out is not None else sys.stdout
+    case (sorted by id) and a summary to stdout."""
     report = CorpusReport()
     for case in sorted(cases, key=lambda c: c.id):
         report.total += 1
         diff = _check_one(case)
         if diff is None:
             report.passed += 1
-            print(f"PASS {case.id}", file=out)
+            print(f"PASS {case.id}")
         else:
             report.failed += 1
             report.failures.append((case.id, diff))
-            print(f"FAIL {case.id}", file=out)
+            print(f"FAIL {case.id}")
             for line in diff.splitlines():
-                print(f"  {line}", file=out)
-    print(f"passed {report.passed}/{report.total}", file=out)
+                print(f"  {line}")
+    print(f"passed {report.passed}/{report.total}")
     return report
 
 
@@ -179,9 +170,9 @@ def _check_one(case: CorpusCase) -> str | None:
     return "\n".join(lines)
 
 
-def corpus_check(path, *, json_path=None, out=None) -> CorpusReport:
+def corpus_check(path, *, json_path=None) -> CorpusReport:
     """Check the corpus file at ``path``; optionally write a JSON report."""
-    report = check_cases(load_corpus(path), out=out)
+    report = check_cases(load_corpus(path))
     if json_path is not None:
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(report.as_dict(), handle, ensure_ascii=False, indent=2)

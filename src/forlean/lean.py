@@ -275,11 +275,11 @@ def print_command(c: LeanCommand, memo: dict | None = None) -> str:
 
 
 def _print_binders(binders: tuple[Binder, ...], props: dict) -> str:
-    names = [b.name if isinstance(b, TypeBinder) else b.label for b in binders]
+    names = [b.name if type(b) is TypeBinder else b.label for b in binders]
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:
         raise DuplicateBinderName(", ".join(sorted(duplicates)))
-    types = [b.type if isinstance(b, TypeBinder) else print_prop(b.prop, props) for b in binders]
+    types = [b.type if type(b) is TypeBinder else print_prop(b.prop, props) for b in binders]
     return " ".join(["example", *(f"({n} : {t})" for n, t in zip(names, types))])
 
 

@@ -37,40 +37,19 @@ __all__ = [
     "LexiconError",
     "Token",
     "TokenError",
-    "TokenKind",
     "default_lexicon",
     "preprocess",
     "tokenize",
 ]
 
-class TokenKind(Enum):
-    WORD = "Word"
-    INT_LIT = "IntLit"
-    SYMBOL = "Symbol"
-    PERIOD = "Period"
-
-
 class Token(NamedTuple):
-    kind: TokenKind
+    """A token's text, the int it denotes if it is an integer literal (else
+    None), and its byte offsets into the tokenized string.  The text fixes
+    what the token is: a period, an integer literal, a symbol or a word."""
+
     text: str
-    value: int | None = None
-    # byte offsets into the tokenized string; excluded from equality and
-    # hashing so that tokens compare by content
-    span: tuple[int, int] = (0, 0)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Token and self[:3] == other[:3]
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
-
-    def __repr__(self) -> str:
-        if self.kind is TokenKind.INT_LIT:
-            return f"IntLit({self.value})"
-        return f"{self.kind.value}({self.text!r})"
+    value: int | None
+    span: tuple[int, int]
 
 
 class TokenError(ValueError):
@@ -87,15 +66,16 @@ def preprocess(raw: str) -> str:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Turn preprocessed text into word/integer/symbol/period tokens.
+    """Turn preprocessed text into tokens ``(text, value, span)``.
 
     One pattern, built from ``SYMBOLS`` at import, scans the text: a period
     is ``.``, an integer is ``-?[0-9]+``, a symbol is one of ``SYMBOLS`` and
     a word is a letter followed by letters or ``'`` ("it's"), so a token's
-    kind follows from its text.  A ``-`` immediately followed by digits is a
-    negative integer literal; a spaced ``-`` is the binary operator.  A span
-    is the match's own span in ASCII text, where a character is a byte;
-    otherwise it goes through a table of each character's UTF-8 offset.
+    text says which of these it is; only an integer literal has a ``value``.
+    A ``-`` immediately followed by digits is a negative integer literal; a
+    spaced ``-`` is the binary operator.  A span is the match's own span in
+    ASCII text, where a character is a byte; otherwise it goes through a
+    table of each character's UTF-8 offset.
     """
     ascii_ = text.isascii()
     if not ascii_:
@@ -103,23 +83,23 @@ def tokenize(text: str) -> list[Token]:
         to_byte = [0, *accumulate(len(ch.encode("utf-8", "surrogatepass")) for ch in text)]
     tokens: list[Token] = []
     # tuple.__new__ skips the Python-level __new__ of the named tuple
-    append, new, word, integer = tokens.append, tuple.__new__, TokenKind.WORD, TokenKind.INT_LIT
+    append, new = tokens.append, tuple.__new__
     for m in _TOKEN.finditer(text):
-        kind, lexeme, span = _KINDS[m.lastindex], m.group(), m.span()
+        group, lexeme, span = m.lastindex, m.group(), m.span()
         # [^\W\d_] also takes numerics such as ² and ½, which are not letters;
         # in ASCII text it takes letters only
-        if kind is word and not ascii_ and not lexeme.replace("'", "").isalpha():
+        if group == _WORD and not ascii_ and not lexeme.replace("'", "").isalpha():
             start = span[0] + next(i for i, ch in enumerate(lexeme) if not ch.isalpha() and ch != "'")
-            kind, lexeme, span = None, text[start], (start, start + 1)
+            group, lexeme, span = _OTHER, text[start], (start, start + 1)
         if not ascii_:
             span = (to_byte[span[0]], to_byte[span[1]])
-        if kind is None:
+        if group == _OTHER:
             raise TokenError(f"unknown character {lexeme!r}", span)
         try:
-            value = int(lexeme) if kind is integer else None
+            value = int(lexeme) if group == _INTEGER else None
         except ValueError:  # more digits than Python converts to an int
             raise TokenError("integer literal too long", span) from None
-        append(new(Token, (kind, lexeme, value, span)))
+        append(new(Token, (lexeme, value, span)))
     return tokens
 
 
@@ -219,12 +199,13 @@ class Lexicon:
 
         The index is kept in that order, so ``match`` only filters it; no
         entry matches twice, as a category rejects duplicate forms.  A form
-        matches where the token texts equal it: a text fixes its token's
-        kind.  Ambiguity between overlapping forms ("greater than" inside
-        "greater than or equal to") is left to the parser, which looks a
-        position up only where its token can start a form of a category it
-        tries.  When the longest form there is one word, every form matches
-        and no token texts are read.
+        matches where the token texts, each a token's item 0, equal it: a
+        text says whether its token is a word, a symbol, a period or an
+        integer literal.  Ambiguity between overlapping forms ("greater
+        than" inside "greater than or equal to") is left to the parser, which
+        looks a position up only where its token can start a form of a
+        category it tries.  When the longest form there is one word, every
+        form matches and no token texts are read.
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
@@ -237,8 +218,8 @@ class Lexicon:
         if longest == 1:  # every form is the one word already compared
             return [(entry, 1) for entry, _ in pairs]
         # each form is compared with a prefix of the texts under the longest;
-        # a token's text is its item 1
-        texts = tuple(map(itemgetter(1), tokens[position : position + longest]))
+        # a token's text is its item 0
+        texts = tuple(map(itemgetter(0), tokens[position : position + longest]))
         return [(entry, len(form)) for entry, form in pairs if texts[: len(form)] == form]
 
 
@@ -270,7 +251,7 @@ SYMBOLS = "()," + "".join(
     symbol for e in default_lexicon().entries(Category.RAW_NOUN2) for (symbol,) in e.surface
 )
 
-# one group per token kind, tried in order, so a "-" glued to digits is a
-# literal; the last group, any other character but whitespace, has no kind
-_TOKEN = re.compile(rf"(\.)|(-?[0-9]+)|([{re.escape(SYMBOLS)}])|([^\W\d_]+(?:'[^\W\d_]*)*)|(\S)")
-_KINDS = (None, TokenKind.PERIOD, TokenKind.INT_LIT, TokenKind.SYMBOL, TokenKind.WORD, None)
+# the groups are tried in order, so a "-" glued to digits is a literal: an
+# integer, a period or symbol, a word, and any other character but whitespace
+_TOKEN = re.compile(rf"(-?[0-9]+)|([.{re.escape(SYMBOLS)}])|([^\W\d_]+(?:'[^\W\d_]*)*)|(\S)")
+_INTEGER, _WORD, _OTHER = 1, 3, 4

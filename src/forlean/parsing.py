@@ -85,8 +85,8 @@ class _Parser:
         self.toks = list(tokens)
         self.furthest = furthest
         self.expected: set[str] = set()
-        # token texts by position, None one past the end; a text fixes its
-        # token's kind, so matching a word, symbol or period compares texts
+        # token texts by position, None one past the end; a text says what
+        # its token is, so matching a word, symbol or period compares texts
         self._texts = [t.text for t in self.toks] + [None]
         self._ints = [t.value for t in self.toks] + [None]
         # lexicon matches per position, as (key, end) pairs by category
@@ -124,7 +124,7 @@ class _Parser:
         return matches
 
     def definite_term(self, pos: int) -> list[tuple]:
-        return [(t, p) for t, p in self.term(pos) if not isinstance(t, Quantified)]
+        return [(t, p) for t, p in self.term(pos) if type(t) is not Quantified]
 
 
 def _operator_category(category: str, atoms: str, associativity: str, levels: tuple):

@@ -166,7 +166,7 @@ def _flatten_one(n):
     a single such-that condition; conjunct order is left attribute first."""
     if type(n) is not Notion:
         return n
-    if n.left_attribute is None and not isinstance(n.right_attribute, IsPred):
+    if n.left_attribute is None and type(n.right_attribute) is not IsPred:
         return n
     subject = _name_ref(n)
     conjuncts: list[Statement] = []

@@ -82,21 +82,20 @@ def transform(node, fn, memo: dict | None = None, supply=None):
     are rebuilt item by item and not passed to ``fn``.  Returns ``node``
     itself when no child changed and ``fn`` returned its argument.
 
-    ``memo`` caches the result per node identity; share one only between
-    calls with the same pure ``fn``, which must return each of its own
-    results unchanged: a result is recorded as its own too, so a walk that
-    meets it again stops there.  The memo holds each node it keys, so an id
-    cannot be reused while it lives.  When ``fn`` draws fresh ids from
-    ``supply``, a subtree's result also depends on ``supply.next_id``: the
-    memo then keys on the pair, a result on the ``next_id`` the walk leaves,
-    and a hit restores the ``next_id`` that the first visit left.
+    ``memo`` caches results for an ``fn`` that draws fresh ids from
+    ``supply``, so a subtree's result depends on ``supply.next_id`` too: the
+    memo keys on ``(id(node), supply.next_id)``, and a hit restores the
+    ``next_id`` that the first visit left.  Share one only between calls
+    with the same pure ``fn``, which must return each of its own results
+    unchanged: a result is recorded as its own too, at the ``next_id`` the
+    walk leaves, so a walk that meets it again there stops.  The memo holds
+    each node it keys, so an id cannot be reused while it lives.
     """
     if memo is not None:
-        key = id(node) if supply is None else (id(node), supply.next_id)
+        key = (id(node), supply.next_id)
         hit = memo.get(key)
         if hit is not None:
-            if supply is not None:
-                supply.next_id = hit[2]
+            supply.next_id = hit[2]
             return hit[1]
     cls = type(node)
     children = node if cls is tuple else node.__dict__.values()
@@ -114,10 +113,10 @@ def transform(node, fn, memo: dict | None = None, supply=None):
     else:
         result = fn(node if rebuilt is None else cls(*rebuilt))
     if memo is not None:
-        next_id = None if supply is None else supply.next_id
+        next_id = supply.next_id
         memo[key] = (node, result, next_id)
         if result is not node:
-            memo[id(result) if supply is None else (id(result), next_id)] = (result, result, next_id)
+            memo[id(result), next_id] = (result, result, next_id)
     return result
 
 

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
-from forlean.corpus import default_corpus_path, load_corpus
+import forlean
+from forlean.corpus import load_corpus
 from forlean.lean import normalize_names, print_command
 from forlean.lean_reader import read_command
 from forlean.lexicon import preprocess, tokenize
@@ -8,9 +11,13 @@ from forlean.parsing import parse_text
 from forlean.simplify import reserved_ids
 
 
+# the bundled regression set, beside the package's own modules
+CORPUS = Path(forlean.__file__).parent / "data" / "corpus.txt"
+
+
 @pytest.fixture(scope="session")
 def corpus_cases():
-    cases = load_corpus(default_corpus_path())
+    cases = load_corpus(CORPUS)
     assert len(cases) == 42
     return cases
 

@@ -3,7 +3,7 @@ line each (run with ``pytest tests/test_acceptance.py -v -s`` to see them)."""
 
 import io
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from conftest import canonical, expect_trees, parse_source, reserved
 from forlean.corpus import check_cases
@@ -36,7 +36,9 @@ def outputs_of(source: str) -> list[str]:
 def test_criterion_1_corpus_reproduction(corpus_cases):
     with criterion("criterion 1: all 42 corpus cases reproduce in under 5 s"):
         start = time.perf_counter()
-        report = check_cases(corpus_cases, out=io.StringIO())
+        # the case lines stay out of this suite's PASS/FAIL lines
+        with redirect_stdout(io.StringIO()):
+            report = check_cases(corpus_cases)
         elapsed = time.perf_counter() - start
         assert (report.total, report.passed, report.failed) == (42, 42, 0)
         assert elapsed < 5.0, f"corpus run took {elapsed:.2f}s"
@@ -139,7 +141,9 @@ def test_criterion_6_property_suites(corpus_cases):
         assert check_generated_sentences(250) >= 250
         for case in corpus_cases:
             tokens = tokenize(preprocess(case.input))
-            assert tokenize(" ".join(t.text for t in tokens)) == tokens
+            # texts and values come back; spans move with the spacing
+            again = tokenize(" ".join(t.text for t in tokens))
+            assert [t[:2] for t in again] == [t[:2] for t in tokens]
         for case in corpus_cases:
             for expected in case.expected:
                 command = read_command(expected)

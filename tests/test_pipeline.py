@@ -11,16 +11,9 @@ from pathlib import Path
 import pytest
 
 import forlean
-from conftest import canonical
+from conftest import CORPUS, canonical
 from forlean.cli import main
-from forlean.corpus import (
-    CorpusCase,
-    CorpusFormatError,
-    check_cases,
-    corpus_check,
-    default_corpus_path,
-    parse_corpus,
-)
+from forlean.corpus import CorpusCase, CorpusFormatError, check_cases, corpus_check, parse_corpus
 from forlean.lean import print_command
 from forlean.lean_reader import read_command
 from forlean.lexicon import preprocess, tokenize
@@ -368,16 +361,15 @@ class TestCorpusCheck:
             ("Ex. Then there exists an integer.", "error: untranslatable: "),
         ],
     )
-    def test_text_that_prints_nothing_fails_with_its_diagnostic(self, source, error):
+    def test_text_that_prints_nothing_fails_with_its_diagnostic(self, source, error, capsys):
         # the duplicate-binder text has commands but printed none of them
-        out = io.StringIO()
-        report = check_cases([CorpusCase("c", source, ("example : 4 > 3 := sorry",))], out=out)
+        report = check_cases([CorpusCase("c", source, ("example : 4 > 3 := sorry",))])
         ((case_id, diff),) = report.failures
         assert case_id == "c"
         *lines, last = diff.splitlines()
         assert lines == ["expected:", "  example : 4 > 3 := sorry", "got:"]
         assert last.startswith(error)
-        assert out.getvalue().startswith("FAIL c\n")
+        assert capsys.readouterr().out.startswith("FAIL c\n")
 
     def test_empty_case_list(self, capsys):
         report = check_cases([])
@@ -386,7 +378,7 @@ class TestCorpusCheck:
 
     def test_json_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
-        report = corpus_check(default_corpus_path(), json_path=report_path)
+        report = corpus_check(CORPUS, json_path=report_path)
         capsys.readouterr()
         data = json.loads(report_path.read_text(encoding="utf-8"))
         assert data["total"] == report.total == 42
@@ -483,7 +475,7 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_corpus_command(self, capsys):
-        assert main(["corpus", str(default_corpus_path())]) == 0
+        assert main(["corpus", str(CORPUS)]) == 0
         assert "passed 42/42" in capsys.readouterr().out
 
     def test_outputs_are_byte_identical_to_their_pinned_hashes(self, tmp_path, capsys):
@@ -493,7 +485,7 @@ class TestCli:
             return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
         report = tmp_path / "report.json"
-        assert main(["corpus", str(default_corpus_path()), "--json", str(report)]) == 0
+        assert main(["corpus", str(CORPUS), "--json", str(report)]) == 0
         assert sha256(capsys.readouterr().out) == (
             "718a8dca4dd8b3438411eba9d560d6ab6030c6b2858f792ebcdc2f0bf19ad99f"
         )
@@ -550,7 +542,8 @@ class TestCli:
         read_back = (
             "import sys, forlean; (trace,) = forlean.run_pipeline(sys.stdin.read()); "
             "print(forlean.__file__); "
-            "print(forlean.read_command(trace.printed[0]) == trace.commands[0])"
+            "from forlean.lean_reader import read_command; "
+            "print(read_command(trace.printed[0]) == trace.commands[0])"
         )
         location, same = run("-c", read_back)
         assert Path(location).is_relative_to(tmp_path)
@@ -628,6 +621,34 @@ class TestCli:
             check=True,
         )
         assert done.stdout == "[]\n"
+
+    def test_run_and_corpus_load_only_what_they_use(self):
+        # a fresh interpreter per program path, with -S so that site loads
+        # nothing first: what the path needs is all that sys.modules shows
+        unused = {
+            "import forlean; forlean.run_pipeline('Ex. Assume n is an odd integer. Then n is odd.')": (
+                "forlean.lean_reader",
+                "forlean.corpus",
+                "importlib.resources",
+            ),
+            f"from forlean.cli import main; main(['corpus', {str(CORPUS)!r}])": (
+                "importlib.resources",
+                "pathlib",
+                "zipfile",
+                "tempfile",
+            ),
+        }
+        package_root = str(Path(forlean.__file__).parent.parent)
+        for call, modules in unused.items():
+            script = f"import sys; {call}; print([m for m in {modules!r} if m in sys.modules])"
+            done = subprocess.run(
+                [sys.executable, "-S", "-c", script],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": package_root, "PYTHONIOENCODING": "utf-8"},
+                encoding="utf-8",
+                check=True,
+            )
+            assert done.stdout.splitlines()[-1] == "[]", call
 
     def test_translate_integer_literal_too_long(self, tmp_path, capsys):
         source = tmp_path / "input.txt"

@@ -160,7 +160,9 @@ def test_generated_sentences_parse_and_normalize():
 def test_generated_sentences_tokenize_roundtrip():
     for source in generate_sentences(100, seed=7):
         tokens = tokenize(preprocess(source))
-        assert tokenize(" ".join(t.text for t in tokens)) == tokens
+        # texts and values come back; spans move with the spacing
+        again = tokenize(" ".join(t.text for t in tokens))
+        assert [t[:2] for t in again] == [t[:2] for t in tokens]
 
 
 def test_random_token_streams_roundtrip():
@@ -180,7 +182,8 @@ def test_random_token_streams_roundtrip():
                 pieces.append(".")
         text = " ".join(pieces)
         tokens = tokenize(text)
-        assert tokenize(" ".join(t.text for t in tokens)) == tokens
+        again = tokenize(" ".join(t.text for t in tokens))
+        assert [t[:2] for t in again] == [t[:2] for t in tokens]
         result = parse_text(tokens)
         if not result.trees:
             # a failed parse names what it expected, at bytes of this stream

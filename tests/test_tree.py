@@ -1,6 +1,7 @@
 import __future__
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 from types import SimpleNamespace
@@ -184,11 +185,6 @@ def test_a_memo_stops_a_walk_at_each_result():
     supply.next_id = 7
     assert transform(result[0], number, memo, supply) is result[0]
     assert calls == [result[0].left, result[0]] and supply.next_id == 7
-    # without a supply the memo keys on node identity alone
-    memo.clear()
-    calls.clear()
-    doubled = transform(Pair("*", 1, 2), lambda n: calls.append(n) or Pair(n.op, n.left, n.right * 2), memo)
-    assert transform(doubled, None, memo) is doubled and len(calls) == 1
 
 
 def test_no_module_dispatches_with_a_match_class_pattern():
@@ -199,3 +195,18 @@ def test_no_module_dispatches_with_a_match_class_pattern():
     for source in sources:
         patterns = [n for n in ast.walk(ast.parse(source.read_text("utf-8"))) if type(n) is ast.MatchClass]
         assert patterns == [], source.name
+
+
+def test_no_module_tests_a_node_class_with_isinstance():
+    # ``isinstance`` walks the class's MRO where ``type(node) is C`` compares
+    # one pointer; a node class has no subclasses, so both say the same
+    checks = []
+    for source in sorted(Path(forlean.__file__).parent.glob("*.py")):
+        module = "forlean" if source.stem == "__init__" else f"forlean.{source.stem}"
+        names = vars(importlib.import_module(module))
+        for call in ast.walk(ast.parse(source.read_text("utf-8"))):
+            if type(call) is ast.Call and type(call.func) is ast.Name and call.func.id == "isinstance":
+                classes = [names.get(n.id) for n in ast.walk(call.args[1]) if type(n) is ast.Name]
+                if any(type(cls) is type and _IS_NODE.get(cls) for cls in classes):
+                    checks.append((source.name, ast.unparse(call)))
+    assert checks == []
