@@ -22,7 +22,7 @@ are equal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lean import LeanCommand, normalize_names, print_command
 from .lean_reader import LeanReadError, read_command
@@ -39,19 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(NamedTuple):
     id: str
     input: str
     expected: tuple[str, ...]
 
 
-@dataclass
 class CorpusReport:
-    total: int = 0
-    passed: int = 0
-    failed: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.total = self.passed = self.failed = 0
+        self.failures: list[tuple[str, str]] = []
 
     def as_dict(self) -> dict:
         return {

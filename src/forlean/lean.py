@@ -23,7 +23,6 @@ locally nameless forms, each built by one walk with a binder environment.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import NamedTuple, Union
 
@@ -305,7 +304,7 @@ def normalize_names(c: LeanCommand) -> LeanCommand:
         if type(n) is HypBinder:
             return HypBinder(labels[n.label], n.prop)
         if type(n) in _NAMED and n.name in generated:
-            return dataclasses.replace(n, name=generated[n.name])
+            return type(n)(**{**vars(n), "name": generated[n.name]})
         return n
 
     return transform(c, rename)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -115,8 +114,7 @@ class Category(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     category: Category
     key: str
     # alternative surface forms, each a sequence of token texts

@@ -25,8 +25,6 @@ tokens fix the reserved ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .forthel import (
     And,
     BinApp,
@@ -60,12 +58,11 @@ __all__ = ["NameSupply", "reserved_ids", "simplify", "typed_notion"]
 # --- names ---------------------------------------------------------------------
 
 
-@dataclass
 class NameSupply:
     """Source of fresh metavariable ids, skipping the ids a text reserves."""
 
-    reserved: frozenset[int]
-    next_id: int = 1
+    def __init__(self, reserved: frozenset[int], next_id: int = 1):
+        self.reserved, self.next_id = reserved, next_id
 
     def fresh(self) -> int:
         while self.next_id in self.reserved:
@@ -136,7 +133,7 @@ def _raise_does(does):
     elif type(predicate) in (IsAdj1, IsTerm):
         found = _raise_first(predicate.term)
         if found is not None:
-            predicate = replace(predicate, term=found[1])
+            predicate = type(predicate)(**{**vars(predicate), "term": found[1]})
     if found is None:
         return does
     return ForQuantified(found[0].qnotion, _raise_does(Does(subject, predicate)))

@@ -12,13 +12,13 @@ fields itself (``vars(node)`` gives a node's fields in field order), and
 ``node`` declares a node class: a frozen dataclass whose methods come from a
 source generated for it, with an ``__init__`` that writes the fields straight
 into ``__dict__`` in field order, so ``cls(*vars(n).values())`` rebuilds a
-node ``n``; ``fields``, ``replace`` and ``is_dataclass`` stay the library's.
+node ``n``.  Declaring one loads no ``dataclasses``: the class records its
+dataclass fields on the first read of ``__dataclass_fields__``, so
+``fields``, ``replace`` and ``is_dataclass`` stay the library's.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 from collections import defaultdict
 
 __all__ = ["iter_nodes", "node", "once", "transform"]
@@ -32,11 +32,32 @@ _COMPILED: dict[str, object] = {}
 
 
 def _frozen_setattr(self, name, value):
-    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
-    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _LazyFields:
+    """A node class's ``__dataclass_fields__`` until first read: the read
+    runs ``dataclass`` on the class, which puts the fields in its place."""
+
+    def __get__(self, instance, owner):
+        from dataclasses import dataclass
+
+        return dataclass(init=False, repr=False, eq=False)(owner).__dataclass_fields__
+
+
+def _shown(a) -> str:
+    """A class or string annotation as ``inspect.formatannotation`` shows it."""
+    if not isinstance(a, type):
+        return repr(a)
+    return a.__qualname__ if a.__module__ == "builtins" else f"{a.__module__}.{a.__qualname__}"
 
 
 def node(cls: type) -> type:
@@ -45,8 +66,9 @@ def node(cls: type) -> type:
     ``__repr__``, ``__eq__`` and ``__hash__`` on the tuple of the fields.
     Setting or deleting an attribute raises ``FrozenInstanceError``, and an
     undocumented class is named by its signature.  The fields are the class's
-    own annotations, with plain defaults or none; ``dataclass`` records them."""
-    fields = inspect.get_annotations(cls)
+    own annotations, with plain defaults or none, in ``__match_args__``;
+    ``dataclass`` records them on the first read of ``__dataclass_fields__``."""
+    fields = cls.__dict__.get("__annotations__", {})
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     params = ", ".join(["self", *(f"{n}=_{n}" if n in defaults else n for n in fields)])
     own, other = ("".join(f"{obj}.{n}," for n in fields) for obj in ("self", "other"))
@@ -68,12 +90,13 @@ def node(cls: type) -> type:
         setattr(cls, name, fn)
     cls.__init__.__annotations__ = {**fields, "return": None}
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__, cls.__dataclass_fields__ = tuple(fields), _LazyFields()
     if not cls.__doc__:
-        params = [f"{n}: {inspect.formatannotation(a)}" for n, a in fields.items()]
+        params = [f"{n}: {_shown(a)}" for n, a in fields.items()]
         params = [f"{p} = {defaults[n]!r}" if n in defaults else p for p, n in zip(params, fields)]
         cls.__doc__ = f"{cls.__name__}({', '.join(params)})"
     _IS_NODE[cls] = True
-    return dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+    return cls
 
 
 def transform(node, fn, memo: dict | None = None, supply=None):

@@ -624,18 +624,22 @@ class TestCli:
 
     def test_run_and_corpus_load_only_what_they_use(self):
         # a fresh interpreter per program path, with -S so that site loads
-        # nothing first: what the path needs is all that sys.modules shows
+        # nothing first: what the path needs is all that sys.modules shows.
+        # Neither path loads dataclasses, nor what it imports for itself
+        dataclasses = ("dataclasses", "inspect", "ast", "dis", "copy")
         unused = {
             "import forlean; forlean.run_pipeline('Ex. Assume n is an odd integer. Then n is odd.')": (
                 "forlean.lean_reader",
                 "forlean.corpus",
                 "importlib.resources",
+                *dataclasses,
             ),
             f"from forlean.cli import main; main(['corpus', {str(CORPUS)!r}])": (
                 "importlib.resources",
                 "pathlib",
                 "zipfile",
                 "tempfile",
+                *dataclasses,
             ),
         }
         package_root = str(Path(forlean.__file__).parent.parent)

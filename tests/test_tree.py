@@ -3,12 +3,16 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import forlean
+from conftest import CORPUS
 from forlean import forthel, lean
 from forlean.forthel import Named, Notion, Unnamed
 from forlean.lexicon import LexiconEntry, Token
@@ -134,6 +138,68 @@ def test_every_node_class_behaves_as_its_frozen_dataclass_twin():
                 errors.append((str(set_error.value), str(del_error.value)))
             assert errors[0] == errors[1], name
         assert vars(ours) == vars(theirs), name
+
+
+# run in a fresh interpreter: the corpus first, and only then ``dataclasses``
+# and the bench's node count, which reads nodes through ``fields``
+FIELDS_ON_FIRST_READ = """
+import sys
+import forlean
+from forlean.corpus import load_corpus
+from forlean.forthel import Notion
+from forlean.tree import iter_nodes
+
+corpus, bench = sys.argv[1:]
+traces = [t for case in load_corpus(corpus) for t in forlean.run_pipeline(case.input)]
+loaded_first = "dataclasses" in sys.modules
+import dataclasses
+sys.path.insert(0, bench)
+from spans import count_nodes
+
+notion = next(n for n in iter_nodes(traces[0].parses) if type(n) is Notion)
+try:
+    notion.head = "RATIONAL"
+except dataclasses.FrozenInstanceError as error:
+    frozen = str(error)
+print(repr({
+    "loaded first": loaded_first,
+    "is_dataclass": [dataclasses.is_dataclass(x) for x in (notion, Notion, traces[0])],
+    "fields": [
+        (f.name, "MISSING" if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(notion)
+    ],
+    "replaced": dataclasses.replace(notion, left_attribute="EVEN")
+    == Notion(notion.head, notion.name, "EVEN", notion.right_attribute),
+    "frozen": frozen,
+    "counts": [
+        [(count_nodes(trees), len(list(iter_nodes(trees)))) for trees in stage]
+        for stage in zip(*[(t.parses, t.normals, t.commands) for t in traces])
+    ],
+}))
+"""
+
+
+def test_a_node_records_its_dataclass_fields_when_first_read():
+    root = Path(__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", FIELDS_ON_FIRST_READ, str(CORPUS), str(root / "bench")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(forlean.__file__).parent.parent)},
+        encoding="utf-8",
+        check=True,
+    )
+    found = ast.literal_eval(done.stdout)
+    # count_nodes gives the bench's parsing, simplify and translate node rows
+    counts = found.pop("counts")
+    assert len(counts) == 3 and all(bench == ours for stage in counts for bench, ours in stage)
+    assert all(sum(bench for bench, _ in stage) > 0 for stage in counts)
+    assert found == {
+        "loaded first": False,
+        "is_dataclass": [True, True, False],
+        "fields": [("head", "MISSING"), ("name", "MISSING"), ("left_attribute", None), ("right_attribute", None)],
+        "replaced": True,
+        "frozen": "cannot assign to field 'head'",
+    }
 
 
 def test_node_declares_every_node_class():
