@@ -342,7 +342,7 @@ def _lin(value) -> tuple[str, float]:
         # its slack, else in brackets if it can.  The operator takes the
         # tightest of its places where the left operand prints bare, which
         # leaves the right one the most room, or else its tightest.
-        *fixed, left, right = vars(value).values()
+        *fixed, left, right = value
         slack, brackets, places = operators[tuple(fixed)]
         (left, left_level), (right, right_level) = _lin(left), _lin(right)
         level, separator = next((p for p in places if left_level >= p[0] + slack[0]), places[0])
@@ -371,10 +371,10 @@ def _fields(head, value) -> dict | None:
     if type(value) not in classes:  # a constant, or another node
         return {} if head is not None and value == head else None
     for cls in classes[classes.index(type(value)) + 1 :]:
-        (value,) = vars(value).values()
+        (value,) = value
         if type(value) is not cls:
             return None
-    return vars(value)
+    return dict(zip(value.__match_args__, value))
 
 
 def _piece(element, fields: dict):
@@ -412,7 +412,7 @@ def to_debug_tree(node):
     if _IS_NODE[type(node)]:
         # a loop: before Python 3.12 a comprehension costs a second frame
         tree = {"node": type(node).__name__}
-        for name, child in vars(node).items():
+        for name, child in zip(node.__match_args__, node):
             tree[name] = to_debug_tree(child)
         return tree
     if isinstance(node, Enum):

@@ -304,7 +304,7 @@ def normalize_names(c: LeanCommand) -> LeanCommand:
         if type(n) is HypBinder:
             return HypBinder(labels[n.label], n.prop)
         if type(n) in _NAMED and n.name in generated:
-            return type(n)(**{**vars(n), "name": generated[n.name]})
+            return n._replace(name=generated[n.name])
         return n
 
     return transform(c, rename)
@@ -342,6 +342,6 @@ def _nameless(node, env: dict[str, int] | None = None, depth: int = 0) -> tuple:
         return (LeanCommand, tuple(binders), _nameless(node.goal, env, depth))
     # a loop, not a comprehension: one Python frame per tree level
     form = [cls]
-    for field in vars(node).values():
+    for field in node:
         form.append(_nameless(field, env, depth) if _IS_NODE[type(field)] else field)
     return tuple(form)

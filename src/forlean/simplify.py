@@ -20,10 +20,13 @@ memo that ``run_pipeline`` shares among the parses of a text, so each
 subtree they share is done once: a node's result is cached per node
 identity and next fresh id, and a shared assumptions tuple is split once.
 Nothing about names goes into the memo: a node belongs to one text, whose
-tokens fix the reserved ids.
+tokens fix the reserved ids.  A call leaves no reference cycle, so reference
+counting frees its memo once ``run_pipeline`` drops it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .forthel import (
     And,
@@ -133,7 +136,7 @@ def _raise_does(does):
     elif type(predicate) in (IsAdj1, IsTerm):
         found = _raise_first(predicate.term)
         if found is not None:
-            predicate = type(predicate)(**{**vars(predicate), "term": found[1]})
+            predicate = predicate._replace(term=found[1])
     if found is None:
         return does
     return ForQuantified(found[0].qnotion, _raise_does(Does(subject, predicate)))
@@ -228,22 +231,24 @@ def simplify(text: ForthelText, reserved: frozenset[int], memo: dict | None = No
     memo = {} if memo is None else memo
     supply = NameSupply(reserved)
     normal = memo.setdefault(simplify, {})
-
-    def normalize(n):
-        cls = type(n)
-        if cls is Does:
-            # a unified clause has nothing to raise
-            rewritten = _raise_does(_unify_one(n))
-        elif cls is Notion:
-            rewritten = _flatten_one(n)
-        elif cls is Unnamed:
-            return Meta(supply.fresh())
-        else:
-            return n
-        if rewritten is not n:
-            return transform(rewritten, normalize, normal, supply)
-        return n
-
-    example = transform(text, normalize, normal, supply).example
+    example = transform(text, partial(_normalize, normal, supply), normal, supply).example
     assumptions = once(memo, _split_all, example.assumptions)
     return ForthelText(Example(assumptions, example.conclusion))
+
+
+def _normalize(normal: dict, supply: NameSupply, n):
+    # bound per call with ``partial``: a nested function passing itself to
+    # ``transform`` is a cycle through its closure, freed only by the collector
+    cls = type(n)
+    if cls is Does:
+        # a unified clause has nothing to raise
+        rewritten = _raise_does(_unify_one(n))
+    elif cls is Notion:
+        rewritten = _flatten_one(n)
+    elif cls is Unnamed:
+        return Meta(supply.fresh())
+    else:
+        return n
+    if rewritten is not n:
+        return transform(rewritten, partial(_normalize, normal, supply), normal, supply)
+    return n

@@ -124,7 +124,7 @@ def translate_statement(s: ftl.Statement, memo: dict | None = None) -> LeanProp:
     if cls is ftl.Does:
         prop = translate_predicate(translate_term(s.subject), s.predicate)
     elif cls in _CONNECTIVES:
-        left, right = s.__dict__.values()
+        left, right = s
         prop = _CONNECTIVES[cls](translate_statement(left, memo), translate_statement(right, memo))
     elif cls is ftl.ForQuantified and type(s.qnotion) is ftl.QuantifiedNotion:
         quantifier, notion = s.qnotion.quantifier, s.qnotion.notion

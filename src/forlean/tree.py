@@ -6,20 +6,21 @@ class declared with ``node``; everything else (str, int, enums, None) is a
 leaf.  A pass names only the node types it treats specially and leaves the
 walk to what is here: ``transform`` rebuilds a tree bottom-up, ``iter_nodes``
 visits it top-down, ``_IS_NODE`` tells a node from a leaf for code that walks
-fields itself (``vars(node)`` gives a node's fields in field order), and
+fields itself (a node iterates over its fields in field order), and
 ``once`` caches a function of a whole node per node identity.
 
-``node`` declares a node class: a frozen dataclass whose methods come from a
-source generated for it, with an ``__init__`` that writes the fields straight
-into ``__dict__`` in field order, so ``cls(*vars(n).values())`` rebuilds a
-node ``n``.  Declaring one loads no ``dataclasses``: the class records its
-dataclass fields on the first read of ``__dataclass_fields__``, so
-``fields``, ``replace`` and ``is_dataclass`` stay the library's.
+``node`` declares a node class as ``collections.namedtuple`` does: a tuple
+of its fields, read through C accessors, with no instance dict; otherwise a
+frozen dataclass.  Declaring one loads no ``dataclasses``: the class records
+the fields of its declared body on the first read of ``__dataclass_fields__``,
+so ``fields``, ``replace`` and ``is_dataclass`` stay the library's.
 """
 
 from __future__ import annotations
 
+from _collections import _tuplegetter
 from collections import defaultdict
+from types import MappingProxyType
 
 __all__ = ["iter_nodes", "node", "once", "transform"]
 
@@ -29,28 +30,47 @@ _IS_NODE: defaultdict[type, bool] = defaultdict(bool, {tuple: True})
 # the code of each source ``node`` generates, compiled once; each class runs a
 # copy, since classes sharing one code object would share its inline caches
 _COMPILED: dict[str, object] = {}
+_new, _tuple_eq = tuple.__new__, tuple.__eq__
 
 
-def _frozen_setattr(self, name, value):
+def _frozen(self, name, *value):
     from dataclasses import FrozenInstanceError
 
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def _frozen_delattr(self, name):
-    from dataclasses import FrozenInstanceError
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _tuple_eq(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
 
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+def _unordered(self, other):
+    raise TypeError(f"{type(self).__name__} nodes are not ordered")
+
+
+# what every node class has; its own are __new__, __repr__ and its fields' accessors
+_SHARED = dict(
+    __slots__=(), __eq__=_eq, __ne__=object.__ne__, __hash__=tuple.__hash__, __lt__=_unordered,
+    __le__=_unordered, __gt__=_unordered, __ge__=_unordered, __bool__=lambda self: True,
+    __setattr__=_frozen, __delattr__=_frozen, __reduce__=lambda self: (self.__class__, tuple(self)),
+    __dict__=property(lambda self: MappingProxyType(dict(zip(self.__match_args__, self)))),
+    _replace=lambda self, **changes: type(self)(**{**dict(zip(self.__match_args__, self)), **changes}),
+)
 
 
 class _LazyFields:
     """A node class's ``__dataclass_fields__`` until first read: the read
-    runs ``dataclass`` on the class, which puts the fields in its place."""
+    runs ``dataclass`` on the declared body and puts its fields in its place."""
+
+    def __init__(self, declared: type):
+        self.declared = declared
 
     def __get__(self, instance, owner):
         from dataclasses import dataclass
 
-        return dataclass(init=False, repr=False, eq=False)(owner).__dataclass_fields__
+        owner.__dataclass_fields__ = dataclass(init=False, repr=False, eq=False)(self.declared).__dataclass_fields__
+        return owner.__dataclass_fields__
 
 
 def _shown(a) -> str:
@@ -61,48 +81,48 @@ def _shown(a) -> str:
 
 
 def node(cls: type) -> type:
-    """``dataclass(frozen=True)``, cheaper: one generated source, run once,
-    defines ``__init__`` of the same signature and the dataclass's
-    ``__repr__``, ``__eq__`` and ``__hash__`` on the tuple of the fields.
-    Setting or deleting an attribute raises ``FrozenInstanceError``, and an
-    undocumented class is named by its signature.  The fields are the class's
-    own annotations, with plain defaults or none, in ``__match_args__``;
-    ``dataclass`` records them on the first read of ``__dataclass_fields__``."""
+    """``dataclass(frozen=True)`` as a tuple subclass: one generated source,
+    run once, defines ``__new__`` with the dataclass ``__init__``'s signature
+    and the dataclass's ``__repr__``.  Hash and ``==`` are tuple's, but a node
+    equals no tuple of another class; ordering raises ``TypeError``, setting
+    or deleting an attribute ``FrozenInstanceError``.  A node is true,
+    ``vars(node)`` is a read-only view of its fields, ``node._replace(**kw)``
+    a copy with fields changed, as a named tuple's, and ``copy`` and
+    ``pickle`` rebuild it from its fields.  The fields are the class's own
+    annotations, with plain defaults or none, in ``__match_args__``; an
+    undocumented class is named by its signature."""
     fields = cls.__dict__.get("__annotations__", {})
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
-    params = ", ".join(["self", *(f"{n}=_{n}" if n in defaults else n for n in fields)])
-    own, other = ("".join(f"{obj}.{n}," for n in fields) for obj in ("self", "other"))
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
-    lines = [f"def __init__({params}):", "    __d = self.__dict__"]
-    lines += [f"    __d[{name!r}] = {name}" for name in fields]
+    params = ", ".join(["cls", *(f"{n}=_{n}" if n in defaults else n for n in fields)])
+    shown = ", ".join(f"{n}={{self[{i}]!r}}" for i, n in enumerate(fields))
+    lines = [f"def __new__({params}):", f"    return _new(cls, ({''.join(f'{n}, ' for n in fields)}))"]
     lines += ["def __repr__(self):", f'    return self.__class__.__qualname__ + f"({shown})"']
-    lines += ["def __eq__(self, other):", "    if other.__class__ is self.__class__:"]
-    lines += [f"        return ({own}) == ({other})", "    return NotImplemented"]
-    lines += ["def __hash__(self):", f"    return hash(({own}))"]
     source = "\n".join(lines)
     if source not in _COMPILED:
         _COMPILED[source] = compile(source, "<node>", "exec")
-    namespace = {f"_{name}": value for name, value in defaults.items()}
+    namespace = {"_new": _new, **{f"_{name}": value for name, value in defaults.items()}}
     exec(_COMPILED[source], namespace)
-    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
-        fn = namespace[name]
+    body = {k: v for k, v in cls.__dict__.items() if k not in fields and k not in ("__dict__", "__weakref__")}
+    for name in ("__new__", "__repr__"):
+        fn = body[name] = namespace[name]
         fn.__code__, fn.__qualname__ = fn.__code__.replace(), f"{cls.__qualname__}.{name}"
-        setattr(cls, name, fn)
-    cls.__init__.__annotations__ = {**fields, "return": None}
-    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-    cls.__match_args__, cls.__dataclass_fields__ = tuple(fields), _LazyFields()
+    body["__new__"].__annotations__ = {**fields, "return": None}
+    body.update({name: _tuplegetter(i, f"Alias for field number {i}") for i, name in enumerate(fields)})
+    body.update(_SHARED, __qualname__=cls.__qualname__, __match_args__=tuple(fields))
+    body["__dataclass_fields__"] = _LazyFields(cls)
     if not cls.__doc__:
         params = [f"{n}: {_shown(a)}" for n, a in fields.items()]
         params = [f"{p} = {defaults[n]!r}" if n in defaults else p for p, n in zip(params, fields)]
-        cls.__doc__ = f"{cls.__name__}({', '.join(params)})"
+        body["__doc__"] = f"{cls.__name__}({', '.join(params)})"
+    cls = type(cls.__name__, (tuple,), body)
     _IS_NODE[cls] = True
     return cls
 
 
 def transform(node, fn, memo: dict | None = None, supply=None):
     """Rebuild ``node``, a tuple or a ``node`` instance, bottom-up: children
-    first, in field order, then ``fn`` on the node rebuilt from them.  Tuples
-    are rebuilt item by item and not passed to ``fn``.  Returns ``node``
+    first, in field order, then ``fn`` on the node ``tuple.__new__`` rebuilds
+    from them.  Plain tuples are rebuilt alike and not passed to ``fn``.  Returns ``node``
     itself when no child changed and ``fn`` returned its argument.
 
     ``memo`` caches results for an ``fn`` that draws fresh ids from
@@ -120,21 +140,18 @@ def transform(node, fn, memo: dict | None = None, supply=None):
         if hit is not None:
             supply.next_id = hit[2]
             return hit[1]
-    cls = type(node)
-    children = node if cls is tuple else node.__dict__.values()
     rebuilt = None
     # a loop, not a comprehension: one Python frame per tree level
-    for i, child in enumerate(children):
+    for i, child in enumerate(node):
         if _IS_NODE[type(child)]:
             new = transform(child, fn, memo, supply)
             if new is not child:
                 if rebuilt is None:
-                    rebuilt = list(children)
+                    rebuilt = list(node)
                 rebuilt[i] = new
-    if cls is tuple:
-        result = node if rebuilt is None else tuple(rebuilt)
-    else:
-        result = fn(node if rebuilt is None else cls(*rebuilt))
+    result = node if rebuilt is None else _new(type(node), rebuilt)
+    if type(node) is not tuple:
+        result = fn(result)
     if memo is not None:
         next_id = supply.next_id
         memo[key] = (node, result, next_id)
@@ -151,12 +168,9 @@ def iter_nodes(node):
     stack = [node]
     while stack:
         n = stack.pop()
-        if type(n) is tuple:
-            children = n
-        else:
+        if type(n) is not tuple:
             yield n
-            children = n.__dict__.values()
-        for child in reversed(children):
+        for child in reversed(n):
             if _IS_NODE[type(child)]:
                 stack.append(child)
 

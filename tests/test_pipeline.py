@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -213,6 +214,33 @@ class TestRunPipeline:
             assert message == "input nested too deeply"
             assert span[0] == 0 and span[1] > len(conclusion)
         assert not second.diagnostics
+
+    def test_a_call_leaves_no_cyclic_garbage(self, corpus_cases):
+        # reference counting frees all that a call builds: with the cyclic
+        # collector off, gc.collect() after a call finds what only the
+        # collector could have freed.  One text per failure path
+        failing = {
+            "Ex. Then x % 2 is even.": "unknown character",
+            "Ex. Then x odd.": "expected",
+            "Ex. Then " + "(" * 600 + "x" + ")" * 600 + " is odd.": "input nested too deeply",
+            "Ex. Assume x is an integer. Assume x is a real number. Then x is odd.": "duplicate binder name",
+            "Ex. Then there exists an integer.": "untranslatable",
+        }
+        sources = [case.input for case in corpus_cases] + (DATA / "translate.input").read_text().splitlines()
+        sources += generate_sentences(300) + list(failing)
+        left = {}
+        gc.disable()
+        try:
+            gc.collect()  # what importing and earlier tests left
+            for source in sources:
+                traces = run_pipeline(source)
+                left[source] = gc.collect()
+                if source in failing:
+                    ((_, message),) = traces[0].diagnostics
+                    assert message.startswith(failing[source]), source
+        finally:
+            gc.enable()
+        assert {source: n for source, n in left.items() if n} == {}
 
     @pytest.mark.parametrize(
         "conclusion, expected",

@@ -1,9 +1,12 @@
 import __future__
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
+import operator
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 import forlean
 from conftest import CORPUS
 from forlean import forthel, lean
-from forlean.forthel import Named, Notion, Unnamed
+from forlean.forthel import Meta, MetaVar, Named, Notion, Unnamed, Var
 from forlean.lexicon import LexiconEntry, Token
 from forlean.parsing import ParseResult
 from forlean.pipeline import PipelineTrace
@@ -70,6 +73,8 @@ def test_vars_keep_field_order():
         "right_attribute",
     ]
     assert _IS_NODE[Pair]
+    with pytest.raises(TypeError):  # a read-only view
+        vars(Pair("+", 1))["left"] = 2
 
 
 def test_behaves_as_a_plain_frozen_dataclass():
@@ -89,6 +94,36 @@ def test_behaves_as_a_plain_frozen_dataclass():
             assert left == 1
         case _:
             pytest.fail("no pattern matched")
+
+
+def test_a_node_equals_only_an_equal_node_of_its_own_class():
+    # tuple's own == would say True to each of these pairs
+    for a, b in [(Unnamed(), ()), (Var("x"), ("x",)), (Meta(1), MetaVar(1)), (Pair("+", 1), ("+", 1, None))]:
+        assert a != b and b != a and not a == b and not b == a, (a, b)
+    assert Var("x") == Var("x") and not Var("x") != Var("x")
+
+
+def test_nodes_are_unordered_and_true():
+    for a, b in [(Var("a"), Var("b")), (Meta(1), MetaVar(2)), (Var("a"), ("b",)), (("b",), Var("a"))]:
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(a, b)
+    assert bool(Unnamed()) is True and bool(Var("")) is True
+
+
+def test_copy_and_pickle_rebuild_a_tree(corpus_cases):
+    for case in corpus_cases[:10]:
+        for trace in forlean.run_pipeline(case.input):
+            for tree in (*trace.parses, *trace.normals, *trace.commands):
+                for rebuilt in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+                    assert rebuilt == tree and repr(rebuilt) == repr(tree), case.id
+
+
+def test_a_node_hashes_as_the_tuple_of_its_fields(corpus_cases):
+    for case in corpus_cases:
+        for trace in forlean.run_pipeline(case.input):
+            for n in iter_nodes((trace.parses, trace.normals, trace.commands)):
+                assert hash(n) == hash(tuple(vars(n).values())), case.id
 
 
 def module_twins(module):
