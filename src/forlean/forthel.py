@@ -235,7 +235,7 @@ ARTICLE = "[a|an]"
 # word takes.  A source is a category: one of these or of ``OPERATOR_LEVELS``,
 # ``definite_term`` (code in parsing.py) or a lexicon category, giving the
 # entry's key, and "[c]" if optional (None when absent); or ``int``, an
-# integer literal; ``Index``; or an Enum whose values are words.
+# integer literal; or ``Index``.
 GRAMMAR = {
     "text": [
         ((ForthelText, Example), ["ex .", ("assumptions", "assumption_list"), "[then]",
@@ -279,7 +279,8 @@ GRAMMAR = {
         (IsPred, ["that", ("predicate", "does_predicate")]),
         (SuchThat, ["such that", ("statement", "statement")]),
     ],
-    "quantified_notion": [(QuantifiedNotion, [("quantifier", Quantifier), ("notion", "notion")])],
+    "quantifier": [(Quantifier.EVERY, ["every"]), (Quantifier.SOME, ["some"]), (Quantifier.NO, ["no"])],
+    "quantified_notion": [(QuantifiedNotion, [("quantifier", "quantifier"), ("notion", "notion")])],
     "atom_term": [
         (IntLit, [("value", int)]),
         (Var, [("name", "variable")]),
@@ -386,7 +387,7 @@ def _piece(element, fields: dict):
     name, source = element
     child = fields[name]
     if child is None or type(source) is not str:
-        return "" if child is None else child.value if isinstance(child, Enum) else str(child)
+        return "" if child is None else str(child)
     source = source.strip("[]")
     return _SURFACE[source][child] if source in _SURFACE else child
 

@@ -47,8 +47,6 @@ _SYMBOLS = sorted({":=", *"():,", *NOTATION, *_TYPES}, key=lambda t: (-len(t), t
 _TOKEN = "|".join([r"-?[0-9]+", r"[A-Za-z][A-Za-z0-9]*", *map(re.escape, _SYMBOLS)])
 # one token and the whitespace before it
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
-# the tokens that follow one another from the start of the input
-_READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 _PREDS = set(default_lexicon().images(Category.RAW_ADJECTIVE0).values())
 # an integer literal (group 1) or an identifier
 _ATOM_RE = re.compile(r"(-?[0-9]+)|[A-Za-z][A-Za-z0-9]*")
@@ -65,11 +63,11 @@ class LeanReadError(ValueError):
 
 
 def _lex(text: str) -> list[str]:
-    tokens = _TOKEN_RE.findall(text)
-    # findall skips what no token matches, so nothing was skipped when the
-    # tokens hold every character that is not whitespace
-    if len("".join(tokens)) != len("".join(text.split())):
-        start = _READABLE_RE.match(text).end()
+    tokens, start = [], 0
+    while token := _TOKEN_RE.match(text, start):
+        tokens.append(token[1])
+        start = token.end()
+    if text[start:].strip():
         after = _TOKEN_RE.search(text, start)
         end = after.start(1) if after else len(text)
         raise LeanReadError(f"unreadable input at {text[start:end]!r}")

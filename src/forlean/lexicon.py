@@ -60,8 +60,14 @@ class TokenError(ValueError):
 
 
 def preprocess(raw: str) -> str:
-    """Lowercase the input and collapse whitespace runs to single spaces."""
-    return " ".join(raw.lower().split())
+    """Lowercase the input and collapse whitespace runs to single spaces.  A
+    character whose lowercase is not one character of its own kind, ASCII or
+    not, stays as typed: the Kelvin sign does not become "k", nor "İ" two
+    characters."""
+    lowered = raw.lower() if raw.isascii() else "".join(
+        low if len(low := ch.lower()) == 1 and low.isascii() == ch.isascii() else ch for ch in raw
+    )
+    return " ".join(lowered.split())
 
 
 def tokenize(text: str) -> list[Token]:

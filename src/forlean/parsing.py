@@ -205,8 +205,6 @@ def _first_sets() -> dict[str, frozenset]:
             found, optional = set(e.strip("[]").split("|")), e[0] == "["
         elif e[1] is int or e[1] is Index:
             return {int}
-        elif type(e[1]) is not str:  # an Enum whose values are words
-            return {m.value for m in e[1]}
         else:
             found, optional = set(first[e[1].strip("[]")]), e[1][0] == "["
         return found | {None} if optional else found
@@ -287,10 +285,8 @@ def _install() -> None:
             test = f"{v} is not None" + (f" and {v} >= 0" if source is Index else "")
             want = [f"elif {pos} >= self.furthest:", f"    self._want({pos}, 'integer literal')"]
             return [f"{v} = self._ints[{pos}]", f"if {test}:"], step, want if source is int else []
-        # one of several words: "a|b", "[a|b]" or the values of an Enum
-        words = tuple(e.strip("[]").split("|")) if source is None else tuple(m.value for m in source)
-        if source is not None:
-            step.append(f"{v} = {ref(source)}({t})")
+        # one of several words: "a|b" or "[a|b]"
+        words = tuple(e.strip("[]").split("|"))
         opened = [f"{t} = texts[{pos}]", f"if {pos} >= self.furthest:",
                   f"    self._want_others({pos}, {words!r}, {t})"]
         if e[0] == "[":

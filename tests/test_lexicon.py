@@ -23,6 +23,11 @@ class TestPreprocess:
     def test_empty(self):
         assert preprocess("") == ""
 
+    def test_lowercases_a_character_only_to_one_of_its_kind(self):
+        # "Σ" and "Ä" lower to one non-ASCII character; the Kelvin sign would
+        # lower to an ASCII "k" and "İ" to two characters, so both stay
+        assert preprocess("X \u03a3 \u00c4 \u212a \u0130") == "x \u03c3 \u00e4 \u212a \u0130"
+
     def test_collapses_whitespace(self):
         assert preprocess("x   ^  2") == "x ^ 2"
         assert preprocess("  a \t b \n c ") == "a b c"

@@ -17,6 +17,7 @@ from forlean.forthel import (
     Does,
     GRAMMAR,
     Iff,
+    Index,
     IntLit,
     IsAdj,
     IsAdj1,
@@ -24,6 +25,7 @@ from forlean.forthel import (
     Named,
     Not,
     Notion,
+    OPERATOR_LEVELS,
     Or,
     Polarity,
     Quantified,
@@ -397,6 +399,19 @@ class TestGeneratedParser:
         assert f"for v3, p3 in (self.lex_matches(p2, Category.RAW_ADJECTIVE1) if {guard}):" in source
         assert inspect.getsourcefile(parsing._Parser.does_predicate) == parsing._SOURCE_FILE
 
+    def test_every_element_is_keywords_or_a_field_and_its_source(self):
+        # a source is a category, bracketed if optional, an integer literal
+        # or an Index: words that build a constant are rules of a category
+        categories = {*GRAMMAR, *OPERATOR_LEVELS, "definite_term", *(c.value for c in Category)}
+        for category, rules in GRAMMAR.items():
+            for _, elements in rules:
+                for e in elements:
+                    if type(e) is not str:
+                        field, source = e
+                        assert field is None or type(field) is str, (category, e)
+                        named = type(source) is str and source.strip("[]") in categories
+                        assert named or source is int or source is Index, (category, e)
+
     def test_every_rule_builds_a_node(self, corpus_cases):
         # the out.append line of each rule of GRAMMAR runs while these texts
         # and the linearizations of their parses parse; only the latter write
@@ -496,7 +511,7 @@ def test_parse_results_and_diagnostics_are_pinned(corpus_cases):
 class TestFirstSets:
     def test_sets_of_some_categories(self):
         first = parsing._FIRST
-        assert first["quantified_notion"] == {"every", "some", "no"}
+        assert first["quantifier"] == first["quantified_notion"] == {"every", "some", "no"}
         assert first["does_predicate"] == {"is", "are"}
         assert first["text"] == {"ex"}
         assert first["notion"] == first["rawAdjective0"] | first["rawNoun0"]
@@ -506,7 +521,7 @@ class TestFirstSets:
         assert first["rawAdjective1"] == {"equal", "greater", "less", "not"}
         # a category that can be empty (assumption_list, polarity, name_slot)
         # or start with an integer literal gets no guard
-        guarded = {"text", "does_predicate", "notion", "right_attribute", "quantified_notion"}
+        guarded = {"text", "does_predicate", "notion", "right_attribute", "quantifier", "quantified_notion"}
         assert set(first) == guarded | {c.value for c in Category}
 
     def test_a_category_parses_nothing_where_its_set_lacks_the_next_token(self, corpus_cases):

@@ -138,6 +138,20 @@ class TestRunPipeline:
         assert message.startswith("unknown character")
         assert got_span == span
 
+    @pytest.mark.parametrize(
+        "source, char, span",
+        [("Ex. Then \u212a is odd.", "\u212a", (9, 12)), ("Ex. Then \u0130 is odd.", "\u0130", (9, 11))],
+        ids=["kelvin-sign", "dotted-capital-i"],
+    )
+    def test_lowercasing_keeps_each_character_of_its_kind(self, source, char, span):
+        # the Kelvin sign lowercases to an ASCII "k" and "İ" to "i" and a
+        # combining dot: both stay as typed, an unknown word
+        (trace,) = run_pipeline(source)
+        assert trace.printed == ()
+        ((got_span, message),) = trace.diagnostics
+        assert message.startswith("expected ") and message.endswith(f"; found {char!r}")
+        assert got_span == span
+
     def test_empty_source(self):
         assert run_pipeline("") == []
 
