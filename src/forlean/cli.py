@@ -3,7 +3,7 @@
 ``forlean translate [FILE|-]`` prints one Lean command per line to stdout;
 stage dumps are available behind flags.  ``forlean corpus CORPUS_FILE`` runs
 the regression harness.  Exit codes: 0 success, 1 any text or case failed,
-2 usage or file errors.
+2 usage, file or encoding errors.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def _dump_trace(trace: PipelineTrace, args) -> None:
 
 def _cmd_translate(args) -> int:
     if args.file == "-":
-        source = sys.stdin.read()
+        source = sys.stdin.read().removeprefix("\ufeff")
     else:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             source = handle.read()
     status = 0
     for trace in run_pipeline(source, first_parse_only=args.first_parse):
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         if args.command == "translate":
             return _cmd_translate(args)
         return _cmd_corpus(args)
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -115,7 +115,7 @@ def parse_corpus(text: str) -> list[CorpusCase]:
 
 
 def load_corpus(path) -> list[CorpusCase]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_corpus(handle.read())
 
 

@@ -6,22 +6,22 @@ attribute flattening at a ``Notion``.  No clause both unifies and raises, and
 renaming a metavariable commutes with flattening.  A rewrite can expose
 another (flattening can expose an in-situ quantifier, raising a clause that
 still has to unify), so a node is rewritten to a local fixpoint: the node a
-rewrite builds is walked again.  ``transform`` records each result, so that
-walk stops at a subtree recorded at the current next fresh id; one recorded
-before an id was drawn is walked again and, holding no unnamed notion, comes
-back unchanged.  Assumption splitting runs last.  Per-node functions test
-``type(node) is C``, most frequent class first, and no module uses a
-``match`` class pattern: that is an ``isinstance`` test, tried case after case.
+rewrite builds is walked again.  ``transform`` records each result as one
+that draws no fresh id, so that walk stops at each normal subtree.
+Assumption splitting runs last.  Per-node functions test ``type(node) is
+C``, most frequent class first, and no module uses a ``match`` class
+pattern: that is an ``isinstance`` test, tried case after case.
 
 ``simplify`` takes the ids a text reserves, the N of each ``(x N)`` token
 group (``reserved_ids``), and draws its fresh ids around them: a word holds
 letters only, so no user-written name is ``x<n>``.  It caches its work in a
 memo that ``run_pipeline`` shares among the parses of a text, so each
 subtree they share is done once: a node's result is cached per node
-identity and next fresh id, and a shared assumptions tuple is split once.
-Nothing about names goes into the memo: a node belongs to one text, whose
-tokens fix the reserved ids.  A call leaves no reference cycle, so reference
-counting frees its memo once ``run_pipeline`` drops it.
+identity with the next fresh ids its visit began and ended at, and a
+shared assumptions tuple is split once.  Nothing about names goes into the
+memo: a node belongs to one text, whose tokens fix the reserved ids.  A call
+leaves no reference cycle, so reference counting frees its memo once
+``run_pipeline`` drops it.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def simplify(text: ForthelText, reserved: frozenset[int], memo: dict | None = No
 
     One walk names each unnamed notion with a fresh id not in ``reserved``
     (``reserved_ids`` of the text's tokens) and rewrites each clause and
-    notion to a local fixpoint; ``transform`` records each result with the
-    next fresh id, so a re-walk at that id stops there.
+    notion to a local fixpoint; ``transform`` records each result as drawing
+    no fresh id, so a re-walk stops at it.
     ``memo`` is a cache handle: pass the same dict for every parse of one
     text, and a subtree or an assumptions tuple the parses share is
     normalized once.

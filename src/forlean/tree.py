@@ -125,20 +125,20 @@ def transform(node, fn, memo: dict | None = None, supply=None):
     from them.  Plain tuples are rebuilt alike and not passed to ``fn``.  Returns ``node``
     itself when no child changed and ``fn`` returned its argument.
 
-    ``memo`` caches results for an ``fn`` that draws fresh ids from
-    ``supply``, so a subtree's result depends on ``supply.next_id`` too: the
-    memo keys on ``(id(node), supply.next_id)``, and a hit restores the
-    ``next_id`` that the first visit left.  Share one only between calls
-    with the same pure ``fn``, which must return each of its own results
-    unchanged: a result is recorded as its own too, at the ``next_id`` the
-    walk leaves, so a walk that meets it again there stops.  The memo holds
-    each node it keys, so an id cannot be reused while it lives.
+    ``memo`` caches results for an ``fn`` that draws fresh ids from ``supply``:
+    ``memo[id(node)]`` is ``(node, result, first_id, last_id)``, the next ids
+    the visit began and ended at.  A walk that meets ``node`` again reuses
+    ``result`` at ``first_id``, restoring ``last_id``, or at any next id if
+    the visit drew none.  Share one only between calls with the same pure
+    ``fn``, which must return each of its own results unchanged: a result is
+    recorded as its own, drawing no id.  The memo holds each node it keys,
+    so an id cannot be reused while it lives.
     """
     if memo is not None:
-        key = (id(node), supply.next_id)
-        hit = memo.get(key)
-        if hit is not None:
-            supply.next_id = hit[2]
+        first_id = supply.next_id
+        hit = memo.get(id(node))
+        if hit is not None and hit[2] in (first_id, hit[3]):
+            supply.next_id = hit[3] if hit[2] == first_id else first_id
             return hit[1]
     rebuilt = None
     # a loop, not a comprehension: one Python frame per tree level
@@ -153,10 +153,10 @@ def transform(node, fn, memo: dict | None = None, supply=None):
     if type(node) is not tuple:
         result = fn(result)
     if memo is not None:
-        next_id = supply.next_id
-        memo[key] = (node, result, next_id)
+        last_id = supply.next_id
+        memo[id(node)] = (node, result, first_id, last_id)
         if result is not node:
-            memo[id(result), next_id] = (result, result, next_id)
+            memo[id(result)] = (result, result, last_id, last_id)
     return result
 
 

@@ -753,6 +753,40 @@ class TestCli:
         assert main([command, str(source)]) == 2
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
+    def test_translate_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        source = tmp_path / "input.txt"
+        source.write_text(INTRO, encoding="utf-8-sig")
+        assert main(["translate", str(source)]) == 0
+        assert capsys.readouterr().out == "example (x : ℚ) (h1 : x = (2 + (2 * 2))) : x > 3 := sorry\n"
+
+    def test_translate_stdin_may_start_with_a_byte_order_mark(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + INTRO))
+        assert main(["translate"]) == 0
+        assert capsys.readouterr().out == "example (x : ℚ) (h1 : x = (2 + (2 * 2))) : x > 3 := sorry\n"
+
+    def test_corpus_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "== bom\n-- input\nEx. Then 4 is greater than 3.\n-- expect\nexample : 4 > 3 := sorry\n",
+            encoding="utf-8-sig",
+        )
+        assert main(["corpus", str(corpus)]) == 0
+        assert capsys.readouterr().out == "PASS bom\npassed 1/1\n"
+
+    def test_output_the_terminal_cannot_encode_exits_2(self):
+        # exit 1 is kept for a text that failed; an encoding error is the
+        # caller's environment, as an unreadable file is
+        package_root = str(Path(forlean.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "forlean.cli", "translate", "-"],
+            input=INTRO,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": package_root, "PYTHONIOENCODING": "ascii"},
+            encoding="utf-8",
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: 'ascii' codec can't encode character '\\u211a'"), done.stderr
+
     def test_corpus_deeply_nested_expectation_fails_the_case(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         nested = "(" * 2000 + "4" + ")" * 2000

@@ -458,6 +458,28 @@ class TestTransform:
         assert len(trace.printed) == 2**phrases
         assert calls == {"_split_one": 2, "typed_notion": 2}
 
+    def test_each_node_is_normalized_once_per_text(self, monkeypatch, corpus_cases):
+        # a normal subtree draws no fresh id, so the re-walk after a rewrite
+        # reuses it at whatever next id it meets it; holding each node keeps
+        # its id from being reused by a later one
+        module = importlib.import_module("forlean.simplify")
+        original, seen = module._normalize, {}
+
+        def once(normal, supply, n):
+            assert id(n) not in seen, n
+            seen[id(n)] = n
+            return original(normal, supply, n)
+
+        monkeypatch.setattr(module, "_normalize", once)
+        sources = [case.input for case in corpus_cases]
+        sources += (DATA / "translate.input").read_text("utf-8").splitlines()
+        normalized = 0
+        for source in sources:
+            seen.clear()
+            run_pipeline(source)
+            normalized += len(seen)
+        assert normalized > 0
+
     def test_parses_share_the_translation_of_a_common_assumption(self):
         (trace,) = run_pipeline(
             "Ex. Assume x is a real number. Assume x is greater than 0 and x is less than 1. "

@@ -261,8 +261,8 @@ def test_a_plain_dataclass_is_a_leaf_of_the_walks():
 
 
 def test_a_memo_stops_a_walk_at_each_result():
-    # with a memo, each result is recorded as its own at the next id the walk
-    # left: walking a result again there calls ``fn`` on nothing
+    # with a memo, each result is recorded as its own, having drawn no id:
+    # walking a result again calls ``fn`` on nothing, at any next id
     supply = SimpleNamespace(next_id=1)
     calls = []
 
@@ -282,10 +282,10 @@ def test_a_memo_stops_a_walk_at_each_result():
     supply.next_id = 2  # as the walk left it after numbering the inner pair
     assert transform(result[0].left, number, memo, supply) is result[0].left
     assert calls == [] and supply.next_id == 2
-    # at another next id a result is walked again, and comes back unchanged
+    # a result drew no id, so it is reused at any other next id too
     supply.next_id = 7
     assert transform(result[0], number, memo, supply) is result[0]
-    assert calls == [result[0].left, result[0]] and supply.next_id == 7
+    assert calls == [] and supply.next_id == 7
 
 
 def test_no_module_dispatches_with_a_match_class_pattern():
