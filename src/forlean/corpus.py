@@ -10,13 +10,14 @@ Corpus files hold blocks of the form::
     -- expect
     <another expected output, for ambiguous inputs>
 
-Blocks are separated by blank lines; ``#`` starts a comment line.  Outputs
-are compared as trees: the commands a text printed are taken from its trace,
-and only the expectations are read (``read_command``, which also drops their
-layout).  An expectation may use any bracketing Lean reads, such as
-``x + 1 > 1`` for the printed ``(x + 1) > 1``.  A case passes when both multisets of commands, printed again with
-hypothesis labels and generated variables renamed to their canonical forms,
-are equal.
+Blocks are separated by blank lines; ``#`` starts a comment line.  A case
+has one ``-- input`` and at least one ``-- expect``.  Outputs are compared
+as trees: the commands a text printed are taken from its trace, and only the
+expectations are read (``read_command``, which also drops their layout).
+An expectation may use any bracketing Lean reads, such as ``x + 1 > 1`` for
+the printed ``(x + 1) > 1``.  A case passes when both multisets of commands,
+printed again with hypothesis labels and generated variables renamed to
+their canonical forms, are equal.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class CorpusFormatError(ValueError):
 def parse_corpus(text: str) -> list[CorpusCase]:
     cases: list[CorpusCase] = []
     case_id: str | None = None
-    input_lines: list[str] = []
+    input_lines: list[str] | None = None  # None until the case's ``-- input``
     expects: list[list[str]] = []
     section: list[str] | None = None
     seen_ids: set[str] = set()
@@ -83,7 +84,7 @@ def parse_corpus(text: str) -> list[CorpusCase]:
         cases.append(
             CorpusCase(case_id, " ".join(input_lines), tuple(" ".join(e) for e in expects))
         )
-        case_id, input_lines, expects, section = None, [], [], None
+        case_id, input_lines, expects, section = None, None, [], None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -100,7 +101,9 @@ def parse_corpus(text: str) -> list[CorpusCase]:
         elif line == "-- input":
             if case_id is None:
                 raise CorpusFormatError(line_no, "'-- input' outside a case")
-            section = input_lines
+            if input_lines is not None:
+                raise CorpusFormatError(line_no, f"case {case_id!r} has a second input")
+            section = input_lines = []
         elif line == "-- expect":
             if case_id is None:
                 raise CorpusFormatError(line_no, "'-- expect' outside a case")

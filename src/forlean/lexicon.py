@@ -163,6 +163,7 @@ class Lexicon:
     @classmethod
     def parse(cls, text: str) -> "Lexicon":
         entries = []
+        keys: set[tuple[Category, str]] = set()
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -174,7 +175,13 @@ class Lexicon:
                 category = Category(cat_name)
             except ValueError:
                 raise LexiconError(f"line {line_no}: unknown category {cat_name!r}") from None
+            if (category, key) in keys:
+                raise LexiconError(f"line {line_no}: duplicate key {key!r} in category {category.value}")
+            keys.add((category, key))
             surface = tuple(tuple(form.split()) for form in forms.split("|"))
+            for form in map(" ".join, surface):
+                if preprocess(form) != form:
+                    raise LexiconError(f"line {line_no}: surface form {form!r} changes under normalisation")
             if category is Category.RAW_NOUN2 and any(
                 len(form) != 1 or len(form[0]) != 1 or form[0].isalnum() or form[0] in ".'"
                 for form in surface

@@ -9,34 +9,23 @@ visits it top-down, ``_IS_NODE`` tells a node from a leaf for code that walks
 fields itself (a node iterates over its fields in field order), and
 ``once`` caches a function of a whole node per node identity.
 
-``node`` declares a node class as ``collections.namedtuple`` does: a tuple
-of its fields, read through C accessors, with no instance dict; otherwise a
-frozen dataclass.  Declaring one loads no ``dataclasses``: the class records
-the fields of its declared body on the first read of ``__dataclass_fields__``,
-so ``fields``, ``replace`` and ``is_dataclass`` stay the library's.
+``node`` declares a node class as a ``collections.namedtuple``: a tuple of
+its fields, read through C accessors, with no instance dict.  Declaring one
+loads no ``dataclasses``: the class records the fields of its declared body
+on the first read of ``__dataclass_fields__``, so ``fields``, ``replace``
+and ``is_dataclass`` stay the library's.
 """
 
 from __future__ import annotations
 
-from _collections import _tuplegetter
-from collections import defaultdict
-from types import MappingProxyType
+from collections import defaultdict, namedtuple
 
 __all__ = ["iter_nodes", "node", "once", "transform"]
 
 
 # whether a type is a node: tuple and each class declared with ``node``
 _IS_NODE: defaultdict[type, bool] = defaultdict(bool, {tuple: True})
-# the code of each source ``node`` generates, compiled once; each class runs a
-# copy, since classes sharing one code object would share its inline caches
-_COMPILED: dict[str, object] = {}
 _new, _tuple_eq = tuple.__new__, tuple.__eq__
-
-
-def _frozen(self, name, *value):
-    from dataclasses import FrozenInstanceError
-
-    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _eq(self, other):
@@ -49,13 +38,10 @@ def _unordered(self, other):
     raise TypeError(f"{type(self).__name__} nodes are not ordered")
 
 
-# what every node class has; its own are __new__, __repr__ and its fields' accessors
-_SHARED = dict(
-    __slots__=(), __eq__=_eq, __ne__=object.__ne__, __hash__=tuple.__hash__, __lt__=_unordered,
-    __le__=_unordered, __gt__=_unordered, __ge__=_unordered, __bool__=lambda self: True,
-    __setattr__=_frozen, __delattr__=_frozen, __reduce__=lambda self: (self.__class__, tuple(self)),
-    __dict__=property(lambda self: MappingProxyType(dict(zip(self.__match_args__, self)))),
-    _replace=lambda self, **changes: type(self)(**{**dict(zip(self.__match_args__, self)), **changes}),
+# what ``node`` adds to each named tuple; hash stays tuple's
+_ADDED = dict(
+    __eq__=_eq, __ne__=object.__ne__, __lt__=_unordered, __le__=_unordered, __gt__=_unordered,
+    __ge__=_unordered, __bool__=lambda self: True,
 )
 
 
@@ -73,50 +59,24 @@ class _LazyFields:
         return owner.__dataclass_fields__
 
 
-def _shown(a) -> str:
-    """A class or string annotation as ``inspect.formatannotation`` shows it."""
-    if not isinstance(a, type):
-        return repr(a)
-    return a.__qualname__ if a.__module__ == "builtins" else f"{a.__module__}.{a.__qualname__}"
-
-
 def node(cls: type) -> type:
-    """``dataclass(frozen=True)`` as a tuple subclass: one generated source,
-    run once, defines ``__new__`` with the dataclass ``__init__``'s signature
-    and the dataclass's ``__repr__``.  Hash and ``==`` are tuple's, but a node
-    equals no tuple of another class; ordering raises ``TypeError``, setting
-    or deleting an attribute ``FrozenInstanceError``.  A node is true,
-    ``vars(node)`` is a read-only view of its fields, ``node._replace(**kw)``
-    a copy with fields changed, as a named tuple's, and ``copy`` and
-    ``pickle`` rebuild it from its fields.  The fields are the class's own
-    annotations, with plain defaults or none, in ``__match_args__``; an
-    undocumented class is named by its signature."""
+    """The ``collections.namedtuple`` of ``cls``'s own annotations and their
+    plain defaults, with ``cls``'s name, module and any docstring.  ``==``
+    is tuple's between two nodes of one class, but a node equals no tuple of
+    another class; ordering raises ``TypeError``, and a node is true, even
+    with no fields.  The class is recorded in ``_IS_NODE``, and its
+    ``__dataclass_fields__`` are the declared body's, made on first read.
+    As in a dataclass, no field without a default may follow one with one."""
     fields = cls.__dict__.get("__annotations__", {})
-    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
-    params = ", ".join(["cls", *(f"{n}=_{n}" if n in defaults else n for n in fields)])
-    shown = ", ".join(f"{n}={{self[{i}]!r}}" for i, n in enumerate(fields))
-    lines = [f"def __new__({params}):", f"    return _new(cls, ({''.join(f'{n}, ' for n in fields)}))"]
-    lines += ["def __repr__(self):", f'    return self.__class__.__qualname__ + f"({shown})"']
-    source = "\n".join(lines)
-    if source not in _COMPILED:
-        _COMPILED[source] = compile(source, "<node>", "exec")
-    namespace = {"_new": _new, **{f"_{name}": value for name, value in defaults.items()}}
-    exec(_COMPILED[source], namespace)
-    body = {k: v for k, v in cls.__dict__.items() if k not in fields and k not in ("__dict__", "__weakref__")}
-    for name in ("__new__", "__repr__"):
-        fn = body[name] = namespace[name]
-        fn.__code__, fn.__qualname__ = fn.__code__.replace(), f"{cls.__qualname__}.{name}"
-    body["__new__"].__annotations__ = {**fields, "return": None}
-    body.update({name: _tuplegetter(i, f"Alias for field number {i}") for i, name in enumerate(fields)})
-    body.update(_SHARED, __qualname__=cls.__qualname__, __match_args__=tuple(fields))
-    body["__dataclass_fields__"] = _LazyFields(cls)
-    if not cls.__doc__:
-        params = [f"{n}: {_shown(a)}" for n, a in fields.items()]
-        params = [f"{p} = {defaults[n]!r}" if n in defaults else p for p, n in zip(params, fields)]
-        body["__doc__"] = f"{cls.__name__}({', '.join(params)})"
-    cls = type(cls.__name__, (tuple,), body)
-    _IS_NODE[cls] = True
-    return cls
+    defaults = [cls.__dict__[name] for name in fields if name in cls.__dict__]
+    named = namedtuple(cls.__name__, fields, defaults=defaults, module=cls.__module__)
+    if list(named._field_defaults) != [name for name in fields if name in cls.__dict__]:
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    for name, value in {**_ADDED, "__dataclass_fields__": _LazyFields(cls)}.items():
+        setattr(named, name, value)
+    named.__doc__ = cls.__doc__ or named.__doc__
+    _IS_NODE[named] = True
+    return named
 
 
 def transform(node, fn, memo: dict | None = None, supply=None):

@@ -254,6 +254,20 @@ class TestLexicon:
         with pytest.raises(LexiconError):
             Lexicon.parse("rawAdjective0\tODD\todd\nrawAdjective0\tODD2\todd\n")
 
+    def test_no_duplicate_key_within_category(self):
+        # both entries would get the later Lean image
+        with pytest.raises(LexiconError, match="^line 2: duplicate key 'INTEGER' in category rawNoun0$"):
+            Lexicon.parse("rawNoun0\tINTEGER\tinteger\tℤ\nrawNoun0\tINTEGER\tnatural number\tℕ\n")
+        # one key in two categories is two entries
+        lexicon = Lexicon.parse("rawNoun0\tODD\todd number\tℤ\nrawAdjective0\tODD\todd\todd\n")
+        assert len(lexicon.entries()) == 2
+
+    @pytest.mark.parametrize("surface", ["Real", "real  number|Real number", "ODD"])
+    def test_surface_form_is_as_input_normalisation_leaves_it(self, surface):
+        # the input is lowercased before matching, so this form never matches
+        with pytest.raises(LexiconError, match="^line 1: surface form .* changes under normalisation$"):
+            Lexicon.parse(f"rawNoun0\tREAL\t{surface}\tℝ\n")
+
     @pytest.mark.parametrize("surface", ["mod", "**", ".", "'"])
     def test_operator_surface_is_one_symbol_character(self, surface):
         # a word, a longer form, the period or the apostrophe would split the

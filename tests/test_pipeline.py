@@ -375,6 +375,17 @@ class TestCorpusFormat:
         with pytest.raises(CorpusFormatError):
             parse_corpus(text)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("== case\n-- input\nEx. Then 1 is 1.\n-- input\nEx. Then 2 is 2.\n-- expect\ne\n", 4),
+            ("== case\n-- input\n-- expect\ne\n-- input\nEx. Then 2 is 2.\n", 5),
+        ],
+    )
+    def test_a_second_input_is_an_error_at_its_line(self, text, line):
+        with pytest.raises(CorpusFormatError, match=f"^line {line}: case 'case' has a second input$"):
+            parse_corpus(text)
+
 
 class TestCorpusCheck:
     def test_shipped_corpus_passes(self, corpus_cases, capsys):

@@ -9,6 +9,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,15 +41,16 @@ def twins():
 
 
 Pair, PlainPair = twins()
+TuplePair = namedtuple("Pair", ["op", "left", "right"], defaults=[None])
 
 
 def test_setting_or_deleting_a_field_raises():
     pair = Pair("+", 1, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pair.left = 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pair.other = 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del pair.left
     assert pair.left == 1
 
@@ -64,31 +66,44 @@ def test_defaults_and_keywords():
     assert Unnamed() == Unnamed()
 
 
-def test_vars_keep_field_order():
-    assert list(vars(Pair(right=2, left=1, op="+"))) == ["op", "left", "right"]
-    assert list(vars(Notion(right_attribute=None, name=Unnamed(), head="INTEGER"))) == [
+def test_fields_keep_their_declared_order():
+    assert list(Pair(right=2, left=1, op="+")._asdict()) == ["op", "left", "right"]
+    assert list(Notion(right_attribute=None, name=Unnamed(), head="INTEGER")._asdict()) == [
         "head",
         "name",
         "left_attribute",
         "right_attribute",
     ]
     assert _IS_NODE[Pair]
-    with pytest.raises(TypeError):  # a read-only view
-        vars(Pair("+", 1))["left"] = 2
 
 
-def test_behaves_as_a_plain_frozen_dataclass():
-    pairs, plain = (Pair("+", 1, 2), Pair("+", 1)), (PlainPair("+", 1, 2), PlainPair("+", 1))
-    assert [repr(p) for p in pairs] == [repr(p) for p in plain]
-    assert [hash(p) for p in pairs] == [hash(p) for p in plain]
-    assert pairs[0] == Pair("+", 1, 2) and pairs[0] != pairs[1] and pairs[0] != plain[0]
-    assert repr(dataclasses.replace(pairs[0], left=5)) == repr(dataclasses.replace(plain[0], left=5))
+def test_a_field_without_a_default_must_not_follow_one_with_a_default():
+    class Misordered:
+        op: str = "+"
+        left: object
+
+    with pytest.raises(TypeError):
+        node(Misordered)
+
+
+def test_behaves_as_its_named_tuple_twin():
+    pairs, tuples = (Pair("+", 1, 2), Pair("+", 1)), (TuplePair("+", 1, 2), TuplePair("+", 1))
+    assert [repr(p) for p in pairs] == [repr(p) for p in tuples]
+    assert [hash(p) for p in pairs] == [hash(p) for p in tuples] == [hash(tuple(p)) for p in tuples]
+    assert pairs[0] == Pair("+", 1, 2) and pairs[0] != pairs[1]
+    assert pairs[0] != tuples[0] and pairs[0] != PlainPair("+", 1, 2)
+    replaced = pairs[0]._replace(left=5)
+    assert repr(replaced) == repr(tuples[0]._replace(left=5)) == "Pair(op='+', left=5, right=2)"
+    assert dataclasses.replace(pairs[0], left=5) == replaced
     assert [(f.name, f.default) for f in dataclasses.fields(Pair)] == [
         (f.name, f.default) for f in dataclasses.fields(PlainPair)
     ]
-    assert Pair.__match_args__ == PlainPair.__match_args__ == ("op", "left", "right")
-    assert str(inspect.signature(Pair)) == str(inspect.signature(PlainPair))
-    assert Pair.__doc__ == PlainPair.__doc__ == "Pair(op: str, left: object, right: object = None)"
+    assert Pair.__match_args__ == TuplePair.__match_args__ == PlainPair.__match_args__
+    assert Pair.__match_args__ == ("op", "left", "right")
+    assert str(inspect.signature(Pair)) == str(inspect.signature(TuplePair)) == "(op, left, right=None)"
+    for pair, twin in zip(pairs, tuples):
+        assert repr(copy.copy(pair)) == repr(copy.deepcopy(pair)) == repr(copy.copy(twin))
+        assert pickle.loads(pickle.dumps(pair)) == pair
     match pairs[0]:
         case Pair("+", left, right=2):
             assert left == 1
@@ -123,13 +138,15 @@ def test_a_node_hashes_as_the_tuple_of_its_fields(corpus_cases):
     for case in corpus_cases:
         for trace in forlean.run_pipeline(case.input):
             for n in iter_nodes((trace.parses, trace.normals, trace.commands)):
-                assert hash(n) == hash(tuple(vars(n).values())), case.id
+                assert hash(n) == hash(tuple(n._asdict().values())), case.id
 
 
 def module_twins(module):
-    """Each class of ``module`` declared with ``node``, paired with a plain
-    frozen dataclass declared from the same class body."""
-    pairs = []
+    """Each class of ``module`` declared with ``node``, with two twins
+    declared from the same class body: a ``collections.namedtuple`` of its
+    annotations and their defaults, keeping any docstring of the body, and
+    a plain frozen dataclass."""
+    triples = []
     for stmt in ast.parse(Path(module.__file__).read_text("utf-8")).body:
         if type(stmt) is ast.ClassDef and [ast.unparse(d) for d in stmt.decorator_list] == ["node"]:
             stmt.decorator_list = []
@@ -137,42 +154,51 @@ def module_twins(module):
             code = compile(ast.Module([stmt], []), module.__file__, "exec", flags=flags, dont_inherit=True)
             namespace = dict(vars(module))
             exec(code, namespace)
-            pairs.append((getattr(module, stmt.name), dataclasses.dataclass(frozen=True)(namespace[stmt.name])))
-    return pairs
+            declared = namespace[stmt.name]
+            fields = declared.__annotations__
+            defaults = [vars(declared)[field] for field in fields if field in vars(declared)]
+            twin = namedtuple(stmt.name, fields, defaults=defaults, module=module.__name__)
+            twin.__doc__ = declared.__doc__ or twin.__doc__
+            triples.append((getattr(module, stmt.name), twin, dataclasses.dataclass(frozen=True)(declared)))
+    return triples
 
 
-def test_every_node_class_behaves_as_its_frozen_dataclass_twin():
-    pairs = module_twins(forthel) + module_twins(lean)
-    assert len(pairs) == 42
-    for cls, twin in pairs:
+def test_every_node_class_behaves_as_its_named_tuple_twin():
+    triples = module_twins(forthel) + module_twins(lean)
+    assert len(triples) == 42
+    for cls, twin, plain in triples:
         name = cls.__name__
         assert cls.__doc__ == twin.__doc__, name
         assert str(inspect.signature(cls)) == str(inspect.signature(twin)), name
-        assert cls.__match_args__ == twin.__match_args__, name
+        assert cls.__match_args__ == twin.__match_args__ == plain.__match_args__, name
         fields = [(f.name, f.default) for f in dataclasses.fields(cls)]
-        assert fields == [(f.name, f.default) for f in dataclasses.fields(twin)], name
+        assert fields == [(f.name, f.default) for f in dataclasses.fields(plain)], name
         args = [f"{field}-{i}" for i, (field, _) in enumerate(fields)]
         required = [a for a, (_, default) in zip(args, fields) if default is dataclasses.MISSING]
         for values in (args, required):
             ours, theirs = cls(*values), twin(*values)
             assert repr(ours) == repr(theirs) and hash(ours) == hash(theirs), name
             assert ours == cls(*values) and not ours != cls(*values), name
-            assert ours.__eq__(theirs) is theirs.__eq__(ours) is NotImplemented, name
+            # a node equals no tuple of another class, however equal as tuples
+            assert tuple(ours) == tuple(theirs) and ours.__eq__(theirs) is False, name
+            assert ours.__eq__(plain(*values)) is plain(*values).__eq__(ours) is NotImplemented, name
+            for copied in (copy.copy(ours), copy.deepcopy(ours), pickle.loads(pickle.dumps(ours))):
+                assert type(copied) is cls and copied == ours, name
         ours, theirs = cls(*args), twin(*args)
         for field, _ in fields:
             assert ours != dataclasses.replace(ours, **{field: 0}), name
-            replaced = dataclasses.replace(ours, **{field: 0}), dataclasses.replace(theirs, **{field: 0})
-            assert repr(replaced[0]) == repr(replaced[1]), name
+            assert dataclasses.replace(ours, **{field: 0}) == ours._replace(**{field: 0}), name
+            assert repr(ours._replace(**{field: 0})) == repr(theirs._replace(**{field: 0})), name
         for field in [f for f, _ in fields] + ["other"]:
             errors = []
             for instance in (ours, theirs):
-                with pytest.raises(dataclasses.FrozenInstanceError) as set_error:
+                with pytest.raises(AttributeError) as set_error:
                     setattr(instance, field, 0)
-                with pytest.raises(dataclasses.FrozenInstanceError) as del_error:
+                with pytest.raises(AttributeError) as del_error:
                     delattr(instance, field)
                 errors.append((str(set_error.value), str(del_error.value)))
             assert errors[0] == errors[1], name
-        assert vars(ours) == vars(theirs), name
+        assert ours._asdict() == theirs._asdict(), name
 
 
 # run in a fresh interpreter: the corpus first, and only then ``dataclasses``
@@ -192,10 +218,6 @@ sys.path.insert(0, bench)
 from spans import count_nodes
 
 notion = next(n for n in iter_nodes(traces[0].parses) if type(n) is Notion)
-try:
-    notion.head = "RATIONAL"
-except dataclasses.FrozenInstanceError as error:
-    frozen = str(error)
 print(repr({
     "loaded first": loaded_first,
     "is_dataclass": [dataclasses.is_dataclass(x) for x in (notion, Notion, traces[0])],
@@ -205,7 +227,6 @@ print(repr({
     ],
     "replaced": dataclasses.replace(notion, left_attribute="EVEN")
     == Notion(notion.head, notion.name, "EVEN", notion.right_attribute),
-    "frozen": frozen,
     "counts": [
         [(count_nodes(trees), len(list(iter_nodes(trees)))) for trees in stage]
         for stage in zip(*[(t.parses, t.normals, t.commands) for t in traces])
@@ -233,7 +254,6 @@ def test_a_node_records_its_dataclass_fields_when_first_read():
         "is_dataclass": [True, True, False],
         "fields": [("head", "MISSING"), ("name", "MISSING"), ("left_attribute", None), ("right_attribute", None)],
         "replaced": True,
-        "frozen": "cannot assign to field 'head'",
     }
 
 
@@ -246,7 +266,7 @@ def test_node_declares_every_node_class():
         ]
         assert declared and all(_IS_NODE[cls] for cls in declared), module.__name__
     # a dataclass or named tuple not declared with ``node`` is a leaf
-    for cls in (PipelineTrace, ParseResult, Token, LexiconEntry, PlainPair):
+    for cls in (PipelineTrace, ParseResult, Token, LexiconEntry, PlainPair, TuplePair):
         assert not _IS_NODE[cls], cls.__name__
 
 
@@ -311,3 +331,21 @@ def test_no_module_tests_a_node_class_with_isinstance():
                 if any(type(cls) is type and _IS_NODE.get(cls) for cls in classes):
                     checks.append((source.name, ast.unparse(call)))
     assert checks == []
+
+
+def test_no_module_imports_a_private_standard_library_module():
+    # a private module such as ``_collections`` may change in any release
+    imports = []
+    for source in sorted(Path(forlean.__file__).parent.glob("*.py")):
+        for stmt in ast.walk(ast.parse(source.read_text("utf-8"))):
+            if type(stmt) is ast.Import:
+                imports += [(source.name, alias.name) for alias in stmt.names]
+            elif type(stmt) is ast.ImportFrom and stmt.level == 0:
+                imports.append((source.name, stmt.module))
+    assert len(imports) > 10
+    private = [
+        (name, module)
+        for name, module in imports
+        if any(part.startswith("_") and not part.startswith("__") for part in module.split("."))
+    ]
+    assert private == []
