@@ -14,9 +14,10 @@ The parser is top-down and memoizes its operator categories (see
 looks one token ahead, as GF's incremental parser predicts from the next
 token (Angelov 2009): at import, ``_first_sets`` computes the token texts
 that can start each category (its FIRST set), and a category, or a lexicon
-lookup, is tried only where the next token can start it.  The operator
-levels stop where no operator follows.  It still returns every parse, in the
-order plain backtracking would.  A parse records nothing for its
+lookup, is tried only where the next token can start it.  An operator level
+runs only where its own operator follows a phrase; every level before it
+takes the phrases as they are.  It still returns every parse, in the order
+plain backtracking would.  A parse records nothing for its
 diagnostics; only a token stream with no complete parse is parsed a
 second time, recording what each failed alternative expected at the furthest
 position reached, as CPython's PEG parser does for its error messages.
@@ -39,7 +40,7 @@ from . import forthel
 from .forthel import GRAMMAR, OPERATOR_LEVELS, Index, Quantified
 from .lexicon import Category, Token, default_lexicon
 
-__all__ = ["ParseResult", "parse_statement", "parse_term", "parse_text"]
+__all__ = ["ParseResult", "parse_text"]
 
 Diagnostic = tuple[tuple[int, int], str]
 
@@ -77,7 +78,7 @@ class _Parser:
     rule of X can consume ``texts[p]``, every alternative fails at ``p``, so
     the call could only record a want at ``p``.  The first pass records
     nothing, and in the recording pass every call at ``p >= furthest`` still
-    runs.  Likewise the operator levels stop early only while every phrase
+    runs.  Likewise an operator level is skipped only while every phrase
     ends below ``furthest``.
     """
 
@@ -133,12 +134,15 @@ def _operator_category(category: str, atoms: str, associativity: str, levels: tu
 
     One call builds in one frame every width up to ``width`` that ``pos``
     lacks, so a parenthesis costs two frames and a nested statement three.
+    A level extends only phrases its separators follow: one scan finds the next
+    level with work, and each width before it takes the phrases as they are.
     An ``infixl`` level reads a right operand one width tighter and tries each
     phrase it builds again as a left operand; an ``infixr`` level reads one as
     wide and follows each left operand at once by the phrases extending it."""
     # {separator: node builder} per width, from 1, the tightest level, up
     by_width = [None, *({s: partial(*head) for s, head in level.items()} for level in reversed(levels))]
-    separators = frozenset(s for level in levels for s in level)
+    # the width of the tightest level each separator belongs to
+    width_of = {s: w for w in reversed(range(1, len(by_width))) for s in by_width[w]}
     infixr = associativity == "infixr"
 
     def parse_levels(self, pos: int, width: int = len(levels)) -> tuple:
@@ -146,17 +150,18 @@ def _operator_category(category: str, atoms: str, associativity: str, levels: tu
         if widths is None:
             widths = self._widths[category, pos] = [tuple(getattr(self, atoms)(pos))]
         while len(widths) <= width:
-            operators, lefts = by_width[len(widths)], widths[-1]
-            # a level extends only phrases that a separator follows: with none
-            # after any, every looser width holds the same phrases, unless one
-            # ends where this pass records what a level wanted
+            lefts, here, at = widths[-1], len(widths), len(by_width)
+            # the tightest width from here whose separator follows a phrase, or
+            # this one where a pass records a want; widths before it hold lefts
             for _, p in lefts:
-                if self._texts[p] in separators or p >= self.furthest:
-                    break
-            else:
-                widths += [lefts] * (len(by_width) - len(widths))
+                w = here if p >= self.furthest else width_of.get(self._texts[p], at)
+                if here <= w < at:
+                    at = w
+            widths += [lefts] * (at - here)
+            if at > width:
                 break
-            right_width = len(widths) if infixr else len(widths) - 1
+            operators = by_width[at]
+            right_width = at if infixr else at - 1
             # on an infixl level the loop visits every phrase it appends
             results = [] if infixr else list(lefts)
             for left, p in lefts if infixr else results:
@@ -355,12 +360,3 @@ def parse_text(tokens: Sequence[Token]) -> ParseResult:
     """Parse a full text ``ex. <assumptions> [then] <statement> .``"""
     return _run(tokens, "text")
 
-
-def parse_statement(tokens: Sequence[Token]) -> ParseResult:
-    """Parse the token list as one complete statement."""
-    return _run(tokens, "statement")
-
-
-def parse_term(tokens: Sequence[Token]) -> ParseResult:
-    """Parse the token list as one complete arithmetic term."""
-    return _run(tokens, "term")

@@ -7,10 +7,13 @@ renaming a metavariable commutes with flattening.  A rewrite can expose
 another (flattening can expose an in-situ quantifier, raising a clause that
 still has to unify), so a node is rewritten to a local fixpoint: the node a
 rewrite builds is walked again.  ``transform`` records each result as one
-that draws no fresh id, so that walk stops at each normal subtree.
-Assumption splitting runs last.  Per-node functions test ``type(node) is
-C``, most frequent class first, and no module uses a ``match`` class
-pattern: that is an ``isinstance`` test, tried case after case.
+that draws no fresh id, so that walk stops at each normal subtree.  It does
+not enter a name, nor a term that holds no quantified term: none draws an id
+and no rewrite changes one (``_WALKS``, as ``everywhereBut`` in "Scrap your
+boilerplate", Lämmel and Peyton Jones 2003).  Assumption splitting runs last.
+Per-node functions test ``type(node) is C``, most frequent class first, and
+no module uses a ``match`` class pattern: that is an ``isinstance`` test,
+tried case after case.
 
 ``simplify`` takes the ids a text reserves, the N of each ``(x N)`` token
 group (``reserved_ids``), and draws its fresh ids around them: a word holds
@@ -35,6 +38,7 @@ from .forthel import (
     Example,
     ForQuantified,
     ForthelText,
+    IntLit,
     IsAdj,
     IsAdj1,
     IsNotion,
@@ -53,7 +57,7 @@ from .forthel import (
     Var,
 )
 from .lexicon import Token
-from .tree import once, transform
+from .tree import _IS_NODE, once, transform
 
 __all__ = ["NameSupply", "reserved_ids", "simplify", "typed_notion"]
 
@@ -158,6 +162,15 @@ def _raise_first(t: Term) -> tuple[Quantified, Term] | None:
     return None
 
 
+def _quantifies(t: Term) -> bool:
+    cls = type(t)
+    return cls is Quantified or cls is BinApp and (_quantifies(t.left) or _quantifies(t.right))
+
+
+# the walk keeps a name, or a term that holds no quantified term, as it is
+_WALKS = _IS_NODE | dict.fromkeys((Var, IntLit, MetaVar, Named, Meta), False) | {BinApp: _quantifies}
+
+
 # --- attribute flattening ---------------------------------------------------------
 
 
@@ -231,7 +244,7 @@ def simplify(text: ForthelText, reserved: frozenset[int], memo: dict | None = No
     memo = {} if memo is None else memo
     supply = NameSupply(reserved)
     normal = memo.setdefault(simplify, {})
-    example = transform(text, partial(_normalize, normal, supply), normal, supply).example
+    example = transform(text, partial(_normalize, normal, supply), normal, supply, _WALKS).example
     assumptions = once(memo, _split_all, example.assumptions)
     return ForthelText(Example(assumptions, example.conclusion))
 
@@ -250,5 +263,5 @@ def _normalize(normal: dict, supply: NameSupply, n):
     else:
         return n
     if rewritten is not n:
-        return transform(rewritten, partial(_normalize, normal, supply), normal, supply)
+        return transform(rewritten, partial(_normalize, normal, supply), normal, supply, _WALKS)
     return n

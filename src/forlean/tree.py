@@ -79,11 +79,16 @@ def node(cls: type) -> type:
     return named
 
 
-def transform(node, fn, memo: dict | None = None, supply=None):
+def transform(node, fn, memo: dict | None = None, supply=None, walks=_IS_NODE):
     """Rebuild ``node``, a tuple or a ``node`` instance, bottom-up: children
     first, in field order, then ``fn`` on the node ``tuple.__new__`` rebuilds
     from them.  Plain tuples are rebuilt alike and not passed to ``fn``.  Returns ``node``
     itself when no child changed and ``fn`` returned its argument.
+
+    ``walks`` maps the class of a child to whether the walk enters it: True,
+    False or a test of the child.  A child not entered is kept as it is, with
+    no call of ``fn`` and no memo entry, so ``fn`` must return each node in it
+    unchanged and draw no id there.  The default enters every node.
 
     ``memo`` caches results for an ``fn`` that draws fresh ids from ``supply``:
     ``memo[id(node)]`` is ``(node, result, first_id, last_id)``, the next ids
@@ -103,8 +108,9 @@ def transform(node, fn, memo: dict | None = None, supply=None):
     rebuilt = None
     # a loop, not a comprehension: one Python frame per tree level
     for i, child in enumerate(node):
-        if _IS_NODE[type(child)]:
-            new = transform(child, fn, memo, supply)
+        walk = walks[type(child)]
+        if walk is True or walk and walk(child):
+            new = transform(child, fn, memo, supply, walks)
             if new is not child:
                 if rebuilt is None:
                     rebuilt = list(node)

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import forlean
+from forlean import parsing
 from forlean.corpus import load_corpus
 from forlean.lean import normalize_names, print_command
 from forlean.lean_reader import read_command
@@ -25,6 +26,12 @@ def corpus_cases():
 def parse_source(source: str):
     """Parse a raw source string into its tree set."""
     return parse_text(tokenize(preprocess(source)))
+
+
+def parse_as(tokens, start: str):
+    """Parse a token list as one complete phrase of the grammar category
+    ``start``, such as ``"statement"`` or ``"term"``."""
+    return parsing._run(tokens, start)
 
 
 def expect_trees(result) -> tuple:

@@ -5,12 +5,11 @@ import io
 import time
 from contextlib import contextmanager, redirect_stdout
 
-from conftest import canonical, expect_trees, parse_source, reserved
+from conftest import canonical, expect_trees, parse_as, parse_source, reserved
 from forlean.corpus import check_cases
 from forlean.lean import alpha_equivalent, normalize_names, print_command, print_term
 from forlean.lean_reader import read_command
 from forlean.lexicon import preprocess, tokenize
-from forlean.parsing import parse_term
 from forlean.pipeline import run_pipeline
 from forlean.simplify import simplify
 from forlean.translate import translate_term, translate_text
@@ -119,11 +118,11 @@ GROUPINGS = [
 
 def test_criterion_5_precedence(corpus_cases):
     with criterion("criterion 5: arithmetic precedence matches the corpus groupings"):
-        implicit = expect_trees(parse_term(tokenize(preprocess("2 + 2 * 2"))))
-        explicit = expect_trees(parse_term(tokenize(preprocess("2 + (2 * 2)"))))
+        implicit = expect_trees(parse_as(tokenize(preprocess("2 + 2 * 2")), "term"))
+        explicit = expect_trees(parse_as(tokenize(preprocess("2 + (2 * 2)")), "term"))
         assert implicit == explicit
         for expression, grouping in GROUPINGS:
-            (term,) = expect_trees(parse_term(tokenize(preprocess(expression))))
+            (term,) = expect_trees(parse_as(tokenize(preprocess(expression)), "term"))
             assert print_term(translate_term(term)) == grouping, expression
         # grouping inside every corpus case agrees with its expected output
         for case in corpus_cases:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import expect_trees, parse_source
+from conftest import expect_trees, parse_as, parse_source
 from forlean import parsing
 from forlean.forthel import (
     And,
@@ -35,19 +35,19 @@ from forlean.forthel import (
     linearize_forthel,
 )
 from forlean.lexicon import SYMBOLS, Category, preprocess, tokenize
-from forlean.parsing import parse_statement, parse_term, parse_text
+from forlean.parsing import parse_text
 from forlean.pipeline import run_pipeline
 from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 
 def term_of(text: str):
-    trees = expect_trees(parse_term(tokenize(preprocess(text))))
+    trees = expect_trees(parse_as(tokenize(preprocess(text)), "term"))
     assert len(trees) == 1
     return trees[0]
 
 
 def statement_of(text: str):
-    trees = expect_trees(parse_statement(tokenize(preprocess(text))))
+    trees = expect_trees(parse_as(tokenize(preprocess(text)), "statement"))
     assert len(trees) == 1
     return trees[0]
 
@@ -99,7 +99,7 @@ class TestTerms:
 
         x, one, two = Var("x"), IntLit(1), IntLit(2)
         tokens = tokenize("some integer y less than x * 2 + 1 - x")
-        assert parse_term(tokens).trees == (
+        assert parse_as(tokens, "term").trees == (
             some_y_less_than(
                 BinApp("SUM", BinApp("PROD", x, two), BinApp("MINUS", one, x))
             ),
@@ -177,7 +177,7 @@ class TestStatements:
             "x is not equal to 0 and y is odd , z is not equal to 1 "
             "or x is even iff y is odd"
         )
-        assert parse_statement(tokenize(preprocess(source))).trees == (
+        assert parse_as(tokenize(preprocess(source)), "statement").trees == (
             tree(True, True),
             tree(True, False),
             tree(False, True),
@@ -230,16 +230,16 @@ class TestTexts:
         assert "expected" in message
 
     @pytest.mark.parametrize(
-        "parse, source, diagnostic",
+        "start, source, diagnostic",
         [
             pytest.param(
-                parse_text,
+                "text",
                 "Ex. Assume x is an integer. Then for x.",
                 ((37, 38), "expected 'every', 'no', 'some'; found 'x'"),
                 id="quantifiers",
             ),
             pytest.param(
-                parse_text,
+                "text",
                 "Ex. Assume x is an integer. Then x + is odd.",
                 (
                     (37, 39),
@@ -248,7 +248,7 @@ class TestTexts:
                 id="term-atoms",
             ),
             pytest.param(
-                parse_text,
+                "text",
                 "Ex. Assume x is a real number. Then x is banana.",
                 (
                     (41, 47),
@@ -258,19 +258,19 @@ class TestTexts:
                 id="lexicon-categories",
             ),
             pytest.param(
-                parse_text,
+                "text",
                 "Ex. Assume x is an integer. Then x is odd",
                 ((41, 41), "expected ',', '.', 'and', 'iff', 'or', rawNoun0; found end of input"),
                 id="connectives-at-end",
             ),
             pytest.param(
-                parse_term,
+                "term",
                 "(x + 2",
                 ((6, 6), "expected ')', '*', '+', '-', '/', '^'; found end of input"),
                 id="operators",
             ),
             pytest.param(
-                parse_statement,
+                "statement",
                 "x is odd and",
                 (
                     (12, 12),
@@ -281,8 +281,8 @@ class TestTexts:
             ),
         ],
     )
-    def test_failure_diagnostic_is_exact(self, parse, source, diagnostic):
-        result = parse(tokenize(preprocess(source)))
+    def test_failure_diagnostic_is_exact(self, start, source, diagnostic):
+        result = parse_as(tokenize(preprocess(source)), start)
         assert result.trees == ()
         assert result.diagnostics == (diagnostic,)
 
@@ -491,7 +491,7 @@ def edited_streams(corpus_cases, seed: int = 977) -> list[list]:
 
 
 def test_parse_results_and_diagnostics_are_pinned(corpus_cases):
-    # every tree in order and every diagnostic of the three entry points over
+    # every tree in order and every diagnostic of three start categories over
     # 2,382 streams, most of them failing: a failing stream is parsed a second
     # time to record what each alternative wanted, and only that pass shows
     # which alternatives the parser tried where no complete parse exists
@@ -499,8 +499,8 @@ def test_parse_results_and_diagnostics_are_pinned(corpus_cases):
     failing = 0
     streams = edited_streams(corpus_cases)
     for tokens in streams:
-        for parse in (parse_text, parse_statement, parse_term):
-            result = parse(tokens)
+        for start in ("text", "statement", "term"):
+            result = parse_as(tokens, start)
             failing += not result.trees
             digest.update(repr((result.trees, result.diagnostics)).encode())
     assert len(streams) == 2382

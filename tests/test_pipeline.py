@@ -26,6 +26,15 @@ INTRO = (
     "Then x is greater than 3."
 )
 DATA = Path(__file__).parent / "data"
+# the deepest conclusions that translate in a fresh interpreter, measured per
+# version: parentheses, "it's not that", nested "(x + ...)", and the same with
+# a quantified term innermost
+DEPTH_LIMITS = {
+    (3, 10): (492, 328, 328, 327),
+    (3, 11): (492, 328, 328, 327),
+    (3, 12): (493, 329, 329, 328),
+    (3, 13): (493, 329, 329, 328),
+}
 AMBIGUOUS = (
     "Ex. Assume x is a real number. Assume x is greater than 0 and x is less than 1. "
     "Then x ^ 2 - 2 * x + 2 is not equal to 0."
@@ -228,6 +237,40 @@ class TestRunPipeline:
             assert message == "input nested too deeply"
             assert span[0] == 0 and span[1] > len(conclusion)
         assert not second.diagnostics
+
+    def test_input_just_below_the_nesting_limit_translates(self):
+        # in a fresh interpreter, whose stack a call starts from as a
+        # program's own does.  The parser's frames per level set each limit;
+        # the simplifier's test for a quantified term recurses over the term
+        # too, and must cost no depth of its own
+        limits = DEPTH_LIMITS.get(sys.version_info[:2], min(DEPTH_LIMITS.values()))
+        parens, negations, sums, quantified = (limit - 2 for limit in limits)
+        cases = {
+            "x is equal to " + "(" * parens + "x" + ")" * parens: "x = x",
+            "it's not that " * negations + "x is odd": "(¬ " * negations + "odd x" + ")" * negations,
+            "(x + " * sums + "1" + ")" * sums + " is odd": "odd " + "(x + " * sums + "1" + ")" * sums,
+            "(x + " * quantified + "every integer" + ")" * quantified + " is odd": (
+                "∀ (x2 : ℤ), odd " + "(x + " * quantified + "x2" + ")" * quantified
+            ),
+        }
+        script = (
+            "import json, sys\n"
+            "from forlean import run_pipeline\n"
+            "for conclusion in json.load(sys.stdin):\n"
+            "    (trace,) = run_pipeline(f'Ex. Assume x is an integer. Then {conclusion}.')\n"
+            "    print(json.dumps([trace.printed, trace.diagnostics]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(list(cases)),
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(forlean.__file__).parent.parent)},
+            encoding="utf-8",
+        )
+        assert done.returncode == 0, done.stderr
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        expected = [[[f"example (x : ℤ) : {goal} := sorry"], []] for goal in cases.values()]
+        assert results == expected
 
     def test_a_call_leaves_no_cyclic_garbage(self, corpus_cases):
         # reference counting frees all that a call builds: with the cyclic

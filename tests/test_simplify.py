@@ -8,6 +8,7 @@ import pytest
 from conftest import expect_trees, parse_source, reserved
 from forlean.forthel import (
     And,
+    BinApp,
     Does,
     Example,
     ForQuantified,
@@ -22,6 +23,7 @@ from forlean.forthel import (
     Named,
     Notion,
     Polarity,
+    Quantified,
     SuchThat,
     Unnamed,
     Var,
@@ -479,6 +481,31 @@ class TestTransform:
             run_pipeline(source)
             normalized += len(seen)
         assert normalized > 0
+
+    def test_names_and_quantifier_free_terms_are_not_walked(self, monkeypatch, corpus_cases):
+        # no rewrite changes a name or a term with no quantified term in it,
+        # and neither draws a fresh id, so the walk keeps them as they are
+        module = importlib.import_module("forlean.simplify")
+        original, kinds = module._normalize, Counter()
+
+        def checked(normal, supply, n):
+            assert type(n) not in (Var, IntLit, MetaVar, Named, Meta), n
+            if type(n) is BinApp:
+                assert any(type(m) is Quantified for m in iter_nodes(n)), n
+            kinds[type(n)] += 1
+            return original(normal, supply, n)
+
+        monkeypatch.setattr(module, "_normalize", checked)
+        generator = QuantifiedOperandGenerator(seed=6262)
+        sources = [case.input for case in corpus_cases]
+        sources += (DATA / "translate.input").read_text("utf-8").splitlines()
+        sources += generate_sentences(300) + [generator.text() for _ in range(200)]
+        for source in sources:
+            run_pipeline(source)
+        # quantified operands inside arithmetic are still named and raised
+        assert kinds[BinApp] > 0 and kinds[Unnamed] > 0
+        (trace,) = run_pipeline("Ex. Then 1 + every integer is positive.")
+        assert trace.printed == ("example : ∀ (x1 : ℤ), pos (1 + x1) := sorry",)
 
     def test_parses_share_the_translation_of_a_common_assumption(self):
         (trace,) = run_pipeline(

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import forlean
-from conftest import CORPUS
+from conftest import CORPUS, parse_source
 from forlean import forthel, lean
 from forlean.forthel import Meta, MetaVar, Named, Notion, Unnamed, Var
 from forlean.lexicon import LexiconEntry, Token
@@ -42,6 +42,11 @@ def twins():
 
 Pair, PlainPair = twins()
 TuplePair = namedtuple("Pair", ["op", "left", "right"], defaults=[None])
+
+
+@node
+class Box:
+    value: object
 
 
 def test_setting_or_deleting_a_field_raises():
@@ -306,6 +311,45 @@ def test_a_memo_stops_a_walk_at_each_result():
     supply.next_id = 7
     assert transform(result[0], number, memo, supply) is result[0]
     assert calls == [] and supply.next_id == 7
+
+
+def test_a_walk_keeps_each_child_its_table_does_not_descend_into():
+    # a child of a class the table marks false, or one its class's test
+    # rejects, comes back as it is: no call of ``fn`` and no memo entry,
+    # for it or for anything below it
+    inner, kept, boxed = Pair("*", 1), Pair("-", 2), Box(Pair("/", 3))
+    tree = (Pair("+", inner, kept), boxed)
+    walks = _IS_NODE | {Box: False, Pair: lambda n: n.op != "-"}
+    calls, memo, supply = [], {}, SimpleNamespace(next_id=1)
+
+    def close(n):
+        calls.append(n)
+        return n._replace(right=0) if n.right is None else n
+
+    result = transform(tree, close, memo, supply, walks)
+    assert result == (Pair("+", Pair("*", 1, 0), kept), boxed)
+    assert result[0].right is kept and result[1] is boxed
+    assert [id(n) for n in calls] == [id(inner), id(result[0])]
+    assert {id(kept), id(boxed), id(boxed.value)}.isdisjoint(memo)
+    assert {id(tree), id(tree[0]), id(inner)} <= memo.keys()
+
+
+def test_the_default_table_walks_every_node(corpus_cases):
+    # without a table, or with ``_IS_NODE``, ``fn`` sees every node that
+    # ``_IS_NODE`` calls one, children first, in field order
+    def children_first(n):
+        for child in n:
+            if _IS_NODE[type(child)]:
+                yield from children_first(child)
+        if type(n) is not tuple:
+            yield n
+
+    for case in corpus_cases:
+        for tree in parse_source(case.input).trees:
+            for walks in ({}, {"walks": _IS_NODE}):
+                calls = []
+                assert transform(tree, lambda n: calls.append(n) or n, **walks) is tree
+                assert [id(n) for n in calls] == [id(n) for n in children_first(tree)], case.id
 
 
 def test_no_module_dispatches_with_a_match_class_pattern():
