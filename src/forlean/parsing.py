@@ -1,13 +1,12 @@
 """Parser for the controlled language, returning every tree the grammar
 admits for a token stream.
 
-The grammar is ``forthel.GRAMMAR``.  At import, ``_install`` generates one
-``_Parser`` method per category from it, the nested loops a hand-written
+The grammar is ``forthel.GRAMMAR`` with the operator categories of
+``forthel.OPERATOR_LEVELS``.  At import, ``_install`` generates one
+``_Parser`` method per category from them, the nested loops a hand-written
 recursive descent would have, and compiles them, as ``dataclasses`` builds
 ``__init__`` and pegen builds CPython's parser from its grammar (PEP 617).
-Each category of ``forthel.OPERATOR_LEVELS`` gets its method from one
-routine, ``_operator_category``, and the one category written by hand is
-``definite_term``, a filter on ``term``.
+The one category written by hand is ``definite_term``, a filter on ``term``.
 
 The parser is top-down and memoizes its operator categories (see
 ``_Parser``), after Johnson 1995, "Memoization in top-down parsing".  It
@@ -32,7 +31,6 @@ from __future__ import annotations
 import linecache
 import sys
 from enum import Enum
-from functools import partial
 from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,12 +56,13 @@ _LEXICON = default_lexicon()
 
 class _Parser:
     """Recursive descent; every category returns all (node, next_position)
-    alternatives.  Only the operator categories (``_widths``) and the lexicon
-    matches (``_matches``) are kept per position.  A generated category of
-    ``GRAMMAR`` runs twice at one position only after a phrase that parses in
-    two ways ending there, as an ambiguous assumption, and each run then
-    builds a different tree.  The grammar is not left recursive, so a memo
-    entry is complete before it is read.
+    alternatives.  ``_install`` adds every category but ``definite_term``.
+    Only the operator categories (``_widths``) and the lexicon matches
+    (``_matches``) are kept per position.  A category of ``GRAMMAR`` runs
+    twice at one position only after a phrase that parses in two ways ending
+    there, as an ambiguous assumption, and each run then builds a different
+    tree.  The grammar is not left recursive, so a memo entry is complete
+    before it is read.
 
     A failed alternative records what it wanted (``_want``) only when its
     position is at or beyond ``furthest``.  ``_run`` parses first with
@@ -128,59 +127,7 @@ class _Parser:
         return [(t, p) for t, p in self.term(pos) if type(t) is not Quantified]
 
 
-def _operator_category(category: str, atoms: str, associativity: str, levels: tuple):
-    """The ``_Parser`` method of an operator category: the phrases at ``pos``
-    built with its ``width`` tightest levels; width 0 gives the atoms.
-
-    One call builds in one frame every width up to ``width`` that ``pos``
-    lacks, so a parenthesis costs two frames and a nested statement three.
-    A level extends only phrases its separators follow: one scan finds the next
-    level with work, and each width before it takes the phrases as they are.
-    An ``infixl`` level reads a right operand one width tighter and tries each
-    phrase it builds again as a left operand; an ``infixr`` level reads one as
-    wide and follows each left operand at once by the phrases extending it."""
-    # {separator: node builder} per width, from 1, the tightest level, up
-    by_width = [None, *({s: partial(*head) for s, head in level.items()} for level in reversed(levels))]
-    # the width of the tightest level each separator belongs to
-    width_of = {s: w for w in reversed(range(1, len(by_width))) for s in by_width[w]}
-    infixr = associativity == "infixr"
-
-    def parse_levels(self, pos: int, width: int = len(levels)) -> tuple:
-        widths = self._widths.get((category, pos))
-        if widths is None:
-            widths = self._widths[category, pos] = [tuple(getattr(self, atoms)(pos))]
-        while len(widths) <= width:
-            lefts, here, at = widths[-1], len(widths), len(by_width)
-            # the tightest width from here whose separator follows a phrase, or
-            # this one where a pass records a want; widths before it hold lefts
-            for _, p in lefts:
-                w = here if p >= self.furthest else width_of.get(self._texts[p], at)
-                if here <= w < at:
-                    at = w
-            widths += [lefts] * (at - here)
-            if at > width:
-                break
-            operators = by_width[at]
-            right_width = at if infixr else at - 1
-            # on an infixl level the loop visits every phrase it appends
-            results = [] if infixr else list(lefts)
-            for left, p in lefts if infixr else results:
-                if infixr:
-                    results.append((left, p))
-                found = self._texts[p]
-                if p >= self.furthest:
-                    self._want_others(p, operators, found)
-                build = operators.get(found)
-                if build is not None:
-                    for right, p1 in parse_levels(self, p + 1, right_width):
-                        results.append((build(left, right), p1))
-            widths.append(tuple(results))
-        return widths[width]
-
-    return parse_levels
-
-
-# --- the categories of GRAMMAR ------------------------------------------------
+# --- the generated categories -------------------------------------------------
 
 
 def _words(elements: list) -> list:
@@ -235,16 +182,24 @@ _FIRST = _first_sets()
 
 # the generated methods are compiled under this name and their source is kept
 # in linecache under it, so that tracebacks, pdb and inspect show their lines
-_SOURCE_FILE = f"<{__name__}: generated from forthel.GRAMMAR>"
+_SOURCE_FILE = f"<{__name__}: generated from forthel.GRAMMAR and OPERATOR_LEVELS>"
 
 
 def _install() -> None:
-    """Generate, compile and add one ``_Parser`` method per category of
-    ``GRAMMAR``: an ``if`` per element that matches one token, a ``for`` per
-    element that can match in several ways and an ``out.append`` per rule,
-    labelled ``# category[i]``.  Consecutive rules that start with equal
-    elements share their code, so a shared prefix is matched once and the
-    parses still come in the order of backtracking through the rules."""
+    """Generate, compile and add one ``_Parser`` method per category.  A
+    category of ``GRAMMAR`` gets an ``if`` per element that matches one
+    token, a ``for`` per element that can match in several ways and an
+    ``out.append`` per rule, labelled ``# category[i]``.  Consecutive rules
+    that start with equal elements share their code, so a shared prefix is
+    matched once and the parses still come in the order of backtracking.
+
+    An operator category builds its phrases at ``pos`` with its ``width``
+    tightest levels; width 0 gives the atoms.  A level extends only phrases
+    its separators follow: one scan finds the next level with work, and each
+    width before it takes the phrases as they are.  An ``infixl`` level reads
+    a right operand one width tighter and tries each phrase it builds again
+    as a left operand; an ``infixr`` level reads one as wide and follows each
+    left operand at once by the phrases extending it."""
     # the node classes, constants and lexicon categories are forthel's names;
     # _FIRST_<category> is the set that guards a call of the category
     namespace = {**vars(forthel), **{f"_FIRST_{name}": texts for name, texts in _FIRST.items()}}
@@ -315,19 +270,61 @@ def _install() -> None:
             emit([(lb, hd, more[1:]) for lb, hd, more in group], indent + 1, p, named, n + 1)
             lines.extend(pad + line for line in closed)
 
-    for category, rules in GRAMMAR.items():
-        lines += [f"def {category}(self, pos):", "    texts = self._texts", "    out = []"]
-        labelled = [(f"{category}[{i}]", head, _words(elements)) for i, (head, elements) in enumerate(rules)]
-        emit(labelled, 1, "pos", {}, 1)
-        lines += ["    return out", ""]
-    source = "\n".join(lines)
-    linecache.cache[_SOURCE_FILE] = (len(source), None, source.splitlines(True), _SOURCE_FILE)
-    exec(compile(source, _SOURCE_FILE, "exec"), namespace)
-    for category in GRAMMAR:
+    def operators(category: str, atoms: str, associativity: str, levels: tuple) -> list[str]:
+        # the widths up to ``width`` that ``pos`` lacks are built in one frame,
+        # so a parenthesis costs two frames and a nested statement three
+        n, infixr = len(levels), associativity == "infixr"
+        # the width of the tightest level each separator belongs to
+        namespace[f"_WIDTH_{category}"] = {s: w for w in range(n, 0, -1) for s in levels[n - w]}
+        code = [
+            f"def {category}(self, pos, width={n}):",
+            "    texts = self._texts",
+            f"    widths = self._widths.get(({category!r}, pos))",
+            "    if widths is None:",
+            f"        widths = self._widths[{category!r}, pos] = [tuple(self.{atoms}(pos))]",
+            "    while len(widths) <= width:",
+            f"        lefts, here, at = widths[-1], len(widths), {n + 1}",
+            "        for _, p in lefts:",
+            f"            w = here if p >= self.furthest else _WIDTH_{category}.get(texts[p], at)",
+            "            if here <= w < at:",
+            "                at = w",
+            "        widths += [lefts] * (at - here)",
+            "        if at > width:",
+            "            break",
+        ]
+        for w in range(1, n + 1):
+            separators = levels[n - w]
+            code.append(f"        {'elif' if w > 1 else 'if'} at == {w}:")
+            if infixr:
+                code += ["            results = []", "            for left, p in lefts:",
+                         "                results.append((left, p))"]
+            else:
+                code += ["            results = list(lefts)", "            for left, p in results:"]
+            code += ["                t = texts[p]", "                if p >= self.furthest:",
+                     f"                    self._want_others(p, {tuple(separators)!r}, t)"]
+            for i, (separator, (cls, *fixed)) in enumerate(separators.items()):
+                node = f"{ref(cls)}({', '.join([*map(ref, fixed), 'left', 'right'])})"
+                code += [f"                {'elif' if i else 'if'} t == {separator!r}:",
+                         f"                    for right, p1 in self.{category}(p + 1, {w if infixr else w - 1}):",
+                         f"                        results.append(({node}, p1))"]
+        return code + ["        widths.append(tuple(results))", "    return widths[width]", ""]
+
+    for category in (*GRAMMAR, *OPERATOR_LEVELS):
+        start = len(lines)
+        if category in GRAMMAR:
+            lines += [f"def {category}(self, pos):", "    texts = self._texts", "    out = []"]
+            rules = [(f"{category}[{i}]", head, _words(e)) for i, (head, e) in enumerate(GRAMMAR[category])]
+            emit(rules, 1, "pos", {}, 1)
+            lines += ["    return out", ""]
+        else:
+            lines += operators(category, *OPERATOR_LEVELS[category])
+        # compiled alone, which takes a fraction of the memory of compiling
+        # them all at once, after newlines that line it up with linecache
+        exec(compile("\n" * start + "\n".join(lines[start:]), _SOURCE_FILE, "exec"), namespace)
         namespace[category].__qualname__ = f"_Parser.{category}"
         setattr(_Parser, category, namespace[category])
-    for category, levels in OPERATOR_LEVELS.items():
-        setattr(_Parser, category, _operator_category(category, *levels))
+    source = "\n".join(lines)
+    linecache.cache[_SOURCE_FILE] = (len(source), None, source.splitlines(True), _SOURCE_FILE)
 
 
 _install()

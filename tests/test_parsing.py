@@ -397,7 +397,25 @@ class TestGeneratedParser:
         # a call is guarded by the texts that can start its category
         guard = "texts[p2] in _FIRST_rawAdjective1 or p2 >= self.furthest else ()"
         assert f"for v3, p3 in (self.lex_matches(p2, Category.RAW_ADJECTIVE1) if {guard}):" in source
-        assert inspect.getsourcefile(parsing._Parser.does_predicate) == parsing._SOURCE_FILE
+        # an operator category tests each separator and builds each node inline
+        source = inspect.getsource(parsing._Parser.term)
+        assert source.startswith("def term(self, pos, width=4):\n")
+        assert "if t == '+':\n" in source
+        assert "results.append((BinApp('SUM', left, right), p1))\n" in source
+        source = inspect.getsource(parsing._Parser.connective)
+        assert source.startswith("def connective(self, pos, width=4):\n")
+        assert "if t == 'or':\n" in source and "results.append((Or(left, right), p1))\n" in source
+        # every category but definite_term is generated, and each method,
+        # compiled on its own, starts on its line of the linecache entry
+        lines = linecache.getlines(parsing._SOURCE_FILE)
+        generated = {*GRAMMAR, *OPERATOR_LEVELS}
+        for name, method in vars(parsing._Parser).items():
+            code = getattr(method, "__code__", None)
+            assert (code is not None and code.co_filename == parsing._SOURCE_FILE) == (name in generated), name
+        for name in generated:
+            method = getattr(parsing._Parser, name)
+            assert inspect.getsourcefile(method) == parsing._SOURCE_FILE
+            assert lines[method.__code__.co_firstlineno - 1].startswith(f"def {name}(self, pos"), name
 
     def test_every_element_is_keywords_or_a_field_and_its_source(self):
         # a source is a category, bracketed if optional, an integer literal

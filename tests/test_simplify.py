@@ -517,19 +517,4 @@ class TestTransform:
 
 
 def _collect(node, cls):
-    import dataclasses
-
-    found = []
-
-    def visit(n):
-        if isinstance(n, cls):
-            found.append(n)
-        if dataclasses.is_dataclass(n):
-            for f in dataclasses.fields(n):
-                visit(getattr(n, f.name))
-        elif isinstance(n, tuple):
-            for item in n:
-                visit(item)
-
-    visit(node)
-    return found
+    return [n for n in iter_nodes(node) if isinstance(n, cls)]

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from forlean.translate import (
     translate_term,
     translate_text,
 )
+from forlean.tree import _IS_NODE
 from test_properties import generate_sentences
 
 POS = ftl.Polarity.POS
@@ -280,7 +280,7 @@ def test_no_node_class_has_a_subclass():
         cls
         for module in (ftl, lean)
         for cls in vars(module).values()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        if isinstance(cls, type) and _IS_NODE.get(cls) and cls.__module__ == module.__name__
     ]
     assert len(classes) == 28 + 15
     for cls in classes:
