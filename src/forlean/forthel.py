@@ -268,7 +268,7 @@ GRAMMAR = {
                   ("name", "name_slot"), ("right_attribute", "[right_attribute]")]),
     ],
     "name_slot": [
-        (Unnamed(), []),
+        (Unnamed, []),
         (Named, [("letter", "variable")]),
         (Meta, ["(", "x", ("ident", Index), ")"]),
     ],

@@ -8,18 +8,18 @@ recursive descent would have, and compiles them, as ``dataclasses`` builds
 ``__init__`` and pegen builds CPython's parser from its grammar (PEP 617).
 The one category written by hand is ``definite_term``, a filter on ``term``.
 
-The parser is top-down and memoizes its operator categories (see
-``_Parser``), after Johnson 1995, "Memoization in top-down parsing".  It
-looks one token ahead, as GF's incremental parser predicts from the next
-token (Angelov 2009): at import, ``_first_sets`` computes the token texts
-that can start each category (its FIRST set), and a category, or a lexicon
-lookup, is tried only where the next token can start it.  An operator level
-runs only where its own operator follows a phrase; every level before it
+The parser is top-down and memoizes its operator categories (see ``_Parser``),
+after Johnson 1995, "Memoization in top-down parsing".  It looks one token
+ahead, as GF's incremental parser predicts from the next token (Angelov 2009):
+at import, ``_first_sets`` computes the token texts that can start each
+category, integer literals included (its FIRST set), and a category, or a
+lexicon lookup, is tried only where the next token can start it.  An operator
+level runs only where its own operator follows a phrase; every level before it
 takes the phrases as they are.  It still returns every parse, in the order
-plain backtracking would.  A parse records nothing for its
-diagnostics; only a token stream with no complete parse is parsed a
-second time, recording what each failed alternative expected at the furthest
-position reached, as CPython's PEG parser does for its error messages.
+plain backtracking would.  A parse records nothing for its diagnostics; only a
+token stream with no complete parse is parsed a second time, recording what
+each failed alternative expected at the furthest position reached, as CPython's
+PEG parser does for its error messages.
 
 Genuinely ambiguous inputs yield multiple trees; the documented case is
 "not equal to", which parses both as the lexical unit and as polarity "not"
@@ -73,12 +73,12 @@ class _Parser:
     ``furthest`` nor ``expected``.
 
     A call of a category X at ``p`` is guarded: it runs only if ``texts[p]``
-    is in X's FIRST set or ``p >= furthest``.  The guard is exact.  If no
-    rule of X can consume ``texts[p]``, every alternative fails at ``p``, so
-    the call could only record a want at ``p``.  The first pass records
-    nothing, and in the recording pass every call at ``p >= furthest`` still
-    runs.  Likewise an operator level is skipped only while every phrase
-    ends below ``furthest``.
+    is in X's FIRST set, or the set holds ``int`` and the token is an integer
+    literal, or ``p >= furthest``.  The guard is exact.  If no rule of X can
+    consume the token, every alternative fails at ``p``, so the call could
+    only record a want at ``p``.  The first pass records nothing, and in the
+    recording pass every call at ``p >= furthest`` still runs.  Likewise an
+    operator level is skipped only while every phrase ends below ``furthest``.
     """
 
     def __init__(self, tokens: Sequence[Token], furthest: int):
@@ -140,8 +140,8 @@ def _first_sets() -> dict[str, frozenset]:
     lexicon category (its FIRST set), by the usual fixpoint.  An operator
     category and ``definite_term`` start as their atoms do, and a lexicon
     category as the first words of its indexed forms.  A category that can
-    be empty or start with an integer literal gets no set: it can match
-    whatever the next token is."""
+    be empty gets no set: it can match whatever the next token is.  The set
+    of a category that can start with an integer literal holds ``int``."""
     # None stands for the empty phrase and int for an integer literal
     first: dict[str, set] = {category: set() for category in GRAMMAR}
     for category, (atoms, *_) in OPERATOR_LEVELS.items():
@@ -175,7 +175,7 @@ def _first_sets() -> dict[str, frozenset]:
                 if not found <= first[category]:
                     first[category] |= found
                     changed = True
-    return {name: frozenset(texts) for name, texts in first.items() if not texts & {None, int}}
+    return {name: frozenset(texts) for name, texts in first.items() if None not in texts}
 
 
 _FIRST = _first_sets()
@@ -187,11 +187,13 @@ _SOURCE_FILE = f"<{__name__}: generated from forthel.GRAMMAR and OPERATOR_LEVELS
 
 def _install() -> None:
     """Generate, compile and add one ``_Parser`` method per category.  A
-    category of ``GRAMMAR`` gets an ``if`` per element that matches one
-    token, a ``for`` per element that can match in several ways and an
-    ``out.append`` per rule, labelled ``# category[i]``.  Consecutive rules
-    that start with equal elements share their code, so a shared prefix is
-    matched once and the parses still come in the order of backtracking.
+    category of ``GRAMMAR`` gets an ``if`` per element that matches one token,
+    a ``for`` per element that can match in several ways and an ``out.append``
+    per rule, labelled ``# category[i]``.  Consecutive rules that start with
+    equal elements share their code, so a shared prefix is matched once and the
+    parses still come in the order of backtracking.  A node is built as
+    ``_new(C, (field, ...))``: ``_new`` is ``tuple.__new__``, which skips
+    ``C.__new__`` and its check that every field is given.
 
     An operator category builds its phrases at ``pos`` with its ``width``
     tightest levels; width 0 gives the atoms.  A level extends only phrases
@@ -203,9 +205,12 @@ def _install() -> None:
     # the node classes, constants and lexicon categories are forthel's names;
     # _FIRST_<category> is the set that guards a call of the category
     namespace = {**vars(forthel), **{f"_FIRST_{name}": texts for name, texts in _FIRST.items()}}
-    namespace["__name__"] = __name__
+    namespace.update(__name__=__name__, _new=tuple.__new__)
     lexical = {category.value: category for category in Category}
     lines: list[str] = []
+
+    def new(cls: type, args: list[str]) -> str:
+        return f"_new({cls.__name__}, ({', '.join(args)}{',' * (len(args) == 1)}))"
 
     def ref(value) -> str:
         # an expression for a class, an enum member or a constant of forthel
@@ -219,10 +224,10 @@ def _install() -> None:
         classes = head if type(head) is tuple else (head,) if isinstance(head, type) else ()
         if not classes:
             return ref(head)
-        built = ", ".join(fields[name] for name in classes[-1].__match_args__)
+        built = [fields[name] for name in classes[-1]._fields]
         for cls in reversed(classes):
-            built = f"{ref(cls)}({built})"
-        return built
+            built = [new(cls, built)]
+        return built[0]
 
     def match(e, pos: str, p: str, v: str, t: str) -> tuple[list[str], list[str], list[str]]:
         # the lines that open the block where ``e`` has matched at ``pos``,
@@ -234,7 +239,8 @@ def _install() -> None:
             name = source.strip("[]")
             call = f"self.lex_matches({pos}, {ref(lexical[name])})" if name in lexical else f"self.{name}({pos})"
             if name in _FIRST:
-                call = f"({call} if texts[{pos}] in _FIRST_{name} or {pos} >= self.furthest else ())"
+                ints = f" or self._ints[{pos}] is not None" if int in _FIRST[name] else ""
+                call = f"({call} if texts[{pos}] in _FIRST_{name}{ints} or {pos} >= self.furthest else ())"
             pairs = f"[(None, {pos}), *{call}]" if source[0] == "[" else call
             return [f"for {v}, {p} in {pairs}:"], [], []
         step = [f"{p} = {pos} + 1"]
@@ -303,7 +309,7 @@ def _install() -> None:
             code += ["                t = texts[p]", "                if p >= self.furthest:",
                      f"                    self._want_others(p, {tuple(separators)!r}, t)"]
             for i, (separator, (cls, *fixed)) in enumerate(separators.items()):
-                node = f"{ref(cls)}({', '.join([*map(ref, fixed), 'left', 'right'])})"
+                node = new(cls, [*map(ref, fixed), "left", "right"])
                 code += [f"                {'elif' if i else 'if'} t == {separator!r}:",
                          f"                    for right, p1 in self.{category}(p + 1, {w if infixr else w - 1}):",
                          f"                        results.append(({node}, p1))"]

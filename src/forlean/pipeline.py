@@ -7,6 +7,7 @@ independently and failures in one text do not abort the others.
 
 from __future__ import annotations
 
+import gc
 from typing import NamedTuple
 
 from .forthel import ForthelText
@@ -72,10 +73,18 @@ def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
 
 
 def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[PipelineTrace]:
-    """Process every text in ``source``; one trace per text."""
-    pre = preprocess(source)
+    """Process every text in ``source``; one trace per text.  What a call
+    builds holds no reference cycle, so the cyclic collector is paused for
+    the call: a thread that turns it off during another thread's call finds
+    it on again when that call ends."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        tokens = tokenize(pre)
+        tokens = tokenize(preprocess(source))
     except TokenError as err:
         return [PipelineTrace(diagnostics=((err.span, str(err)),))]
-    return [_run_one(segment, first_parse_only) for segment in split_texts(tokens)]
+    else:
+        return [_run_one(segment, first_parse_only) for segment in split_texts(tokens)]
+    finally:
+        if enabled:
+            gc.enable()

@@ -42,7 +42,7 @@ from .lean import (
 )
 from .lexicon import Category, default_lexicon
 from .simplify import typed_notion
-from .tree import once
+from .tree import _new, once  # _new builds a node without its class's __new__
 
 __all__ = [
     "UntranslatableNode",
@@ -76,13 +76,13 @@ def _binder_name(notion: ftl.Notion) -> str:
 def translate_term(t: ftl.Term) -> LeanTerm:
     cls = type(t)
     if cls is ftl.Var:
-        return VarT(t.name)
+        return _new(VarT, (t.name,))
     if cls is ftl.BinApp:
-        return ArithT(_OPERATORS[t.op], translate_term(t.left), translate_term(t.right))
+        return _new(ArithT, (_OPERATORS[t.op], translate_term(t.left), translate_term(t.right)))
     if cls is ftl.IntLit:
-        return LitT(t.value)
+        return _new(LitT, (t.value,))
     if cls is ftl.MetaVar:
-        return VarT(f"x{t.ident}")
+        return _new(VarT, (f"x{t.ident}",))
     if cls is ftl.Quantified:
         raise UntranslatableNode("in-situ quantified term (simplifier should have raised it)")
     raise TypeError(f"not a term: {t!r}")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import linecache
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import expect_trees, parse_as, parse_source
-from forlean import parsing
+from forlean import forthel, parsing
 from forlean.forthel import (
     And,
     BinApp,
@@ -37,6 +38,7 @@ from forlean.forthel import (
 from forlean.lexicon import SYMBOLS, Category, preprocess, tokenize
 from forlean.parsing import parse_text
 from forlean.pipeline import run_pipeline
+from forlean.tree import _IS_NODE
 from test_properties import QuantifiedOperandGenerator, generate_sentences
 
 
@@ -393,18 +395,21 @@ class TestGeneratedParser:
     def test_generated_methods_show_their_source(self):
         source = inspect.getsource(parsing._Parser.does_predicate)
         assert source.startswith("def does_predicate(self, pos):\n")
-        assert "out.append((IsAdj1(v2, v3, v4), p4))  # does_predicate[1]\n" in source
-        # a call is guarded by the texts that can start its category
+        assert "out.append((_new(IsAdj1, (v2, v3, v4)), p4))  # does_predicate[1]\n" in source
+        # a call is guarded by the texts that can start its category, and by
+        # any integer literal where the category can start with one
         guard = "texts[p2] in _FIRST_rawAdjective1 or p2 >= self.furthest else ()"
         assert f"for v3, p3 in (self.lex_matches(p2, Category.RAW_ADJECTIVE1) if {guard}):" in source
+        guard = "texts[p2] in _FIRST_definite_term or self._ints[p2] is not None or p2 >= self.furthest else ()"
+        assert f"for v3, p3 in (self.definite_term(p2) if {guard}):" in source
         # an operator category tests each separator and builds each node inline
         source = inspect.getsource(parsing._Parser.term)
         assert source.startswith("def term(self, pos, width=4):\n")
         assert "if t == '+':\n" in source
-        assert "results.append((BinApp('SUM', left, right), p1))\n" in source
+        assert "results.append((_new(BinApp, ('SUM', left, right)), p1))\n" in source
         source = inspect.getsource(parsing._Parser.connective)
         assert source.startswith("def connective(self, pos, width=4):\n")
-        assert "if t == 'or':\n" in source and "results.append((Or(left, right), p1))\n" in source
+        assert "if t == 'or':\n" in source and "results.append((_new(Or, (left, right)), p1))\n" in source
         # every category but definite_term is generated, and each method,
         # compiled on its own, starts on its line of the linecache entry
         lines = linecache.getlines(parsing._SOURCE_FILE)
@@ -416,6 +421,22 @@ class TestGeneratedParser:
             method = getattr(parsing._Parser, name)
             assert inspect.getsourcefile(method) == parsing._SOURCE_FILE
             assert lines[method.__code__.co_firstlineno - 1].startswith(f"def {name}(self, pos"), name
+
+    def test_generated_nodes_get_every_field(self):
+        # tuple.__new__ does not check the arity that a node class's __new__
+        # checks: each _new(C, (...)) passes one item per field of C, and no
+        # generated line calls a node class itself
+        classes = {c.__name__: c for c in vars(forthel).values() if isinstance(c, type) and _IS_NODE[c]}
+        built = set()
+        for call in ast.walk(ast.parse("".join(linecache.getlines(parsing._SOURCE_FILE)))):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                assert call.func.id not in classes, ast.unparse(call)
+                if call.func.id == "_new":
+                    cls, items = call.args
+                    assert isinstance(items, ast.Tuple), ast.unparse(call)
+                    assert len(items.elts) == len(classes[cls.id]._fields), ast.unparse(call)
+                    built.add(cls.id)
+        assert built == set(classes)
 
     def test_every_element_is_keywords_or_a_field_and_its_source(self):
         # a source is a category, bracketed if optional, an integer literal
@@ -538,21 +559,27 @@ class TestFirstSets:
         )
         assert first["rawAdjective1"] == {"equal", "greater", "less", "not"}
         # a category that can be empty (assumption_list, polarity, name_slot)
-        # or start with an integer literal gets no guard
+        # gets no guard; one that can start with an integer literal holds int
+        starts_with_int = {"statement", "connective", "atom_statement", "term", "atom_term", "definite_term"}
+        assert {name for name, texts in first.items() if int in texts} == starts_with_int
+        assert first["term"] == first["atom_term"] == first["definite_term"] == (
+            {int, "(", "every", "some", "no"} | first["variable"]
+        )
         guarded = {"text", "does_predicate", "notion", "right_attribute", "quantifier", "quantified_notion"}
-        assert set(first) == guarded | {c.value for c in Category}
+        assert set(first) == guarded | starts_with_int | {c.value for c in Category}
 
     def test_a_category_parses_nothing_where_its_set_lacks_the_next_token(self, corpus_cases):
         # at every position of the edited streams, the end included, whose
-        # text is outside a category's set, its generated method and
-        # lex_matches return nothing: the guard only skips calls that fail
+        # text is outside a category's set, and is no integer literal where
+        # the set holds int, its generated method and lex_matches return
+        # nothing: the guard only skips calls that fail
         lexical = {c.value: c for c in Category}
         skipped = 0
         for tokens in edited_streams(corpus_cases):
             parser = parsing._Parser(tokens, sys.maxsize)
             for pos, text in enumerate(parser._texts):
                 for name, texts in parsing._FIRST.items():
-                    if text not in texts:
+                    if text not in texts and (int not in texts or parser._ints[pos] is None):
                         if name in lexical:
                             assert not parser.lex_matches(pos, lexical[name]), (name, pos, tokens)
                         else:

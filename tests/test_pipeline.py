@@ -13,6 +13,7 @@ import pytest
 
 import forlean
 from conftest import CORPUS, canonical
+from forlean import pipeline
 from forlean.cli import main
 from forlean.corpus import CorpusCase, CorpusFormatError, check_cases, corpus_check, parse_corpus
 from forlean.lean import print_command
@@ -291,6 +292,7 @@ class TestRunPipeline:
             gc.collect()  # what importing and earlier tests left
             for source in sources:
                 traces = run_pipeline(source)
+                assert not gc.isenabled()
                 left[source] = gc.collect()
                 if source in failing:
                     ((_, message),) = traces[0].diagnostics
@@ -298,6 +300,48 @@ class TestRunPipeline:
         finally:
             gc.enable()
         assert {source: n for source, n in left.items() if n} == {}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_call_leaves_the_collector_as_it_found_it(self, monkeypatch, enabled):
+        def interrupted(tokens):
+            raise KeyboardInterrupt
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for source in (INTRO, "Ex. Then x % 2 is even."):
+                run_pipeline(source)
+                assert gc.isenabled() is enabled, source
+            monkeypatch.setattr(pipeline, "parse_text", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(INTRO)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_no_collection_starts_during_a_call(self):
+        # the 300 clauses build far more containers than the collector's
+        # first threshold, all alive until the call returns
+        source = "Ex. Then " + " and ".join(["x is odd"] * 300) + "."
+        code, starts = run_pipeline.__code__, []
+
+        def probe(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not code:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(probe)
+        try:
+            (trace,) = run_pipeline(source)
+        finally:
+            gc.callbacks.remove(probe)
+            (gc.enable if was else gc.disable)()
+        assert trace.printed and 0 < gc.get_threshold()[0] < 10_000
+        assert starts == []
 
     @pytest.mark.parametrize(
         "conclusion, expected",
