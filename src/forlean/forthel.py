@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Union
 
-from .lexicon import Category, default_lexicon
+from .lexicon import CATEGORIES, default_lexicon
 from .tree import _IS_NODE, node
 
 
@@ -291,7 +291,7 @@ GRAMMAR = {
 }
 
 _LEXICON = default_lexicon()
-_OPERATORS = _LEXICON.entries(Category.RAW_NOUN2)
+_OPERATORS = _LEXICON.entries("rawNoun2")
 
 # The operator categories, which the parser and ``linearize_forthel`` both
 # read, as GF's ``Formal.gf`` declares ``infixl`` and ``infixr``: category:
@@ -314,7 +314,7 @@ OPERATOR_LEVELS = {
 # --- linearization ------------------------------------------------------------
 
 # the first surface form of each entry, {key: surface} per category
-_SURFACE = {c.value: {e.key: " ".join(e.surface[0]) for e in _LEXICON.entries(c)} for c in Category}
+_SURFACE = {c: {e.key: " ".join(e.surface[0]) for e in _LEXICON.entries(c)} for c in CATEGORIES}
 _RULES = [rule for rules in GRAMMAR.values() for rule in rules]
 # {class: {fields before the operands: (slack, brackets, places)}}.  The slack
 # is 0 on the side the category associates to and 1 on the other; brackets

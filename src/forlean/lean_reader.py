@@ -31,11 +31,11 @@ from .lean import (
     TypeBinder,
     VarT,
 )
-from .lexicon import Category, default_lexicon
+from .lexicon import default_lexicon
 
 __all__ = ["LeanReadError", "read_command"]
 
-_TYPES = set(default_lexicon().images(Category.RAW_NOUN0).values())
+_TYPES = set(default_lexicon().images("rawNoun0").values())
 # Lean's own syntax, the notation's symbols and the lexicon's types, longest
 # first so that ":=" is not read as ":"
 _SYMBOLS = sorted({":=", *"():,", *NOTATION, *_TYPES}, key=lambda t: (-len(t), t))
@@ -47,7 +47,7 @@ _SYMBOLS = sorted({":=", *"():,", *NOTATION, *_TYPES}, key=lambda t: (-len(t), t
 _TOKEN = "|".join([r"-?[0-9]+", r"[A-Za-z][A-Za-z0-9]*", *map(re.escape, _SYMBOLS)])
 # one token and the whitespace before it
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
-_PREDS = set(default_lexicon().images(Category.RAW_ADJECTIVE0).values())
+_PREDS = set(default_lexicon().images("rawAdjective0").values())
 # an integer literal (group 1) or an identifier
 _ATOM_RE = re.compile(r"(-?[0-9]+)|[A-Za-z][A-Za-z0-9]*")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")

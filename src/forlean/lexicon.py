@@ -2,12 +2,13 @@
 that every stage reads.
 
 The lexicon is a static table loaded from ``data/lexicon.tsv``, one entry per
-line: ``category<TAB>KEY<TAB>form1|form2|...[<TAB>Lean image[<TAB>precedence]]``.
-It is the only place that says which words and symbols exist, what each
-means in Lean and how tightly an operator binds; every stage builds its
-tables from it.  An operator is one character, not a letter, digit,
-whitespace, ``.`` or ``'``, so the tokenizer can split it from the words
-around it.  Surface forms may span several words
+line: ``category<TAB>KEY<TAB>form1|form2|...[<TAB>Lean image[<TAB>precedence]]``,
+where the category is one of ``CATEGORIES``, the names every stage and
+``forthel.GRAMMAR`` give the lexical categories.  It is the only place that
+says which words and symbols exist, what each means in Lean and how tightly
+an operator binds; every stage builds its tables from it.  An operator is one
+character, not a letter, digit, whitespace, ``.`` or ``'``, so the tokenizer
+can split it from the words around it.  Surface forms may span several words
 ("less than or equal to") and singular/plural variants of a noun map to the
 same entry, so number agreement is deliberately not checked: "x are an odd
 integers" is accepted.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .lean import NOTATION, ArithT, Rel
 
 __all__ = [
-    "Category",
+    "CATEGORIES",
     "Lexicon",
     "LexiconEntry",
     "LexiconError",
@@ -108,20 +108,12 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class Category(Enum):
-    RAW_NOUN0 = "rawNoun0"
-    RAW_NOUN2 = "rawNoun2"
-    RAW_ADJECTIVE0 = "rawAdjective0"
-    RAW_ADJECTIVE1 = "rawAdjective1"
-    VARIABLE = "variable"
-
-    # members are singletons compared by identity, so hashing by identity
-    # agrees with ``==`` and skips ``Enum.__hash__``, a Python-level call
-    __hash__ = object.__hash__
+CATEGORIES = ("rawNoun0", "rawNoun2", "rawAdjective0", "rawAdjective1", "variable")
 
 
 class LexiconEntry(NamedTuple):
-    category: Category
+    # one of ``CATEGORIES``
+    category: str
     key: str
     # alternative surface forms, each a sequence of token texts
     surface: tuple[tuple[str, ...], ...]
@@ -143,7 +135,7 @@ class Lexicon:
         # (entry, form) pairs by the first element of the form, in the order
         # ``match`` returns them (the sort below is stable)
         self._by_first: dict[str, list[tuple[LexiconEntry, tuple[str, ...]]]] = {}
-        seen: set[tuple[Category, tuple[str, ...]]] = set()
+        seen: set[tuple[str, tuple[str, ...]]] = set()
         for entry in self._entries:
             for form in entry.surface:
                 if not form or not all(form):
@@ -151,38 +143,36 @@ class Lexicon:
                 marker = (entry.category, form)
                 if marker in seen:
                     raise LexiconError(
-                        f"duplicate surface form {' '.join(form)!r} in category {entry.category.value}"
+                        f"duplicate surface form {' '.join(form)!r} in category {entry.category}"
                     )
                 seen.add(marker)
                 # an integer literal is a term of its own, never part of a form
                 if not any(element.lstrip("-").isdecimal() for element in form):
                     self._by_first.setdefault(form[0], []).append((entry, form))
         for pairs in self._by_first.values():
-            pairs.sort(key=lambda pair: (-len(pair[1]), pair[0].category.value, pair[0].key))
+            pairs.sort(key=lambda pair: (-len(pair[1]), pair[0].category, pair[0].key))
 
     @classmethod
     def parse(cls, text: str) -> "Lexicon":
         entries = []
-        keys: set[tuple[Category, str]] = set()
+        keys: set[tuple[str, str]] = set()
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
             if not 3 <= len(parts) <= 5:
                 raise LexiconError(f"line {line_no}: expected 3 to 5 tab-separated fields")
-            cat_name, key, forms, *rest = parts
-            try:
-                category = Category(cat_name)
-            except ValueError:
-                raise LexiconError(f"line {line_no}: unknown category {cat_name!r}") from None
+            category, key, forms, *rest = parts
+            if category not in CATEGORIES:
+                raise LexiconError(f"line {line_no}: unknown category {category!r}")
             if (category, key) in keys:
-                raise LexiconError(f"line {line_no}: duplicate key {key!r} in category {category.value}")
+                raise LexiconError(f"line {line_no}: duplicate key {key!r} in category {category}")
             keys.add((category, key))
             surface = tuple(tuple(form.split()) for form in forms.split("|"))
             for form in map(" ".join, surface):
                 if preprocess(form) != form:
                     raise LexiconError(f"line {line_no}: surface form {form!r} changes under normalisation")
-            if category is Category.RAW_NOUN2 and any(
+            if category == "rawNoun2" and any(
                 len(form) != 1 or len(form[0]) != 1 or form[0].isalnum() or form[0] in ".'"
                 for form in surface
             ):
@@ -195,12 +185,15 @@ class Lexicon:
             entries.append(LexiconEntry(category, key, surface, lean, precedence))
         return cls(entries)
 
-    def entries(self, category: Category | None = None) -> tuple[LexiconEntry, ...]:
+    def entries(self, category: str | None = None) -> tuple[LexiconEntry, ...]:
+        """Every entry, or every entry of ``category``, one of ``CATEGORIES``."""
         if category is None:
             return self._entries
-        return tuple(e for e in self._entries if e.category is category)
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown category {category!r}")
+        return tuple(e for e in self._entries if e.category == category)
 
-    def images(self, category: Category) -> dict[str, str | None]:
+    def images(self, category: str) -> dict[str, str | None]:
         """``{key: Lean image}`` for every entry of ``category``."""
         return {e.key: e.lean for e in self.entries(category)}
 
@@ -235,7 +228,7 @@ class Lexicon:
 
 
 # the node that a relation or operator image builds in Lean
-_NOTATION_NODES = {Category.RAW_ADJECTIVE1: Rel, Category.RAW_NOUN2: ArithT}
+_NOTATION_NODES = {"rawAdjective1": Rel, "rawNoun2": ArithT}
 
 
 @lru_cache(maxsize=1)
@@ -247,19 +240,19 @@ def default_lexicon() -> Lexicon:
     with open(os.path.join(os.path.dirname(__file__), "data", "lexicon.tsv"), encoding="utf-8") as table:
         lexicon = Lexicon.parse(table.read())
     for e in lexicon.entries():
-        if not e.lean and e.category is not Category.VARIABLE:
+        if not e.lean and e.category != "variable":
             raise LexiconError(f"entry {e.key} has no Lean image")
-        if e.precedence is None and e.category is Category.RAW_NOUN2:
+        if e.precedence is None and e.category == "rawNoun2":
             raise LexiconError(f"operator {e.key} has no precedence")
         node = _NOTATION_NODES.get(e.category)
         if node is not None and (e.lean not in NOTATION or NOTATION[e.lean].node is not node):
-            raise LexiconError(f"entry {e.key}: Lean has no {e.category.value} notation {e.lean!r}")
+            raise LexiconError(f"entry {e.key}: Lean has no {e.category} notation {e.lean!r}")
     return lexicon
 
 
 # the fixed punctuation and the lexicon's operators, one character each
 SYMBOLS = "()," + "".join(
-    symbol for e in default_lexicon().entries(Category.RAW_NOUN2) for (symbol,) in e.surface
+    symbol for e in default_lexicon().entries("rawNoun2") for (symbol,) in e.surface
 )
 
 # the groups are tried in order, so a "-" glued to digits is a literal: an

@@ -12,14 +12,14 @@ The parser is top-down and memoizes its operator categories (see ``_Parser``),
 after Johnson 1995, "Memoization in top-down parsing".  It looks one token
 ahead, as GF's incremental parser predicts from the next token (Angelov 2009):
 at import, ``_first_sets`` computes the token texts that can start each
-category, integer literals included (its FIRST set), and a category, or a
-lexicon lookup, is tried only where the next token can start it.  An operator
-level runs only where its own operator follows a phrase; every level before it
-takes the phrases as they are.  It still returns every parse, in the order
-plain backtracking would.  A parse records nothing for its diagnostics; only a
-token stream with no complete parse is parsed a second time, recording what
-each failed alternative expected at the furthest position reached, as CPython's
-PEG parser does for its error messages.
+category (its FIRST set), ``int`` standing for every integer literal, and a
+category, or a lexicon lookup, is tried only where the next token can start
+it.  An operator level runs only where its own operator follows a phrase;
+every level before it takes the phrases as they are.  It still returns every
+parse, in the order plain backtracking would.  A parse records nothing for its
+diagnostics; only a token stream with no complete parse is parsed a second
+time, recording what each failed alternative expected at the furthest position
+reached, as CPython's PEG parser does for its error messages.
 
 Genuinely ambiguous inputs yield multiple trees; the documented case is
 "not equal to", which parses both as the lexical unit and as polarity "not"
@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import forthel
 from .forthel import GRAMMAR, OPERATOR_LEVELS, Index, Quantified
-from .lexicon import Category, Token, default_lexicon
+from .lexicon import CATEGORIES, Token, default_lexicon
 
 __all__ = ["ParseResult", "parse_text"]
 
@@ -73,24 +73,23 @@ class _Parser:
     ``furthest`` nor ``expected``.
 
     A call of a category X at ``p`` is guarded: it runs only if ``texts[p]``
-    is in X's FIRST set, or the set holds ``int`` and the token is an integer
-    literal, or ``p >= furthest``.  The guard is exact.  If no rule of X can
-    consume the token, every alternative fails at ``p``, so the call could
-    only record a want at ``p``.  The first pass records nothing, and in the
-    recording pass every call at ``p >= furthest`` still runs.  Likewise an
-    operator level is skipped only while every phrase ends below ``furthest``.
+    is in X's FIRST set or ``p >= furthest``.  The guard is exact.  If no rule
+    of X can consume the token, every alternative fails at ``p``, so the call
+    could only record a want at ``p``.  The first pass records nothing, and in
+    the recording pass every call at ``p >= furthest`` still runs.  Likewise
+    an operator level is skipped only while every phrase ends below ``furthest``.
     """
 
     def __init__(self, tokens: Sequence[Token], furthest: int):
         self.toks = list(tokens)
         self.furthest = furthest
         self.expected: set[str] = set()
-        # token texts by position, None one past the end; a text says what
-        # its token is, so matching a word, symbol or period compares texts
-        self._texts = [t.text for t in self.toks] + [None]
+        # token texts by position, int for an integer literal and None one past
+        # the end: matching a word, symbol or period compares texts
+        self._texts = [t.text if t.value is None else int for t in self.toks] + [None]
         self._ints = [t.value for t in self.toks] + [None]
         # lexicon matches per position, as (key, end) pairs by category
-        self._matches: dict[int, dict[Category, list[tuple]]] = {}
+        self._matches: dict[int, dict[str, list[tuple]]] = {}
         # the alternatives per width, per (operator category, position)
         self._widths: dict[tuple[str, int], list[tuple]] = {}
 
@@ -112,7 +111,7 @@ class _Parser:
             if text != found:
                 self._want(pos, repr(text))
 
-    def lex_matches(self, pos: int, category: Category) -> Sequence[tuple]:
+    def lex_matches(self, pos: int, category: str) -> Sequence[tuple]:
         found = self._matches.get(pos)
         if found is None:
             found = self._matches[pos] = {}
@@ -120,7 +119,7 @@ class _Parser:
                 found.setdefault(e.category, []).append((e.key, pos + length))
         matches = found.get(category, ())
         if not matches and pos >= self.furthest:
-            self._want(pos, category.value)
+            self._want(pos, category)
         return matches
 
     def definite_term(self, pos: int) -> list[tuple]:
@@ -139,18 +138,17 @@ def _first_sets() -> dict[str, frozenset]:
     """The token texts that can start each category of ``GRAMMAR`` and each
     lexicon category (its FIRST set), by the usual fixpoint.  An operator
     category and ``definite_term`` start as their atoms do, and a lexicon
-    category as the first words of its indexed forms.  A category that can
-    be empty gets no set: it can match whatever the next token is.  The set
-    of a category that can start with an integer literal holds ``int``."""
+    category as the first words of its forms.  A category that can be empty
+    gets no set: it can match whatever the next token is.  The set of a
+    category that can start with an integer literal holds ``int``."""
     # None stands for the empty phrase and int for an integer literal
     first: dict[str, set] = {category: set() for category in GRAMMAR}
     for category, (atoms, *_) in OPERATOR_LEVELS.items():
         first[category] = first[atoms]
     first["definite_term"] = first["term"]
-    first.update({c.value: set() for c in Category})
-    for text, pairs in _LEXICON._by_first.items():
-        for entry, _ in pairs:
-            first[entry.category.value].add(text)
+    first.update({category: set() for category in CATEGORIES})
+    for entry in _LEXICON.entries():
+        first[entry.category].update(form[0] for form in entry.surface)
 
     def starts(e) -> set:
         if type(e) is str:  # one word: "w", "a|b" or "[a|b]"
@@ -202,11 +200,10 @@ def _install() -> None:
     a right operand one width tighter and tries each phrase it builds again
     as a left operand; an ``infixr`` level reads one as wide and follows each
     left operand at once by the phrases extending it."""
-    # the node classes, constants and lexicon categories are forthel's names;
-    # _FIRST_<category> is the set that guards a call of the category
+    # the node classes and constants are forthel's names; _FIRST_<category>
+    # is the set that guards a call of the category
     namespace = {**vars(forthel), **{f"_FIRST_{name}": texts for name, texts in _FIRST.items()}}
     namespace.update(__name__=__name__, _new=tuple.__new__)
-    lexical = {category.value: category for category in Category}
     lines: list[str] = []
 
     def new(cls: type, args: list[str]) -> str:
@@ -237,10 +234,9 @@ def _install() -> None:
             # a category or a lexicon category, optional in brackets, called
             # only where the next token can start it or a want is recorded
             name = source.strip("[]")
-            call = f"self.lex_matches({pos}, {ref(lexical[name])})" if name in lexical else f"self.{name}({pos})"
+            call = f"self.lex_matches({pos}, {name!r})" if name in CATEGORIES else f"self.{name}({pos})"
             if name in _FIRST:
-                ints = f" or self._ints[{pos}] is not None" if int in _FIRST[name] else ""
-                call = f"({call} if texts[{pos}] in _FIRST_{name}{ints} or {pos} >= self.furthest else ())"
+                call = f"({call} if texts[{pos}] in _FIRST_{name} or {pos} >= self.furthest else ())"
             pairs = f"[(None, {pos}), *{call}]" if source[0] == "[" else call
             return [f"for {v}, {p} in {pairs}:"], [], []
         step = [f"{p} = {pos} + 1"]

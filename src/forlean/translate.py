@@ -40,7 +40,7 @@ from .lean import (
     TypeBinder,
     VarT,
 )
-from .lexicon import Category, default_lexicon
+from .lexicon import default_lexicon
 from .simplify import typed_notion
 from .tree import _new, once  # _new builds a node without its class's __new__
 
@@ -58,10 +58,10 @@ class UntranslatableNode(ValueError):
 
 
 _LEXICON = default_lexicon()
-_TYPES = _LEXICON.images(Category.RAW_NOUN0)
-_OPERATORS = _LEXICON.images(Category.RAW_NOUN2)
-_PREDICATES = _LEXICON.images(Category.RAW_ADJECTIVE0)
-_RELATIONS = _LEXICON.images(Category.RAW_ADJECTIVE1)
+_TYPES = _LEXICON.images("rawNoun0")
+_OPERATORS = _LEXICON.images("rawNoun2")
+_PREDICATES = _LEXICON.images("rawAdjective0")
+_RELATIONS = _LEXICON.images("rawAdjective1")
 
 
 def _binder_name(notion: ftl.Notion) -> str:

@@ -6,7 +6,6 @@ import pytest
 
 from forlean.lexicon import (
     SYMBOLS,
-    Category,
     Lexicon,
     LexiconError,
     TokenError,
@@ -243,12 +242,20 @@ def oracle_matches(text: str) -> list[tuple[str, int]]:
 class TestLexicon:
     def test_every_item_present(self):
         lex = default_lexicon()
-        for category_name, items in LEXICON_FORMS.items():
-            category = Category(category_name)
+        for category, items in LEXICON_FORMS.items():
             entries = {e.key: e for e in lex.entries(category)}
             assert set(entries) == set(items)
             for key, forms in items.items():
                 assert set(" ".join(f) for f in entries[key].surface) == set(forms)
+
+    def test_unknown_category_in_the_table_is_rejected(self):
+        with pytest.raises(LexiconError, match="^line 1: unknown category 'rawNoun9'$"):
+            Lexicon.parse("rawNoun9\tX\tx\tℤ\n")
+
+    def test_unknown_category_name_raises(self):
+        # a misspelt name gives an error, not an empty table
+        with pytest.raises(ValueError, match="^unknown category 'rawNoun'$"):
+            default_lexicon().images("rawNoun")
 
     def test_no_duplicate_surface_within_category(self):
         with pytest.raises(LexiconError):
@@ -280,7 +287,7 @@ class TestLexicon:
         for entry in default_lexicon().entries():
             for form in entry.surface:
                 tokens = tokenize(" ".join(form))
-                if entry.category is Category.RAW_NOUN2:
+                if entry.category == "rawNoun2":
                     assert len(tokens) == 1 and tokens[0].text in SYMBOLS
                 else:
                     assert tokens
@@ -330,7 +337,7 @@ def reference_match(lexicon, tokens, position):
             if len(window) == len(form) and all(map(element_matches, form, window)):
                 if (entry, len(form)) not in out:
                     out.append((entry, len(form)))
-    return sorted(out, key=lambda pair: (-pair[1], pair[0].category.value, pair[0].key))
+    return sorted(out, key=lambda pair: (-pair[1], pair[0].category, pair[0].key))
 
 
 class TestMatchIndex:

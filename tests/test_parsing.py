@@ -35,7 +35,7 @@ from forlean.forthel import (
     Var,
     linearize_forthel,
 )
-from forlean.lexicon import SYMBOLS, Category, preprocess, tokenize
+from forlean.lexicon import CATEGORIES, SYMBOLS, preprocess, tokenize
 from forlean.parsing import parse_text
 from forlean.pipeline import run_pipeline
 from forlean.tree import _IS_NODE
@@ -396,11 +396,11 @@ class TestGeneratedParser:
         source = inspect.getsource(parsing._Parser.does_predicate)
         assert source.startswith("def does_predicate(self, pos):\n")
         assert "out.append((_new(IsAdj1, (v2, v3, v4)), p4))  # does_predicate[1]\n" in source
-        # a call is guarded by the texts that can start its category, and by
-        # any integer literal where the category can start with one
+        # a call is guarded by the texts that can start its category, int
+        # standing for every integer literal
         guard = "texts[p2] in _FIRST_rawAdjective1 or p2 >= self.furthest else ()"
-        assert f"for v3, p3 in (self.lex_matches(p2, Category.RAW_ADJECTIVE1) if {guard}):" in source
-        guard = "texts[p2] in _FIRST_definite_term or self._ints[p2] is not None or p2 >= self.furthest else ()"
+        assert f"for v3, p3 in (self.lex_matches(p2, 'rawAdjective1') if {guard}):" in source
+        guard = "texts[p2] in _FIRST_definite_term or p2 >= self.furthest else ()"
         assert f"for v3, p3 in (self.definite_term(p2) if {guard}):" in source
         # an operator category tests each separator and builds each node inline
         source = inspect.getsource(parsing._Parser.term)
@@ -425,23 +425,30 @@ class TestGeneratedParser:
     def test_generated_nodes_get_every_field(self):
         # tuple.__new__ does not check the arity that a node class's __new__
         # checks: each _new(C, (...)) passes one item per field of C, and no
-        # generated line calls a node class itself
+        # generated line calls a node class itself.  An integer literal's value
+        # is read only where an int or Index element matches (atom_term[0],
+        # name_slot[2], atom_term[2]), never in a guard, which reads texts
         classes = {c.__name__: c for c in vars(forthel).values() if isinstance(c, type) and _IS_NODE[c]}
-        built = set()
-        for call in ast.walk(ast.parse("".join(linecache.getlines(parsing._SOURCE_FILE)))):
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
-                assert call.func.id not in classes, ast.unparse(call)
-                if call.func.id == "_new":
-                    cls, items = call.args
-                    assert isinstance(items, ast.Tuple), ast.unparse(call)
-                    assert len(items.elts) == len(classes[cls.id]._fields), ast.unparse(call)
+        built, assigned, reads = set(), set(), []
+        for node in ast.walk(ast.parse("".join(linecache.getlines(parsing._SOURCE_FILE)))):
+            if isinstance(node, ast.Assign):
+                assigned.add(id(node.value))
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "self._ints":
+                reads.append(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in classes, ast.unparse(node)
+                if node.func.id == "_new":
+                    cls, items = node.args
+                    assert isinstance(items, ast.Tuple), ast.unparse(node)
+                    assert len(items.elts) == len(classes[cls.id]._fields), ast.unparse(node)
                     built.add(cls.id)
         assert built == set(classes)
+        assert len(reads) == 3 and all(id(read) in assigned for read in reads), [ast.unparse(r) for r in reads]
 
     def test_every_element_is_keywords_or_a_field_and_its_source(self):
         # a source is a category, bracketed if optional, an integer literal
         # or an Index: words that build a constant are rules of a category
-        categories = {*GRAMMAR, *OPERATOR_LEVELS, "definite_term", *(c.value for c in Category)}
+        categories = {*GRAMMAR, *OPERATOR_LEVELS, "definite_term", *CATEGORIES}
         for category, rules in GRAMMAR.items():
             for _, elements in rules:
                 for e in elements:
@@ -566,23 +573,22 @@ class TestFirstSets:
             {int, "(", "every", "some", "no"} | first["variable"]
         )
         guarded = {"text", "does_predicate", "notion", "right_attribute", "quantifier", "quantified_notion"}
-        assert set(first) == guarded | starts_with_int | {c.value for c in Category}
+        assert set(first) == guarded | starts_with_int | set(CATEGORIES)
 
     def test_a_category_parses_nothing_where_its_set_lacks_the_next_token(self, corpus_cases):
         # at every position of the edited streams, the end included, whose
-        # text is outside a category's set, and is no integer literal where
-        # the set holds int, its generated method and lex_matches return
-        # nothing: the guard only skips calls that fail
-        lexical = {c.value: c for c in Category}
+        # text (int for an integer literal) is outside a category's set, its
+        # generated method and lex_matches return nothing: the guard only
+        # skips calls that fail
         skipped = 0
         for tokens in edited_streams(corpus_cases):
             parser = parsing._Parser(tokens, sys.maxsize)
             for pos, text in enumerate(parser._texts):
                 for name, texts in parsing._FIRST.items():
-                    if text not in texts and (int not in texts or parser._ints[pos] is None):
-                        if name in lexical:
-                            assert not parser.lex_matches(pos, lexical[name]), (name, pos, tokens)
+                    if text not in texts:
+                        if name in CATEGORIES:
+                            assert not parser.lex_matches(pos, name), (name, pos, tokens)
                         else:
                             assert not getattr(parser, name)(pos), (name, pos, tokens)
                         skipped += 1
-        assert skipped > 400_000
+        assert skipped > 400_000, skipped

@@ -17,7 +17,7 @@ from forlean.lean import (
     print_term,
 )
 from forlean.lean_reader import _lex
-from forlean.lexicon import Category, default_lexicon
+from forlean.lexicon import default_lexicon
 from forlean.simplify import _name_ref, simplify, typed_notion
 from forlean.translate import (
     UntranslatableNode,
@@ -43,24 +43,19 @@ def pipeline(source: str) -> list[str]:
 class TestLexiconSemantics:
     def test_total_over_lexicon(self):
         lex = default_lexicon()
-        for category in (
-            Category.RAW_NOUN0,
-            Category.RAW_NOUN2,
-            Category.RAW_ADJECTIVE0,
-            Category.RAW_ADJECTIVE1,
-        ):
+        for category in ("rawNoun0", "rawNoun2", "rawAdjective0", "rawAdjective1"):
             assert None not in lex.images(category).values(), category
-        for image in lex.images(Category.RAW_NOUN0).values():
+        for image in lex.images("rawNoun0").values():
             assert _lex(image) == [image]
-        for entry in lex.entries(Category.RAW_NOUN2):
+        for entry in lex.entries("rawNoun2"):
             assert entry.precedence is not None, entry.key
             assert all(len(form) == 1 for form in entry.surface), entry.key
 
     def test_images(self):
         lex = default_lexicon()
-        assert lex.images(Category.RAW_NOUN0)["INTEGER"] == "ℤ"
-        assert lex.images(Category.RAW_ADJECTIVE0)["NONNEGATIVE"] == "nneg"
-        assert lex.images(Category.RAW_ADJECTIVE1)["NOT_EQUAL_TO"] == "≠"
+        assert lex.images("rawNoun0")["INTEGER"] == "ℤ"
+        assert lex.images("rawAdjective0")["NONNEGATIVE"] == "nneg"
+        assert lex.images("rawAdjective1")["NOT_EQUAL_TO"] == "≠"
 
 
 class TestTranslateTerm:
