@@ -14,17 +14,17 @@ same entry, so number agreement is deliberately not checked: "x are an odd
 integers" is accepted.
 
 The table decides scanning and matching once, at import: ``tokenize`` runs
-one pattern built from ``SYMBOLS`` and takes each byte span from its match,
-and a ``Lexicon`` keeps its index in the order ``match`` returns.
+one pattern built from ``SYMBOLS`` and returns the tokens' texts, and a
+``Lexicon`` keeps its index in the order ``match`` returns.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
 from functools import lru_cache
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .lean import NOTATION, ArithT, Rel
@@ -34,22 +34,12 @@ __all__ = [
     "Lexicon",
     "LexiconEntry",
     "LexiconError",
-    "Token",
     "TokenError",
     "default_lexicon",
     "preprocess",
+    "token_spans",
     "tokenize",
 ]
-
-class Token(NamedTuple):
-    """A token's text, the int it denotes if it is an integer literal (else
-    None), and its byte offsets into the tokenized string.  The text fixes
-    what the token is: a period, an integer literal, a symbol or a word."""
-
-    text: str
-    value: int | None
-    span: tuple[int, int]
-
 
 class TokenError(ValueError):
     """Text that is not a sequence of tokens; ``span`` is in bytes."""
@@ -70,42 +60,47 @@ def preprocess(raw: str) -> str:
     return " ".join(lowered.split())
 
 
-def tokenize(text: str) -> list[Token]:
-    """Turn preprocessed text into tokens ``(text, value, span)``.
-
-    One pattern, built from ``SYMBOLS`` at import, scans the text: a period
-    is ``.``, an integer is ``-?[0-9]+``, a symbol is one of ``SYMBOLS`` and
-    a word is a letter followed by letters or ``'`` ("it's"), so a token's
-    text says which of these it is; only an integer literal has a ``value``.
-    A ``-`` immediately followed by digits is a negative integer literal; a
-    spaced ``-`` is the binary operator.  A span is the match's own span in
-    ASCII text, where a character is a byte; otherwise it goes through a
-    table of each character's UTF-8 offset.
-    """
-    ascii_ = text.isascii()
-    if not ascii_:
-        # a lone surrogate is not valid UTF-8 but must still get a span
-        to_byte = [0, *accumulate(len(ch.encode("utf-8", "surrogatepass")) for ch in text)]
-    tokens: list[Token] = []
-    # tuple.__new__ skips the Python-level __new__ of the named tuple
-    append, new = tokens.append, tuple.__new__
-    for m in _TOKEN.finditer(text):
-        group, lexeme, span = m.lastindex, m.group(), m.span()
-        # [^\W\d_] also takes numerics such as ² and ½, which are not letters;
-        # in ASCII text it takes letters only
-        if group == _WORD and not ascii_ and not lexeme.replace("'", "").isalpha():
-            start = span[0] + next(i for i, ch in enumerate(lexeme) if not ch.isalpha() and ch != "'")
-            group, lexeme, span = _OTHER, text[start], (start, start + 1)
-        if not ascii_:
-            span = (to_byte[span[0]], to_byte[span[1]])
-        if group == _OTHER:
-            raise TokenError(f"unknown character {lexeme!r}", span)
-        try:
-            value = int(lexeme) if group == _INTEGER else None
-        except ValueError:  # more digits than Python converts to an int
-            raise TokenError("integer literal too long", span) from None
-        append(new(Token, (lexeme, value, span)))
+def tokenize(text: str) -> list[str]:
+    """Split preprocessed text into its tokens: a period, an integer literal
+    ``-?[0-9]+`` (a spaced ``-`` is the operator), one of ``SYMBOLS`` or a
+    word, a letter followed by letters or ``'`` ("it's").  A token is its
+    text, which says which of the four it is; only a literal ends in a digit.
+    Checks over the whole scan tell whether the text may hold what is not a
+    token; only then, or where it has other whitespace than a space, is it
+    scanned again, to raise the first error with its byte span."""
+    tokens = _TOKENS.findall(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # the most digits int() takes; 0: no limit
+    if (
+        # a character that starts no token, a numeric in a word or a long literal
+        sum(map(len, tokens)) + text.count(" ") != len(text)
+        or not text.isascii() and not "".join(tokens).translate(_NOT_LETTERS).isalpha()
+        or limit and len(text) > limit and max(map(len, tokens)) > limit
+    ):
+        for m in _TOKEN.finditer(text):
+            group, lexeme, (start, end) = m.lastindex, m.group(), m.span()
+            if group == _WORD and not lexeme.replace("'", "").isalpha():
+                # [^\W\d_] also takes numerics such as ² and ½, which are not letters
+                start = next(i for i, ch in enumerate(lexeme, start) if not ch.isalpha() and ch != "'")
+                group, lexeme, end = _OTHER, text[start], start + 1
+            if group == _OTHER or group == _INTEGER and len(lexeme.lstrip("-")) > limit > 0:
+                message = f"unknown character {lexeme!r}" if group == _OTHER else "integer literal too long"
+                raise TokenError(message, (_utf8_len(text[:start]), _utf8_len(text[:end])))
     return tokens
+
+
+def token_spans(text: str, ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The byte span of each token range of ``tokenize(text)``, as in a slice
+    (an empty range sits where the token before it ends, or at 0); no range
+    starts before the one before it ends.  Only a diagnostic needs a span: the
+    text is scanned again, up to the last token named, and its bytes counted once."""
+    bounds = [(0, 0), *(m.span() for m in islice(_TOKEN.finditer(text), ranges[-1][1] if ranges else 0))]
+    chars = [c for a, b in ranges for c in (bounds[a + 1][0] if b > a else bounds[a][1], bounds[b][1])]
+    offsets = list(accumulate(_utf8_len(text[i:j]) for i, j in zip([0, *chars], chars)))
+    return list(zip(offsets[::2], offsets[1::2]))
+
+
+def _utf8_len(text: str) -> int:
+    return len(text.encode("utf-8", "surrogatepass"))  # a lone surrogate still gets a span
 
 
 CATEGORIES = ("rawNoun0", "rawNoun2", "rawAdjective0", "rawAdjective1", "variable")
@@ -137,6 +132,8 @@ class Lexicon:
         self._by_first: dict[str, list[tuple[LexiconEntry, tuple[str, ...]]]] = {}
         seen: set[tuple[str, tuple[str, ...]]] = set()
         for entry in self._entries:
+            if entry.category not in CATEGORIES:
+                raise LexiconError(f"unknown category {entry.category!r} in entry {entry.key}")
             for form in entry.surface:
                 if not form or not all(form):
                     raise LexiconError(f"empty surface form in entry {entry.key}")
@@ -197,33 +194,29 @@ class Lexicon:
         """``{key: Lean image}`` for every entry of ``category``."""
         return {e.key: e.lean for e in self.entries(category)}
 
-    def match(self, tokens: Sequence[Token], position: int) -> list[tuple[LexiconEntry, int]]:
+    def match(self, tokens: Sequence[str], position: int) -> list[tuple[LexiconEntry, int]]:
         """Every entry whose surface form starts at ``position``: longest
         form first, then by category and key, then in table order.
 
         The index is kept in that order, so ``match`` only filters it; no
         entry matches twice, as a category rejects duplicate forms.  A form
-        matches where the token texts, each a token's item 0, equal it: a
-        text says whether its token is a word, a symbol, a period or an
-        integer literal.  Ambiguity between overlapping forms ("greater
-        than" inside "greater than or equal to") is left to the parser, which
-        looks a position up only where its token can start a form of a
-        category it tries.  When the longest form there is one word, every
-        form matches and no token texts are read.
+        matches where the tokens equal it, as a token is its text.  Ambiguity
+        between overlapping forms ("greater than" inside "greater than or
+        equal to") is left to the parser, which looks a position up only
+        where its token can start a form of a category it tries.  When the
+        longest form there is one word, every form matches and no other
+        token is read.
         """
         if position < 0 or position > len(tokens):
             raise IndexError(f"position {position} out of range")
-        if position == len(tokens):
-            return []
-        pairs = self._by_first.get(tokens[position].text)
+        pairs = self._by_first.get(tokens[position]) if position < len(tokens) else None
         if pairs is None:
             return []
         longest = len(pairs[0][1])
         if longest == 1:  # every form is the one word already compared
             return [(entry, 1) for entry, _ in pairs]
-        # each form is compared with a prefix of the texts under the longest;
-        # a token's text is its item 0
-        texts = tuple(map(itemgetter(0), tokens[position : position + longest]))
+        # each form is compared with a prefix of the texts under the longest
+        texts = tuple(tokens[position : position + longest])
         return [(entry, len(form)) for entry, form in pairs if texts[: len(form)] == form]
 
 
@@ -255,7 +248,11 @@ SYMBOLS = "()," + "".join(
     symbol for e in default_lexicon().entries("rawNoun2") for (symbol,) in e.surface
 )
 
-# the groups are tried in order, so a "-" glued to digits is a literal: an
-# integer, a period or symbol, a word, and any other character but whitespace
-_TOKEN = re.compile(rf"(-?[0-9]+)|([.{re.escape(SYMBOLS)}])|([^\W\d_]+(?:'[^\W\d_]*)*)|(\S)")
+# tried in order, so a "-" glued to digits is a literal; the rescan's last
+# group takes any other character but whitespace
+_ALTERNATIVES = (r"-?[0-9]+", rf"[.{re.escape(SYMBOLS)}]", r"[^\W\d_]+(?:'[^\W\d_]*)*")
+_TOKENS = re.compile("|".join(_ALTERNATIVES))
+_TOKEN = re.compile("|".join(f"({alternative})" for alternative in (*_ALTERNATIVES, r"\S")))
 _INTEGER, _WORD, _OTHER = 1, 3, 4
+# what a token holds but a word's letters
+_NOT_LETTERS = dict.fromkeys(map(ord, "0123456789.'" + SYMBOLS))

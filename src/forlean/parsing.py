@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import forthel
 from .forthel import GRAMMAR, OPERATOR_LEVELS, Index, Quantified
-from .lexicon import CATEGORIES, Token, default_lexicon
+from .lexicon import CATEGORIES, default_lexicon
 
 __all__ = ["ParseResult", "parse_text"]
 
@@ -45,7 +45,7 @@ Diagnostic = tuple[tuple[int, int], str]
 
 class ParseResult(NamedTuple):
     """Every parse, in the order the parser builds them, or diagnostics at the
-    point of furthest progress."""
+    furthest token reached, spanning ``(at, at + 1)``, or ``(n, n)`` at the end."""
 
     trees: tuple
     diagnostics: tuple[Diagnostic, ...] = ()
@@ -62,7 +62,9 @@ class _Parser:
     twice at one position only after a phrase that parses in two ways ending
     there, as an ambiguous assumption, and each run then builds a different
     tree.  The grammar is not left recursive, so a memo entry is complete
-    before it is read.
+    before it is read.  A token is its text; ``_texts`` has ``int`` for an
+    integer literal, and only where one matches (``atom_term[0]``,
+    ``name_slot[2]``, ``atom_term[2]``) is its text converted to its value.
 
     A failed alternative records what it wanted (``_want``) only when its
     position is at or beyond ``furthest``.  ``_run`` parses first with
@@ -80,14 +82,12 @@ class _Parser:
     an operator level is skipped only while every phrase ends below ``furthest``.
     """
 
-    def __init__(self, tokens: Sequence[Token], furthest: int):
+    def __init__(self, tokens: Sequence[str], furthest: int):
         self.toks = list(tokens)
         self.furthest = furthest
         self.expected: set[str] = set()
-        # token texts by position, int for an integer literal and None one past
-        # the end: matching a word, symbol or period compares texts
-        self._texts = [t.text if t.value is None else int for t in self.toks] + [None]
-        self._ints = [t.value for t in self.toks] + [None]
+        # token texts, int for an integer literal (ending in a digit), None past the end
+        self._texts = [int if t[-1] in "0123456789" else t for t in self.toks] + [None]
         # lexicon matches per position, as (key, end) pairs by category
         self._matches: dict[int, dict[str, list[tuple]]] = {}
         # the alternatives per width, per (operator category, position)
@@ -246,7 +246,8 @@ def _install() -> None:
         if source is int or source is Index:
             test = f"{v} is not None" + (f" and {v} >= 0" if source is Index else "")
             want = [f"elif {pos} >= self.furthest:", f"    self._want({pos}, 'integer literal')"]
-            return [f"{v} = self._ints[{pos}]", f"if {test}:"], step, want if source is int else []
+            value = f"{v} = int(self.toks[{pos}]) if texts[{pos}] is int else None"
+            return [value, f"if {test}:"], step, want if source is int else []
         # one of several words: "a|b" or "[a|b]"
         words = tuple(e.strip("[]").split("|"))
         opened = [f"{t} = texts[{pos}]", f"if {pos} >= self.furthest:",
@@ -332,7 +333,7 @@ def _install() -> None:
 _install()
 
 
-def _run(tokens: Sequence[Token], production: str) -> ParseResult:
+def _run(tokens: Sequence[str], production: str) -> ParseResult:
     # no position reaches sys.maxsize, so this parse records nothing
     parser = _Parser(tokens, sys.maxsize)
     # the complete parses in the order the parser builds them: each is one
@@ -343,19 +344,14 @@ def _run(tokens: Sequence[Token], production: str) -> ParseResult:
     # no complete parse: parse again, recording from the start, to explain it
     parser = _Parser(parser.toks, 0)
     getattr(parser, production)(0)
-    at = min(parser.furthest, len(parser.toks))
-    if at < len(parser.toks):
-        span = parser.toks[at].span
-        found = f"found {parser.toks[at].text!r}"
-    else:
-        end_offset = parser.toks[-1].span[1] if parser.toks else 0
-        span = (end_offset, end_offset)
-        found = "found end of input"
+    n = len(parser.toks)
+    at = min(parser.furthest, n)
+    found = f"found {parser.toks[at]!r}" if at < n else "found end of input"
     message = f"expected {', '.join(sorted(parser.expected))}; {found}"
-    return ParseResult((), ((span, message),))
+    return ParseResult((), (((at, min(at + 1, n)), message),))
 
 
-def parse_text(tokens: Sequence[Token]) -> ParseResult:
+def parse_text(tokens: Sequence[str]) -> ParseResult:
     """Parse a full text ``ex. <assumptions> [then] <statement> .``"""
     return _run(tokens, "text")
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .forthel import ForthelText
 from .lean import DuplicateBinderName, LeanCommand, print_command
-from .lexicon import Token, TokenError, preprocess, tokenize
+from .lexicon import TokenError, preprocess, token_spans, tokenize
 from .parsing import Diagnostic, parse_text
 from .simplify import reserved_ids, simplify
 from .translate import UntranslatableNode, translate_text
@@ -32,44 +32,44 @@ class PipelineTrace(NamedTuple):
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-def split_texts(tokens: list[Token]) -> list[list[Token]]:
-    """Split a token stream on the text delimiter "ex." at sentence starts."""
-    # token i's text is texts[i + 1], between texts[i] and texts[i + 2]: a
-    # sentence starts after a period or at the first token
-    texts = [".", *[t.text for t in tokens], None]
+def split_texts(tokens: list[str]) -> list[tuple[int, list[str]]]:
+    """Split a token stream on "ex." at sentence starts: each text with the index of its first token."""
+    # token i is texts[i + 1], between texts[i] and texts[i + 2]: a sentence
+    # starts after a period or at the first token
+    texts = [".", *tokens, None]
     starts = [i for i, text in enumerate(texts, -1) if text == "ex" and texts[i] == texts[i + 2] == "."]
     bounds = sorted({0, *starts, len(tokens)})
-    return [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [(a, tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_one(tokens: list[Token], first_parse_only: bool) -> PipelineTrace:
+def _run_one(start: int, tokens: list[str], first_parse_only: bool) -> PipelineTrace:
     parses: tuple[ForthelText, ...] = ()
     normals: tuple[ForthelText, ...] = ()
     commands: tuple[LeanCommand, ...] = ()
+    # a failure after parsing belongs to the whole text: it spans all its tokens
+    at = (0, len(tokens))
     try:
         result = parse_text(tokens)
-        if not result.trees:
-            return PipelineTrace(diagnostics=result.diagnostics)
-        parses = result.trees[:1] if first_parse_only else result.trees
-        # the parses share subtrees, and one memo for the text lets each stage
-        # work once per shared subtree.  Each stage is called once per parse
-        # with positional arguments only, as the bench's stage spans expect
-        memo: dict = {}
-        reserved = reserved_ids(tokens)
-        normals = tuple(simplify(tree, reserved, memo) for tree in parses)
-        commands = tuple(translate_text(normal, memo) for normal in normals)
-        printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
+        if result.trees:
+            parses = result.trees[:1] if first_parse_only else result.trees
+            # the parses share subtrees: one memo for the text lets each stage
+            # work once per shared subtree.  Each stage is called once per
+            # parse, with positional arguments only, as the bench's spans expect
+            memo: dict = {}
+            reserved = reserved_ids(tokens)
+            normals = tuple(simplify(tree, reserved, memo) for tree in parses)
+            commands = tuple(translate_text(normal, memo) for normal in normals)
+            printed = tuple(dict.fromkeys(print_command(command, memo) for command in commands))
+            return PipelineTrace(parses, normals, commands, printed)
+        ((at, message),) = result.diagnostics
     except RecursionError:
         message = "input nested too deeply"
     except UntranslatableNode as err:
         message = f"untranslatable: {err}"
     except DuplicateBinderName as err:
         message = f"duplicate binder name: {err}"
-    else:
-        return PipelineTrace(parses, normals, commands, printed)
-    # these failures belong to the whole text: span all of its tokens
-    span = (tokens[0].span[0], tokens[-1].span[1])
-    return PipelineTrace(parses, normals, commands, diagnostics=((span, message),))
+    # a token range of the source, which run_pipeline turns into bytes
+    return PipelineTrace(parses, normals, commands, diagnostics=(((start + at[0], start + at[1]), message),))
 
 
 def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[PipelineTrace]:
@@ -80,11 +80,17 @@ def run_pipeline(source: str, *, first_parse_only: bool = False) -> list[Pipelin
     enabled = gc.isenabled()
     gc.disable()
     try:
-        tokens = tokenize(preprocess(source))
+        tokens = tokenize(text := preprocess(source))
     except TokenError as err:
         return [PipelineTrace(diagnostics=((err.span, str(err)),))]
     else:
-        return [_run_one(segment, first_parse_only) for segment in split_texts(tokens)]
+        traces = [_run_one(start, segment, first_parse_only) for start, segment in split_texts(tokens)]
+        spans = iter(token_spans(text, [at for trace in traces for at, _ in trace.diagnostics]))
+        return [
+            trace._replace(diagnostics=tuple((next(spans), m) for _, m in trace.diagnostics))
+            if trace.diagnostics else trace
+            for trace in traces
+        ]
     finally:
         if enabled:
             gc.enable()

@@ -56,7 +56,6 @@ from .forthel import (
     Unnamed,
     Var,
 )
-from .lexicon import Token
 from .tree import _IS_NODE, once, transform
 
 __all__ = ["NameSupply", "reserved_ids", "simplify", "typed_notion"]
@@ -79,13 +78,14 @@ class NameSupply:
         return ident
 
 
-def reserved_ids(tokens: list[Token]) -> frozenset[int]:
-    """The N of every ``( x N )`` group in ``tokens``: the ids of the
-    generated names a text writes itself."""
+def reserved_ids(tokens: list[str]) -> frozenset[int]:
+    """The N of every ``( x N )`` group in ``tokens``, N an integer literal
+    (the one kind of token that ends in a digit): the ids of the generated
+    names a text writes itself."""
     return frozenset(
-        n.value
+        int(n)
         for o, x, n, c in zip(tokens, tokens[1:], tokens[2:], tokens[3:])
-        if x.text == "x" and o.text == "(" and c.text == ")" and n.value is not None
+        if x == "x" and o == "(" and c == ")" and n[-1] in "0123456789"
     )
 
 

@@ -7,10 +7,12 @@ import pytest
 from forlean.lexicon import (
     SYMBOLS,
     Lexicon,
+    LexiconEntry,
     LexiconError,
     TokenError,
     default_lexicon,
     preprocess,
+    token_spans,
     tokenize,
 )
 
@@ -40,46 +42,28 @@ class TestPreprocess:
         assert preprocess(once) == once
 
 
-def texts_values(text):
-    return [(t.text, t.value) for t in tokenize(text)]
-
-
 class TestTokenize:
     def test_negative_literal_glued(self):
-        assert texts_values("-5 * n - 3") == [("-5", -5), ("*", None), ("n", None), ("-", None), ("3", 3)]
+        assert tokenize("-5 * n - 3") == ["-5", "*", "n", "-", "3"]
 
     def test_symbols_split_from_words(self):
-        assert texts_values("(n + 1) ^ 2") == [
-            ("(", None),
-            ("n", None),
-            ("+", None),
-            ("1", 1),
-            (")", None),
-            ("^", None),
-            ("2", 2),
-        ]
+        assert tokenize("(n + 1) ^ 2") == ["(", "n", "+", "1", ")", "^", "2"]
 
     def test_sentence(self):
-        assert texts_values("4 is not less than 3 .") == [
-            ("4", 4),
-            ("is", None),
-            ("not", None),
-            ("less", None),
-            ("than", None),
-            ("3", 3),
-            (".", None),
-        ]
+        assert tokenize("4 is not less than 3 .") == ["4", "is", "not", "less", "than", "3", "."]
 
     def test_period_glued_to_word(self):
-        assert texts_values("ex.") == [("ex", None), (".", None)]
+        assert tokenize("ex.") == ["ex", "."]
 
     def test_apostrophe_inside_word(self):
-        assert texts_values("it's") == [("it's", None)]
+        assert tokenize("it's") == ["it's"]
 
     def test_int_value_roundtrips_with_text(self):
+        # a literal is the one token that ends in a digit, and int() gives
+        # back its text
         for text in ("0", "41", "-7", "-5 * n - 3"):
-            literals = [tok for tok in tokenize(text) if tok.value is not None]
-            assert [str(t.value) for t in literals] == [t.text for t in literals] == re.findall("-?[0-9]+", text)
+            literals = [token for token in tokenize(text) if token[-1] in string.digits]
+            assert [str(int(t)) for t in literals] == literals == re.findall("-?[0-9]+", text)
 
     def test_unknown_character(self):
         with pytest.raises(TokenError) as exc:
@@ -88,15 +72,19 @@ class TestTokenize:
         assert exc.value.span == (2, 3)
 
     def test_spans_are_byte_offsets(self):
-        tokens = tokenize("x + 12")
-        assert [t.span for t in tokens] == [(0, 1), (2, 3), (4, 6)]
+        text = "x + 12"
+        assert token_spans(text, [(0, 1), (1, 2), (2, 3)]) == [(0, 1), (2, 3), (4, 6)]
+        assert token_spans(text, [(1, 3)]) == [(2, 6)]
+        # an empty range sits where the token before it ends
+        assert token_spans(text, [(i, i) for i in range(4)]) == [(0, 0), (1, 1), (3, 3), (6, 6)]
+        ranges = [(0, 0), (0, 1), (1, 1), (1, 3), (3, 3)]
+        assert token_spans(text, ranges) == [(0, 0), (0, 1), (1, 1), (2, 6), (6, 6)]
+        assert token_spans(text, []) == []
 
     def test_tokens_are_immutable(self):
+        # a token is its text
         (token,) = tokenize("x")
-        with pytest.raises(AttributeError):
-            token.text = "y"
-        with pytest.raises(AttributeError):
-            token.note = "new attribute"
+        assert type(token) is str
 
     def test_spans_of_non_ascii_tokens(self):
         # slicing the input's UTF-8 bytes by a token's span gives its text
@@ -113,27 +101,29 @@ class TestTokenize:
                 assert data[err.span[0] : err.span[1]].decode("utf-8") == "'"
                 assert str(err) == f"unknown character \"'\" at byte offset {err.span[0]}"
                 continue
-            for token in tokens:
-                assert data[token.span[0] : token.span[1]].decode("utf-8") == token.text, text
-                non_ascii += not token.text.isascii()
+            spans = token_spans(text, [(i, i + 1) for i in range(len(tokens))])
+            for token, (start, end) in zip(tokens, spans):
+                assert data[start:end].decode("utf-8") == token, text
+                non_ascii += not token.isascii()
         assert non_ascii > 1000
 
     def test_ascii_and_non_ascii_spans_agree(self):
-        # ASCII text takes its spans from the match, any other text through a
-        # table of UTF-8 offsets: both must give the same tokens and spans,
-        # and the same error at the same span.  A two-byte "é " before the
-        # text moves each span by three bytes
+        # ASCII and any other text must give the same tokens and spans, and
+        # the same error at the same span.  A two-byte "é " before the text
+        # moves each span by three bytes
         rng = random.Random(18)
         alphabet = [*string.ascii_letters, *string.digits, "'", ".", *SYMBOLS, " ", "\t", "\n", "%"]
 
-        def shifted(token):
-            return (*token[:2], (token.span[0] - 3, token.span[1] - 3))
+        def spanned(text, drop=0, shift=0):
+            tokens = tokenize(text)
+            spans = token_spans(text, [(i, i + 1) for i in range(len(tokens))])
+            return [(token, (a - shift, b - shift)) for token, (a, b) in zip(tokens, spans)][drop:]
 
         raised = 0
         for _ in range(2000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             try:
-                expected = [tuple(token) for token in tokenize(text)]
+                expected = spanned(text)
             except TokenError as err:
                 raised += 1
                 with pytest.raises(TokenError) as suffixed:
@@ -144,8 +134,8 @@ class TestTokenize:
                     tokenize("é " + text)
                 assert prefixed.value.span == (err.span[0] + 3, err.span[1] + 3), text
                 continue
-            assert [tuple(token) for token in tokenize(text + " é")[:-1]] == expected, text
-            assert [shifted(token) for token in tokenize("é " + text)[1:]] == expected, text
+            assert spanned(text + " é")[:-1] == expected, text
+            assert spanned("é " + text, drop=1, shift=3) == expected, text
         assert 0 < raised < 2000
 
     @pytest.mark.parametrize("sign", ["", "-"])
@@ -167,14 +157,14 @@ class TestTokenize:
         ],
     )
     def test_roundtrip_through_detokenize(self, text):
-        # texts and values come back; spans move with the spacing
+        # the texts come back; spans move with the spacing
         tokens = tokenize(text)
-        assert texts_values(" ".join(t.text for t in tokens)) == [t[:2] for t in tokens]
+        assert tokenize(" ".join(tokens)) == tokens
 
     def test_text_fixes_kind(self):
         # a token's text says what the token is, so matching may compare texts:
-        # each is exactly one of a period, an integer literal whose value is
-        # its int, one SYMBOLS character or a word, and only a literal has a value
+        # each is exactly one of a period, an integer literal, one SYMBOLS
+        # character or a word, and only a literal ends in a digit
         rng = random.Random(0)
         alphabet = "abxyz019'." + SYMBOLS + " \téß²"
         seen = set()
@@ -186,15 +176,15 @@ class TestTokenize:
                 assert str(err).startswith("unknown character "), text
                 continue
             for token in tokens:
-                literal = re.fullmatch("-?[0-9]+", token.text) is not None
+                literal = re.fullmatch("-?[0-9]+", token) is not None
                 kinds = (
-                    token.text == ".",
+                    token == ".",
                     literal,
-                    len(token.text) == 1 and token.text in SYMBOLS,
-                    token.text[0].isalpha() and token.text.replace("'", "").isalpha(),
+                    len(token) == 1 and token in SYMBOLS,
+                    token[0].isalpha() and token.replace("'", "").isalpha(),
                 )
                 assert sum(kinds) == 1, (text, token)
-                assert token.value == (int(token.text) if literal else None), (text, token)
+                assert (token[-1] in string.digits) == literal, (text, token)
                 seen.add(kinds.index(True))
         assert seen == {0, 1, 2, 3}
 
@@ -252,6 +242,11 @@ class TestLexicon:
         with pytest.raises(LexiconError, match="^line 1: unknown category 'rawNoun9'$"):
             Lexicon.parse("rawNoun9\tX\tx\tℤ\n")
 
+    def test_unknown_category_in_an_entry_is_rejected(self):
+        # else the entry would match but not be listed by its category
+        with pytest.raises(LexiconError, match="^unknown category 'rawNoun' in entry X$"):
+            Lexicon([LexiconEntry("rawNoun", "X", (("x",),), "ℤ")])
+
     def test_unknown_category_name_raises(self):
         # a misspelt name gives an error, not an empty table
         with pytest.raises(ValueError, match="^unknown category 'rawNoun'$"):
@@ -288,10 +283,10 @@ class TestLexicon:
             for form in entry.surface:
                 tokens = tokenize(" ".join(form))
                 if entry.category == "rawNoun2":
-                    assert len(tokens) == 1 and tokens[0].text in SYMBOLS
+                    assert len(tokens) == 1 and tokens[0] in SYMBOLS
                 else:
                     assert tokens
-                    assert all(t.text[0].isalpha() for t in tokens)
+                    assert all(t[0].isalpha() for t in tokens)
 
     def test_match_ambiguous_prefix(self):
         tokens = tokenize("greater than or equal to 0")
@@ -328,7 +323,7 @@ def reference_match(lexicon, tokens, position):
 
     def element_matches(element, token):
         # a form's element is a word or a symbol, never an integer literal
-        return token.value is None and token.text == element
+        return token[-1] not in string.digits and token == element
 
     out = []
     for entry in lexicon.entries():

@@ -4,6 +4,7 @@ import inspect
 import linecache
 import random
 import re
+import string
 import sys
 import time
 from pathlib import Path
@@ -225,10 +226,10 @@ class TestTexts:
         assert result.diagnostics
 
     def test_failure_reports_furthest_position(self):
-        result = parse_source("Ex. Assume x is a real number. Then x is banana.")
-        ((span, message),) = result.diagnostics
-        source = preprocess("Ex. Assume x is a real number. Then x is banana.")
-        assert source[span[0] : span[1]] == "banana"
+        # as a token range: (at, at + 1) for the token found there
+        tokens = tokenize(preprocess("Ex. Assume x is a real number. Then x is banana."))
+        ((span, message),) = parse_text(tokens).diagnostics
+        assert tokens[span[0] : span[1]] == ["banana"]
         assert "expected" in message
 
     @pytest.mark.parametrize(
@@ -237,14 +238,14 @@ class TestTexts:
             pytest.param(
                 "text",
                 "Ex. Assume x is an integer. Then for x.",
-                ((37, 38), "expected 'every', 'no', 'some'; found 'x'"),
+                ((10, 11), "expected 'every', 'no', 'some'; found 'x'"),
                 id="quantifiers",
             ),
             pytest.param(
                 "text",
                 "Ex. Assume x is an integer. Then x + is odd.",
                 (
-                    (37, 39),
+                    (11, 12),
                     "expected '(', 'every', 'no', 'some', integer literal, variable; found 'is'",
                 ),
                 id="term-atoms",
@@ -253,7 +254,7 @@ class TestTexts:
                 "text",
                 "Ex. Assume x is a real number. Then x is banana.",
                 (
-                    (41, 47),
+                    (12, 13),
                     "expected '(', 'a', 'an', 'every', 'no', 'not', 'some', integer literal, "
                     "rawAdjective0, rawAdjective1, rawNoun0, variable; found 'banana'",
                 ),
@@ -262,20 +263,20 @@ class TestTexts:
             pytest.param(
                 "text",
                 "Ex. Assume x is an integer. Then x is odd",
-                ((41, 41), "expected ',', '.', 'and', 'iff', 'or', rawNoun0; found end of input"),
+                ((12, 12), "expected ',', '.', 'and', 'iff', 'or', rawNoun0; found end of input"),
                 id="connectives-at-end",
             ),
             pytest.param(
                 "term",
                 "(x + 2",
-                ((6, 6), "expected ')', '*', '+', '-', '/', '^'; found end of input"),
+                ((4, 4), "expected ')', '*', '+', '-', '/', '^'; found end of input"),
                 id="operators",
             ),
             pytest.param(
                 "statement",
                 "x is odd and",
                 (
-                    (12, 12),
+                    (4, 4),
                     "expected \"it's\", '(', 'every', 'for', 'no', 'some', 'there', "
                     "integer literal, variable; found end of input",
                 ),
@@ -425,15 +426,16 @@ class TestGeneratedParser:
     def test_generated_nodes_get_every_field(self):
         # tuple.__new__ does not check the arity that a node class's __new__
         # checks: each _new(C, (...)) passes one item per field of C, and no
-        # generated line calls a node class itself.  An integer literal's value
-        # is read only where an int or Index element matches (atom_term[0],
+        # generated line calls a node class itself.  An integer literal's text
+        # is converted only where an int or Index element matches (atom_term[0],
         # name_slot[2], atom_term[2]), never in a guard, which reads texts
         classes = {c.__name__: c for c in vars(forthel).values() if isinstance(c, type) and _IS_NODE[c]}
         built, assigned, reads = set(), set(), []
         for node in ast.walk(ast.parse("".join(linecache.getlines(parsing._SOURCE_FILE)))):
             if isinstance(node, ast.Assign):
-                assigned.add(id(node.value))
-            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "self._ints":
+                assigned.update(map(id, ast.walk(node.value)))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "int":
+                assert ast.unparse(node.args[0]).startswith("self.toks["), ast.unparse(node)
                 reads.append(node)
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in classes, ast.unparse(node)
@@ -492,13 +494,13 @@ class TestGeneratedParser:
         assert rules - built == set()
 
 
-def _pool_key(token) -> str:
+def _pool_key(token: str) -> str:
     """How a token once printed, when it carried its kind: the order of the
     edited streams' token pool, and so the parse pin, rests on it."""
-    if token.value is not None:
-        return f"IntLit({token.value})"
-    kind = "Period" if token.text == "." else "Symbol" if token.text in SYMBOLS else "Word"
-    return f"{kind}({token.text!r})"
+    if token[-1] in string.digits:
+        return f"IntLit({int(token)})"
+    kind = "Period" if token == "." else "Symbol" if token in SYMBOLS else "Word"
+    return f"{kind}({token!r})"
 
 
 def edited_streams(corpus_cases, seed: int = 977) -> list[list]:
@@ -509,12 +511,8 @@ def edited_streams(corpus_cases, seed: int = 977) -> list[list]:
     inputs = Path(__file__).parent / "data" / "translate.input"
     sources = [case.input for case in corpus_cases] + inputs.read_text().splitlines()
     texts = [tokenize(preprocess(source)) for source in sources + generate_sentences(300)]
-    # the first token met per text, spans and all
-    first = {}
-    for tokens in texts:
-        for token in tokens:
-            first.setdefault(token.text, token)
-    pool = sorted(first.values(), key=_pool_key)
+    # each token once, in the order first met
+    pool = sorted(dict.fromkeys(token for tokens in texts for token in tokens), key=_pool_key)
     rng = random.Random(seed)
     streams, edited = list(texts), []
     for tokens in texts:
@@ -551,7 +549,7 @@ def test_parse_results_and_diagnostics_are_pinned(corpus_cases):
             digest.update(repr((result.trees, result.diagnostics)).encode())
     assert len(streams) == 2382
     assert failing == 6688
-    assert digest.hexdigest() == "8f722b28322621262ddcb6d9a2a89dd3ef445466a4f5134ab657a7cd56fda71d"
+    assert digest.hexdigest() == "f227688e7518e800873801e14b3bdc15d5a893a508cadcf2e2b3bef4a66cc1c6"
 
 
 class TestFirstSets:

@@ -13,12 +13,12 @@ import pytest
 
 import forlean
 from conftest import CORPUS, canonical
-from forlean import pipeline
+from forlean import lexicon, pipeline
 from forlean.cli import main
 from forlean.corpus import CorpusCase, CorpusFormatError, check_cases, corpus_check, parse_corpus
 from forlean.lean import print_command
 from forlean.lean_reader import read_command
-from forlean.lexicon import preprocess, tokenize
+from forlean.lexicon import preprocess, token_spans, tokenize
 from forlean.pipeline import run_pipeline, split_texts
 from test_properties import QuantifiedOperandGenerator, generate_sentences
 
@@ -73,9 +73,13 @@ def _package_copy(tmp_path, edit):
 
 
 def segments(source):
-    """The texts ``split_texts`` finds in ``source``, as (text, span) pairs."""
-    tokens = tokenize(preprocess(source))
-    return [[(t.text, t.span) for t in segment] for segment in split_texts(tokens)]
+    """The texts ``split_texts`` finds in ``source``, as (text, span) pairs,
+    each span found from the index of its text's first token."""
+    text = preprocess(source)
+    return [
+        list(zip(tokens, token_spans(text, [(start + i, start + i + 1) for i in range(len(tokens))])))
+        for start, tokens in split_texts(tokenize(text))
+    ]
 
 
 class TestSplitTexts:
@@ -170,6 +174,61 @@ class TestRunPipeline:
         (trace,) = run_pipeline(LONG_LITERAL_SOURCE)
         assert trace.diagnostics
         assert trace.diagnostics == (((48, 5048), "integer literal too long at byte offset 48"),)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
+    def test_integer_literal_too_long_follows_the_interpreters_limit(self):
+        # a literal is too long by the limit in force at the call, so the
+        # parser never converts one that int() refuses
+        source = "Ex. Assume x is an integer. Then x is less than {}."
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            (refused,) = run_pipeline(source.format("9" * 1000))
+            (longest,) = run_pipeline(source.format("-" + "9" * 640))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert refused.diagnostics == (((48, 1048), "integer literal too long at byte offset 48"),)
+        assert longest.printed == (f"example (x : ℤ) : x < -{'9' * 640} := sorry",)
+
+    def test_spans_of_later_texts(self):
+        # spans count bytes of the preprocessed source: the first text has
+        # collapsed whitespace and a two-byte letter before the later texts,
+        # which fail mid-text, at the end of input and in translation
+        source = (
+            "Ex.   Assume x is an   integer. Then x is grösser than 0.\n"
+            "Ex. Assume x is an integer. Then x is banana.  "
+            "Ex. Assume  x is an integer.  "
+            "Ex. Then there exists an integer."
+        )
+        expected = (
+            "expected '(', 'a', 'an', 'every', 'no', 'not', 'some', integer literal, "
+            "rawAdjective0, rawAdjective1, rawNoun0, variable"
+        )
+        assert [trace.diagnostics for trace in run_pipeline(source)] == [
+            (((38, 46), f"{expected}; found 'grösser'"),),
+            (((93, 99), f"{expected}; found 'banana'"),),
+            (((128, 128), "expected \"it's\", '(', 'assume', 'every', 'for', 'if', 'no', 'some', 'then', "
+                          "'there', integer literal, variable; found end of input"),),
+            (((129, 162), "untranslatable: existential without a condition has no Lean image"),),
+        ]
+
+    def test_spans_of_every_text_come_from_one_scan(self, monkeypatch):
+        # a scan of the source per failing text would take time quadratic in
+        # the source's length
+        scans, pattern = [], lexicon._TOKEN
+
+        class Counted:
+            def finditer(self, text):
+                scans.append(text)
+                return pattern.finditer(text)
+
+        monkeypatch.setattr(lexicon, "_TOKEN", Counted())
+        source = " ".join(f"Ex. Assume x is an integer. Then x is banana {i}." for i in range(50))
+        traces = run_pipeline(source)
+        assert len(scans) == 1
+        assert len(traces) == 50 and all(trace.diagnostics for trace in traces)
+        last = preprocess(source).rindex("banana")
+        assert traces[-1].diagnostics[0][0] == (last, last + len("banana"))
 
     def test_deterministic(self):
         assert run_pipeline(AMBIGUOUS) == run_pipeline(AMBIGUOUS)
@@ -276,10 +335,15 @@ class TestRunPipeline:
     def test_a_call_leaves_no_cyclic_garbage(self, corpus_cases):
         # reference counting frees all that a call builds: with the cyclic
         # collector off, gc.collect() after a call finds what only the
-        # collector could have freed.  One text per failure path
+        # collector could have freed.  One text per failure path and per way
+        # a span is found: the tokenizer's rescan raises from inside
+        # tokenize, and a later text's span counts the texts before it
         failing = {
             "Ex. Then x % 2 is even.": "unknown character",
+            "Ex. Then é is odd ².": "unknown character",
+            LONG_LITERAL_SOURCE: "integer literal too long",
             "Ex. Then x odd.": "expected",
+            "Ex. Assume x is an integer. Then x is odd. Ex. Then x odd.": "expected",
             "Ex. Then " + "(" * 600 + "x" + ")" * 600 + " is odd.": "input nested too deeply",
             "Ex. Assume x is an integer. Assume x is a real number. Then x is odd.": "duplicate binder name",
             "Ex. Then there exists an integer.": "untranslatable",
@@ -295,7 +359,7 @@ class TestRunPipeline:
                 assert not gc.isenabled()
                 left[source] = gc.collect()
                 if source in failing:
-                    ((_, message),) = traces[0].diagnostics
+                    ((_, message),) = traces[-1].diagnostics
                     assert message.startswith(failing[source]), source
         finally:
             gc.enable()

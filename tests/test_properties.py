@@ -160,9 +160,8 @@ def test_generated_sentences_parse_and_normalize():
 def test_generated_sentences_tokenize_roundtrip():
     for source in generate_sentences(100, seed=7):
         tokens = tokenize(preprocess(source))
-        # texts and values come back; spans move with the spacing
-        again = tokenize(" ".join(t.text for t in tokens))
-        assert [t[:2] for t in again] == [t[:2] for t in tokens]
+        # the texts come back; spans move with the spacing
+        assert tokenize(" ".join(tokens)) == tokens
 
 
 def test_random_token_streams_roundtrip():
@@ -182,14 +181,14 @@ def test_random_token_streams_roundtrip():
                 pieces.append(".")
         text = " ".join(pieces)
         tokens = tokenize(text)
-        again = tokenize(" ".join(t.text for t in tokens))
-        assert [t[:2] for t in again] == [t[:2] for t in tokens]
+        assert tokenize(" ".join(tokens)) == tokens
         result = parse_text(tokens)
         if not result.trees:
-            # a failed parse names what it expected, at bytes of this stream
+            # a failed parse names what it expected, at a token of this stream
+            # or at its end
             ((span, message),) = result.diagnostics
             assert message.startswith("expected ") and not message.startswith("expected ;")
-            assert 0 <= span[0] <= span[1] <= len(text.encode())
+            assert span in {(len(tokens), len(tokens)), *((i, i + 1) for i in range(len(tokens)))}
 
 
 # --- brute-force model checking ----------------------------------------------------

@@ -365,7 +365,7 @@ class TestNameSupply:
         ]
         reserving = 0
         for source in sources:
-            for tokens in split_texts(tokenize(preprocess(source))):
+            for _, tokens in split_texts(tokenize(preprocess(source))):
                 ids = reserved_ids(tokens)
                 reserving += bool(ids)
                 for tree in parse_text(tokens).trees:

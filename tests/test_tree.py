@@ -19,7 +19,7 @@ import forlean
 from conftest import CORPUS, parse_source
 from forlean import forthel, lean
 from forlean.forthel import Meta, MetaVar, Named, Notion, Unnamed, Var
-from forlean.lexicon import LexiconEntry, Token
+from forlean.lexicon import LexiconEntry
 from forlean.parsing import ParseResult
 from forlean.pipeline import PipelineTrace
 from forlean.tree import _IS_NODE, iter_nodes, node, transform
@@ -271,7 +271,7 @@ def test_node_declares_every_node_class():
         ]
         assert declared and all(_IS_NODE[cls] for cls in declared), module.__name__
     # a dataclass or named tuple not declared with ``node`` is a leaf
-    for cls in (PipelineTrace, ParseResult, Token, LexiconEntry, PlainPair, TuplePair):
+    for cls in (PipelineTrace, ParseResult, LexiconEntry, PlainPair, TuplePair):
         assert not _IS_NODE[cls], cls.__name__
 
 
